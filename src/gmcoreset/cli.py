@@ -204,14 +204,8 @@ def experiment_config(cfg: dict) -> harness.ExperimentConfig:
 def _feasible_sizes(cfg: dict, config: harness.ExperimentConfig, scenario) -> tuple[int, ...]:
     """Resolve memory sizes; defaults are intersected with feasibility."""
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    limit = None
-    for method in config.methods:
-        if method in harness.GMC_METHODS:
-            emb = harness.method_embedding(config, method, 0)
-            if method == "gmc_local":
-                emb = replace(emb, draws=1)
-            dim = embedding_dim(emb, arch)
-            limit = dim if limit is None else min(limit, dim)
+    limits = [harness.max_memory_size(config, method, arch) for method in config.methods]
+    limit = min((dim for dim in limits if dim is not None), default=None)
     if cfg["memory_sizes"]:
         if limit is not None:
             bad = [s for s in cfg["memory_sizes"] if s > limit]
@@ -286,6 +280,32 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
     return rows
 
 
+def final_accuracy_table(rows, aggregates) -> str:
+    """Method x memory-size final accuracy (mean±sd over seeds) per scenario and paradigm.
+
+    A (method, size) with rows but no final-task row, a cell that failed
+    mid-run, reads "failed".
+    """
+    blocks = []
+    for scenario, paradigm in sorted({(r.scenario, r.paradigm) for r in rows}):
+        own = [r for r in rows if (r.scenario, r.paradigm) == (scenario, paradigm)]
+        cells = {
+            (a.method, a.memory_size): f"{a.mean_final_acc:.3f}±{a.std_final_acc:.3f}"
+            for a in aggregates if (a.scenario, a.paradigm) == (scenario, paradigm)
+        }
+        sizes = sorted({r.memory_size for r in own})
+        lines = [
+            f"final accuracy, {scenario} scenario, {paradigm} "
+            f"({len({r.seed for r in own})} seeds)",
+            f"{'method':18s} " + " ".join(f"{s:>13d}" for s in sizes),
+        ]
+        for method in sorted({r.method for r in own}):
+            marks = (cells.get((method, size), "failed") for size in sizes)
+            lines.append(f"{method:18s} " + " ".join(f"{m:>13s}" for m in marks))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks)
+
+
 # --- subcommands -------------------------------------------------------------
 
 
@@ -296,12 +316,7 @@ def cmd_select(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.standardize:
-        mean = data.features.mean(axis=0)
-        std = data.features.std(axis=0)
-        data = scenarios.Dataset(
-            (data.features - mean) / np.where(std > 0, std, 1.0), data.labels,
-            data.feature_names, data.label_names,
-        )
+        data, _ = scenarios.standardize_features(data, data)
     arch = nn.MlpArch(data.num_features, tuple(args.hidden), data.num_classes)
     config = EmbeddingConfig(
         draws=args.draws, mode=args.embedding, proj_dim=args.proj_dim,
@@ -410,6 +425,7 @@ def cmd_report(args) -> int:
     num_tasks = max(r.task_index for r in rows) + 1
     aggregates = harness.aggregate_rows(rows, num_tasks)
     write_aggregate_csv(os.path.join(out_dir, "report_final_accuracy.csv"), aggregates)
+    print(final_accuracy_table(rows, aggregates))
 
     size = args.memory_size or max(r.memory_size for r in rows)
     grouped: dict[tuple, list[float]] = {}

@@ -19,7 +19,7 @@ import numpy as np
 from . import memory as mem
 from . import nn
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim
-from .scenarios import ContinualScenario
+from .scenarios import ContinualScenario, Dataset
 
 METHODS = (
     "gmc",
@@ -114,29 +114,25 @@ class PartialRunError(RuntimeError):
 
 
 def method_embedding(config: ExperimentConfig, method: str, seed: int) -> EmbeddingConfig:
-    """Per-run embedding: the method pins the mode, the seed shifts the draws."""
+    """Per-run embedding: the method pins the mode, the seed shifts the draws.
+
+    Local matching re-embeds at the current iterate, a single draw.
+    """
     emb = config.embedding
     if method == "gmc":
         emb = replace(emb, mode="random_projection")
     elif method == "gmc_last_layer":
         emb = replace(emb, mode="last_layer")
+    elif method == "gmc_local":
+        emb = replace(emb, draws=1)
     return replace(emb, init_seed=emb.init_seed + seed, projection_seed=emb.projection_seed + seed)
 
 
-def check_feasible(config: ExperimentConfig, arch: nn.MlpArch, memory_size: int, method: str):
-    """Gradient-matching needs an embedding dimension >= the memory size."""
+def max_memory_size(config: ExperimentConfig, method: str, arch: nn.MlpArch) -> int | None:
+    """Largest feasible memory: gradient matching needs an embedding dimension D >= n."""
     if method not in GMC_METHODS:
-        return
-    emb = method_embedding(config, method, 0)
-    if method == "gmc_local":
-        dim = embedding_dim(replace(emb, draws=1), arch)
-    else:
-        dim = embedding_dim(emb, arch)
-    if memory_size > dim:
-        raise ValueError(
-            f"memory size {memory_size} exceeds the embedding dimension {dim} "
-            f"for method {method}; a valid selection requires D >= n"
-        )
+        return None
+    return embedding_dim(method_embedding(config, method, 0), arch)
 
 
 def _train_seed(seed: int, task: int) -> int:
@@ -144,30 +140,48 @@ def _train_seed(seed: int, task: int) -> int:
     return 1_000_003 + (seed ^ task)
 
 
-def _update_memory(state, method, batch, memory_size, embed_cfg, arch, current_params, rng):
-    """Dispatch one batch to the configured curation strategy."""
-    memory, sieve = state
-    if method in ("gmc", "gmc_last_layer"):
-        G = embed_batch(batch.features, batch.labels, arch, embed_cfg)
-        memory = mem.gmc_update(memory, batch.features, batch.labels, G, memory_size)
-    elif method == "gmc_local":
-        memory = mem.local_gmc_update(
-            memory, batch.features, batch.labels, current_params, memory_size,
-            replace(embed_cfg, draws=1),
-        )
-    elif method == "reservoir":
-        memory = mem.reservoir_update(memory, batch.features, batch.labels, memory_size, rng)
-    elif method == "class_balance":
-        memory = mem.class_balance_update(memory, batch.features, batch.labels, memory_size, rng)
-    elif method == "sliding_window":
-        memory = mem.sliding_window_update(memory, batch.features, batch.labels, memory_size)
-    elif method == "facility_location":
-        sieve, memory = mem.facility_location_update(
-            sieve, batch.features, batch.labels, memory_size
-        )
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return memory, sieve
+class Rehearsal:
+    """One cell's rehearsal method: its memory, sieve state, embedding and rng.
+
+    Building one rejects a memory size the method cannot support.
+    """
+
+    def __init__(
+        self, config: ExperimentConfig, method: str, memory_size: int, arch: nn.MlpArch, seed: int
+    ):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        limit = max_memory_size(config, method, arch)
+        if limit is not None and memory_size > limit:
+            raise ValueError(
+                f"memory size {memory_size} exceeds the embedding dimension {limit} "
+                f"for method {method}; a valid selection requires D >= n"
+            )
+        self.method = method
+        self.memory_size = memory_size
+        self.arch = arch
+        self.embedding = method_embedding(config, method, seed)
+        self.rng = np.random.default_rng(seed)
+        self.memory = mem.RehearsalMemory.empty(memory_size)
+        self.sieve = mem.SieveState(memory_size)
+
+    def update(self, batch: Dataset, params: nn.MlpParams) -> mem.RehearsalMemory:
+        """Offer one batch; local matching embeds at ``params``."""
+        X, y, n, method = batch.features, batch.labels, self.memory_size, self.method
+        if method in ("gmc", "gmc_last_layer"):
+            G = embed_batch(X, y, self.arch, self.embedding)
+            self.memory = mem.gmc_update(self.memory, X, y, G, n)
+        elif method == "gmc_local":
+            self.memory = mem.local_gmc_update(self.memory, X, y, params, n, self.embedding)
+        elif method == "reservoir":
+            self.memory = mem.reservoir_update(self.memory, X, y, n, self.rng)
+        elif method == "class_balance":
+            self.memory = mem.class_balance_update(self.memory, X, y, n, self.rng)
+        elif method == "sliding_window":
+            self.memory = mem.sliding_window_update(self.memory, X, y, n)
+        else:
+            self.sieve, self.memory = mem.facility_location_update(self.sieve, X, y, n)
+        return self.memory
 
 
 def run_gdumb(
@@ -179,19 +193,13 @@ def run_gdumb(
 ) -> list[ResultRow]:
     """Update memory, reinitialize, retrain from scratch, evaluate - per task."""
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    check_feasible(config, arch, memory_size, method)
-    embed_cfg = method_embedding(config, method, seed)
-    state = (mem.RehearsalMemory.empty(memory_size), mem.SieveState(memory_size))
-    rng = np.random.default_rng(seed)
+    rehearsal = Rehearsal(config, method, memory_size, arch, seed)
     current_params = nn.init_sample(arch, seed ^ 0)
     rows: list[ResultRow] = []
     for t, batch in enumerate(scenario.batches):
         started = time.perf_counter()
         try:
-            state = _update_memory(
-                state, method, batch, memory_size, embed_cfg, arch, current_params, rng
-            )
-            memory = state[0]
+            memory = rehearsal.update(batch, current_params)
             params = nn.init_sample(arch, seed ^ t)
             if memory.size:
                 params = nn.train(
@@ -251,13 +259,10 @@ def run_replay(
 ) -> list[ResultRow]:
     """One model trained through the stream; memory updated after each task."""
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    check_feasible(config, arch, memory_size, method)
-    embed_cfg = method_embedding(config, method, seed)
+    rehearsal = Rehearsal(config, method, memory_size, arch, seed)
     epochs = config.replay_epochs
     if epochs is None:
         epochs = max(1, config.train.epochs // scenario.num_tasks)
-    state = (mem.RehearsalMemory.empty(memory_size), mem.SieveState(memory_size))
-    rng = np.random.default_rng(seed)
     params = nn.init_sample(arch, seed)
     adam = nn.AdamState.zeros(params)
     represented = 0
@@ -266,12 +271,10 @@ def run_replay(
         started = time.perf_counter()
         try:
             params, adam = _replay_task(
-                params, adam, batch, state[0], represented,
+                params, adam, batch, rehearsal.memory, represented,
                 replace(config.train, seed=_train_seed(seed, t)), epochs,
             )
-            state = _update_memory(
-                state, method, batch, memory_size, embed_cfg, arch, params, rng
-            )
+            rehearsal.update(batch, params)
             accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
         except Exception as exc:
             raise PartialRunError(rows, t, exc) from exc

@@ -168,13 +168,11 @@ def refit_weights(
     return solve_triangular(chol.lower.T, half, lower=False)
 
 
-def omp_select(
-    G: GradientMatrix, target: np.ndarray, n: int, score: str = "absolute"
-) -> CoresetSelection:
+def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelection:
     """Greedy sparse approximation of ``target`` by at most ``n`` columns.
 
     Each round picks the admissible column maximizing the correlation
-    ratio <g_k, r> / ||g_k|| with the current residual r, then re-fits
+    ratio |<g_k, r>| / ||g_k|| with the current residual r, then re-fits
     all weights by exact least squares on the selected support, so the
     residual norm never increases.
 
@@ -183,8 +181,6 @@ def omp_select(
       target: vector of length G.dim.
       n: maximum selection size; requires n <= N and n <= D (the Gram
         matrix of more than D columns is always singular).
-      score: "absolute" ranks candidates by |<g_k, r>| / ||g_k||;
-        "signed" takes the literal maximum of the signed ratio.
 
     Zero-norm columns and already-selected columns are never candidates;
     score ties break toward the lowest column index.  A linearly
@@ -207,8 +203,6 @@ def omp_select(
             f"selection size {n} exceeds the embedding dimension {D}; "
             f"a valid selection requires D >= n"
         )
-    if score not in ("absolute", "signed"):
-        raise ValueError(f"unknown score mode {score!r}")
 
     norms = G.column_norms
     admissible = norms > 0.0
@@ -220,9 +214,7 @@ def omp_select(
     truncated = False
 
     while len(indices) < n:
-        ratios = (residual @ G.data) / safe_norms
-        if score == "absolute":
-            ratios = np.abs(ratios)
+        ratios = np.abs((residual @ G.data) / safe_norms)
         ratios[~admissible] = -np.inf
         k = int(np.argmax(ratios))
         if not np.isfinite(ratios[k]):

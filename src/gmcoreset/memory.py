@@ -11,7 +11,6 @@ examples at the current parameters instead of caching columns.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -75,7 +74,6 @@ def gmc_update(
     batch_labels: np.ndarray,
     batch_embeddings: GradientMatrix,
     n: int,
-    score: str = "absolute",
 ) -> RehearsalMemory:
     """Re-select the coreset against the updated running target.
 
@@ -98,7 +96,7 @@ def gmc_update(
     else:
         dictionary = data
     pool = GradientMatrix(dictionary)
-    selection = omp_select(pool, target, min(n, pool.num_columns), score=score)
+    selection = omp_select(pool, target, min(n, pool.num_columns))
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
@@ -361,44 +359,3 @@ def facility_location_objective(
     diffs = points[:, None, :] - selected[None, :, :]
     dists = np.sqrt((diffs * diffs).sum(axis=2))
     return float((bound - dists.min(axis=1)).sum())
-
-
-# --- snapshots -------------------------------------------------------------
-
-
-def save_memory(memory: RehearsalMemory, prefix: str) -> None:
-    """Write ``prefix.csv`` (features, label, weight) and ``prefix.npz``."""
-    with open(prefix + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(memory.features.shape[1] if memory.size else 0)]
-                        + ["label", "weight"])
-        for x, y, w in zip(memory.features, memory.labels, memory.weights):
-            writer.writerow([*(repr(float(v)) for v in x), int(y), repr(float(w))])
-    arrays = {
-        "capacity": np.asarray(memory.capacity),
-        "seen": np.asarray(memory.seen),
-        "classes_seen": np.asarray(memory.classes_seen, dtype=np.int64),
-        "features": memory.features,
-        "labels": memory.labels,
-        "weights": memory.weights,
-    }
-    if memory.embeddings is not None:
-        arrays["embeddings"] = memory.embeddings
-    if memory.target is not None:
-        arrays["target"] = memory.target
-    np.savez(prefix + ".npz", **arrays)
-
-
-def load_memory(prefix: str) -> RehearsalMemory:
-    """Rebuild a memory snapshot written by :func:`save_memory`."""
-    with np.load(prefix + ".npz") as data:
-        return RehearsalMemory(
-            capacity=int(data["capacity"]),
-            features=data["features"],
-            labels=data["labels"],
-            weights=data["weights"],
-            embeddings=data["embeddings"] if "embeddings" in data else None,
-            target=data["target"] if "target" in data else None,
-            seen=int(data["seen"]),
-            classes_seen=tuple(int(c) for c in data["classes_seen"]),
-        )

@@ -268,9 +268,3 @@ def evaluate(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("test set must be non-empty")
     predictions = np.argmax(predict_logits(params, X), axis=1)
     return float(np.mean(predictions == y))
-
-
-def mean_loss(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
-    """Unweighted mean cross-entropy, handy for sanity checks."""
-    loss, _ = loss_and_grad(params, X, y, np.ones(len(np.asarray(y))))
-    return loss

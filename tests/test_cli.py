@@ -1,3 +1,4 @@
+import glob
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from gmcoreset import cli, nn
 from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
-from gmcoreset.harness import _train_seed, method_embedding
+from gmcoreset.harness import _train_seed, method_embedding, run_gdumb
 from gmcoreset.scenarios import save_csv, synth_blobs
 
 
@@ -205,6 +206,37 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
     assert "D >= n" in capsys.readouterr().err
 
 
+# MINIMAL_CONFIG has hidden 8, 3 classes, proj_dim 16 and 2 draws, so D is 32
+# projected, 2 * (3 * 8 + 3) = 54 on the last layer, and 16 for local
+# matching's single draw
+@pytest.mark.parametrize("method, dim", [("gmc", 32), ("gmc_last_layer", 54), ("gmc_local", 16)])
+def test_memory_size_beyond_embedding_dim_is_rejected_at_both_entry_points(
+    tmp_path, capsys, method, dim
+):
+    cfg_path = write_config(tmp_path)
+    code = main(["run", "--config", cfg_path, "--out", str(tmp_path / "o"),
+                 "--method", method, "--memory-sizes", str(dim + 1)])
+    assert code == 2
+    assert f"embedding dimension {dim};" in capsys.readouterr().err
+
+    cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), {"methods": method})
+    with pytest.raises(ValueError, match=f"embedding dimension {dim} "):
+        run_gdumb(cli.build_scenario(cfg), method, dim + 1, cli.experiment_config(cfg), seed=0)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(CONFIG_DIR, "*.cfg")))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=os.path.basename)
+def test_shipped_config_resolves_and_is_feasible(path):
+    with open(path) as fh:
+        cfg = resolve_config(parse_config_text(fh.read(), path), {})
+    scenario = cli.build_scenario(cfg)
+    config = cli.experiment_config(cfg)
+    assert cli._feasible_sizes(cfg, config, scenario) == cfg["memory_sizes"]
+
+
 def test_run_default_memory_sizes_are_restricted_to_feasible(tmp_path):
     text = MINIMAL_CONFIG.replace("memory_sizes = 15\n", "").replace(
         "methods = reservoir", "methods = gmc"
@@ -270,6 +302,24 @@ def test_report_std_of_identical_accuracies_is_zero(tmp_path):
     assert main(["report", out]) == 0
     line = open(os.path.join(out, "report_final_accuracy.csv")).read().splitlines()[1]
     assert line.split(",")[4] == "0.75" and line.split(",")[5] == "0.0"
+
+
+def test_report_table_marks_a_cell_without_a_final_row(tmp_path, capsys):
+    out = str(tmp_path / "fake")
+    os.makedirs(out)
+    with open(os.path.join(out, "raw.csv"), "w") as fh:
+        fh.write(cli.RAW_HEADER + "\n")
+        for seed in range(2):
+            fh.write(f"sorted,gdumb,gmc,10,{seed},0,0.5,\n")
+            fh.write(f"sorted,gdumb,gmc,10,{seed},1,0.75,\n")
+            fh.write(f"sorted,gdumb,gmc,20,{seed},0,0.5,\n")  # failed at task 1
+    with open(os.path.join(out, "class_frequencies.csv"), "w") as fh:
+        fh.write("task_index,class_0\n0,1.0\n1,1.0\n")
+    assert main(["report", out]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0] == "final accuracy, sorted scenario, gdumb (2 seeds)"
+    assert table[1].split() == ["method", "10", "20"]
+    assert table[2].split() == ["gmc", "0.750±0.000", "failed"]
 
 
 def test_report_missing_input_exits_one(tmp_path, capsys):

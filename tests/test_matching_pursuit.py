@@ -138,14 +138,6 @@ def test_orthonormal_dictionary_picks_largest_coefficients():
     assert not sel.truncated
 
 
-def test_signed_score_follows_the_raw_ratio():
-    # with the literal signed argmax, the anti-correlated third column loses to
-    # the orthogonal second one
-    G = GradientMatrix(np.eye(3))
-    sel = omp_select(G, np.array([2.0, 0.0, -1.0]), 2, score="signed")
-    assert sel.indices.tolist() == [0, 1]
-
-
 def test_target_in_span_of_one_column():
     rng = np.random.default_rng(7)
     data = rng.standard_normal((6, 5))

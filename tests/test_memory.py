@@ -14,10 +14,8 @@ from gmcoreset.memory import (
     facility_location_objective,
     facility_location_update,
     gmc_update,
-    load_memory,
     local_gmc_update,
     reservoir_update,
-    save_memory,
     sliding_window_update,
 )
 
@@ -355,21 +353,3 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
         for memory in memories.values():
             assert memory.size <= n
             assert len(memory.weights) == memory.size
-
-
-# --- snapshots --------------------------------------------------------------------------
-
-
-def test_memory_snapshot_round_trip(tmp_path):
-    G = random_embeddings(2, 12, 9)
-    feats, labels = fake_batch(9, seed=2)
-    memory = gmc_update(RehearsalMemory.empty(4), feats, labels, G, 4)
-    prefix = str(tmp_path / "snap")
-    save_memory(memory, prefix)
-    back = load_memory(prefix)
-    assert np.array_equal(back.features, memory.features)
-    assert np.array_equal(back.labels, memory.labels)
-    assert np.array_equal(back.weights, memory.weights)
-    assert np.array_equal(back.embeddings, memory.embeddings)
-    assert np.array_equal(back.target, memory.target)
-    assert back.seen == memory.seen and back.capacity == memory.capacity
