@@ -1,9 +1,8 @@
 """Gradient-matching coresets and rehearsal-memory baselines for continual learning."""
 
-from .grad_embed import EmbeddingConfig, SignProjection, embed_batch, per_example_gradient, project
+from .grad_embed import EmbeddingConfig, embed_batch
 from .harness import ExperimentConfig, ResultRow, run_gdumb, run_replay, sweep
 from .matching_pursuit import (
-    CholeskyFactor,
     CoresetSelection,
     GradientMatrix,
     SingularGramError,

@@ -18,7 +18,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -82,7 +82,6 @@ CONFIG_SCHEMA = {
     "epochs": (int, 200),
     "replay_epochs": (_parse_opt_int, None),
     "hidden": (_parse_int_list, (128, 128)),
-    "embedding": (str, "random_projection"),
     "proj_dim": (int, 2000),
     "draws": (int, 4),
     "init_seed": (int, 0),
@@ -131,21 +130,14 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> di
     return resolved
 
 
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run: the fully resolved config."""
-
-    resolved: dict
-    config_path: str | None
-    out_dir: str
-
-    def to_text(self) -> str:
-        lines = ["# resolved run configuration; reusable as --config"]
-        if self.config_path:
-            lines.append(f"# source config: {self.config_path}")
-        for key in CONFIG_SCHEMA:
-            lines.append(f"{key} = {_fmt(self.resolved[key])}")
-        return "\n".join(lines) + "\n"
+def manifest_text(resolved: dict, config_path: str | None) -> str:
+    """The fully resolved config of a run, itself reusable as --config."""
+    lines = ["# resolved run configuration; reusable as --config"]
+    if config_path:
+        lines.append(f"# source config: {config_path}")
+    for key in CONFIG_SCHEMA:
+        lines.append(f"{key} = {_fmt(resolved[key])}")
+    return "\n".join(lines) + "\n"
 
 
 def _label_column(raw: str) -> int | str:
@@ -193,7 +185,7 @@ def experiment_config(cfg: dict) -> harness.ExperimentConfig:
             step_size=cfg["step_size"], batch_size=cfg["batch_size"], epochs=cfg["epochs"]
         ),
         embedding=EmbeddingConfig(
-            draws=cfg["draws"], mode=cfg["embedding"], proj_dim=cfg["proj_dim"],
+            draws=cfg["draws"], proj_dim=cfg["proj_dim"],
             projection_seed=cfg["proj_seed"], init_seed=cfg["init_seed"],
         ),
         hidden=tuple(cfg["hidden"]),
@@ -312,29 +304,29 @@ def final_accuracy_table(rows, aggregates) -> str:
 def cmd_select(args) -> int:
     try:
         data = scenarios.load_csv(args.dataset, _label_column(args.label_column), args.header)
+        arch = nn.MlpArch(data.num_features, tuple(args.hidden), data.num_classes)
+        config = EmbeddingConfig(
+            draws=args.draws, mode=args.embedding, proj_dim=args.proj_dim,
+            projection_seed=args.proj_seed, init_seed=args.init_seed,
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.standardize:
         data, _ = scenarios.standardize_features(data, data)
-    arch = nn.MlpArch(data.num_features, tuple(args.hidden), data.num_classes)
-    config = EmbeddingConfig(
-        draws=args.draws, mode=args.embedding, proj_dim=args.proj_dim,
-        projection_seed=args.proj_seed, init_seed=args.init_seed,
-    )
     dim = embedding_dim(config, arch)
-    if args.size > dim:
-        print(
-            f"error: coreset size {args.size} exceeds the embedding dimension {dim}; "
-            f"gradient matching requires D >= n (increase --proj-dim or --draws)",
-            file=sys.stderr,
+    problem = None
+    if args.size < 1:
+        problem = f"coreset size must be >= 1, got {args.size}"
+    elif args.size > dim:
+        problem = (
+            f"coreset size {args.size} exceeds the embedding dimension {dim}; "
+            f"gradient matching requires D >= n (increase --proj-dim or --draws)"
         )
-        return 2
-    if args.size > data.num_examples:
-        print(
-            f"error: coreset size {args.size} exceeds the dataset size {data.num_examples}",
-            file=sys.stderr,
-        )
+    elif args.size > data.num_examples:
+        problem = f"coreset size {args.size} exceeds the dataset size {data.num_examples}"
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     try:
         G = embed_batch(data.features, data.labels, arch, config)
@@ -360,18 +352,7 @@ def cmd_run(args) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    overrides = {
-        "seeds": args.seed,
-        "memory_sizes": args.memory_sizes,
-        "methods": args.method,
-        "paradigm": args.paradigm,
-        "embedding": args.embedding,
-        "proj_dim": args.proj_dim,
-        "draws": args.draws,
-        "jobs": args.jobs,
-        "out": args.out,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {key: getattr(args, key, None) for key in CONFIG_SCHEMA}
     try:
         cfg = resolve_config(file_values, overrides)
         scenario = build_scenario(cfg)
@@ -393,9 +374,8 @@ def cmd_run(args) -> int:
     scenarios.write_scenario_manifest(
         scenario, os.path.join(out_dir, "scenario.txt"), seed=cfg["data_seed"]
     )
-    manifest = RunManifest(cfg, config_path, out_dir)
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(manifest.to_text())
+        fh.write(manifest_text(cfg, config_path))
     if result.failures:
         for failure in result.failures:
             print(
@@ -471,12 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment sweep from a configuration")
     run.add_argument("--config", help="flat key = value configuration file")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--seed", help="comma-separated seed list")
+    run.add_argument("--seed", dest="seeds", help="comma-separated seed list")
     run.add_argument("--jobs", help="parallel sweep cells")
     run.add_argument("--memory-sizes", help="comma-separated memory sizes")
-    run.add_argument("--method", help="comma-separated method names")
+    run.add_argument("--method", dest="methods", help="comma-separated method names")
     run.add_argument("--paradigm", choices=["gdumb", "replay"])
-    run.add_argument("--embedding", choices=["random_projection", "last_layer"])
     run.add_argument("--proj-dim")
     run.add_argument("--draws")
 

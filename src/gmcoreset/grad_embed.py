@@ -43,6 +43,8 @@ class EmbeddingConfig:
             raise ValueError(f"unknown embedding mode {self.mode!r}")
         if self.mode == "random_projection" and self.proj_dim < 1:
             raise ValueError("proj_dim must be >= 1 in random_projection mode")
+        if self.init_seed < 0 or self.projection_seed < 0:
+            raise ValueError("init_seed and projection_seed must be >= 0")
 
 
 def last_layer_size(arch: MlpArch) -> int:
@@ -57,36 +59,14 @@ def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
     return config.draws * last_layer_size(arch)
 
 
-@dataclass
-class SignProjection:
-    """Dense {+1, -1} projection matrix with a 1/sqrt(d) output scale."""
+def sign_projection(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
+    """Sample a (proj_dim, input_dim) {+1, -1} matrix; bit-identical for equal seeds (PCG64).
 
-    matrix: np.ndarray  # (d, P)
-
-    @property
-    def proj_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def input_dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def sign_projection(proj_dim: int, input_dim: int, seed: int) -> SignProjection:
-    """Sample a sign matrix; bit-identical for equal seeds (PCG64)."""
+    Projecting by it and scaling by 1/sqrt(proj_dim) preserves inner
+    products in expectation.
+    """
     rng = np.random.default_rng(seed)
-    matrix = rng.integers(0, 2, size=(proj_dim, input_dim)).astype(np.float64) * 2.0 - 1.0
-    return SignProjection(matrix)
-
-
-def project(gradient: np.ndarray, proj: SignProjection) -> np.ndarray:
-    """(S @ gradient) / sqrt(d); preserves inner products in expectation."""
-    gradient = np.asarray(gradient, dtype=np.float64)
-    if gradient.shape != (proj.input_dim,):
-        raise ValueError(
-            f"gradient has length {gradient.shape}, projection expects {proj.input_dim}"
-        )
-    return (proj.matrix @ gradient) / np.sqrt(proj.proj_dim)
+    return rng.integers(0, 2, size=(proj_dim, input_dim)).astype(np.float64) * 2.0 - 1.0
 
 
 def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str) -> np.ndarray:
@@ -96,6 +76,8 @@ def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str
     all layers and flattens [W1, b1, ..., Wk, bk]; "last_layer" uses the
     closed form (softmax - onehot) x penultimate activation.
     """
+    if scope not in ("full", "last_layer"):
+        raise ValueError(f"unknown gradient scope {scope!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     activations, pre, logits = _forward(params, X)
@@ -105,35 +87,15 @@ def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str
     delta = _softmax(logits)
     delta[np.arange(len(y)), y] -= 1.0
 
-    h = activations[-1]
-    if scope == "last_layer":
-        dw = np.einsum("bo,bi->boi", delta, h).reshape(len(y), -1)
-        return np.concatenate([dw, delta], axis=1)
-    if scope != "full":
-        raise ValueError(f"unknown gradient scope {scope!r}")
-
-    blocks = [None] * params.num_layers
-    blocks[-1] = np.concatenate(
-        [np.einsum("bo,bi->boi", delta, h).reshape(len(y), -1), delta], axis=1
-    )
-    for layer in range(params.num_layers - 2, -1, -1):
-        delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
+    blocks = []
+    for layer in range(params.num_layers - 1, -1, -1):
+        if layer < params.num_layers - 1:
+            delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
         dw = np.einsum("bo,bi->boi", delta, activations[layer]).reshape(len(y), -1)
-        blocks[layer] = np.concatenate([dw, delta], axis=1)
-    return np.concatenate(blocks, axis=1)
-
-
-def per_example_gradient(
-    params: MlpParams, example: tuple[np.ndarray, int], scope: str = "full"
-) -> np.ndarray:
-    """Gradient of one example's cross-entropy loss, flattened.
-
-    With scope "last_layer" only the output-layer block is returned,
-    which equals the corresponding tail block of the full gradient.
-    """
-    features, label = example
-    X = np.asarray(features, dtype=np.float64)[None, :]
-    return _batch_gradients(params, X, np.asarray([label]), scope)[0]
+        blocks.append(np.concatenate([dw, delta], axis=1))
+        if scope == "last_layer":
+            return blocks[0]
+    return np.concatenate(blocks[::-1], axis=1)
 
 
 def embed_batch_at_params(
@@ -152,7 +114,7 @@ def embed_batch_at_params(
         if config.mode == "random_projection":
             grads = _batch_gradients(params, features, labels, "full")
             proj = sign_projection(config.proj_dim, grads.shape[1], config.projection_seed + j)
-            blocks.append(grads @ proj.matrix.T / np.sqrt(config.proj_dim))
+            blocks.append(grads @ proj.T / np.sqrt(config.proj_dim))
         else:
             blocks.append(_batch_gradients(params, features, labels, "last_layer"))
     return GradientMatrix(np.concatenate(blocks, axis=1).T)

@@ -58,6 +58,10 @@ class ExperimentConfig:
             raise ValueError("seeds must be distinct")
         if not self.methods or not self.memory_sizes or not self.seeds:
             raise ValueError("methods, memory_sizes and seeds must be non-empty")
+        if min(self.memory_sizes) < 1:
+            raise ValueError(f"memory sizes must be >= 1, got {self.memory_sizes}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be >= 0, got {self.seeds}")
 
 
 @dataclass
@@ -124,7 +128,7 @@ def method_embedding(config: ExperimentConfig, method: str, seed: int) -> Embedd
     elif method == "gmc_last_layer":
         emb = replace(emb, mode="last_layer")
     elif method == "gmc_local":
-        emb = replace(emb, draws=1)
+        emb = replace(emb, mode="random_projection", draws=1)
     return replace(emb, init_seed=emb.init_seed + seed, projection_seed=emb.projection_seed + seed)
 
 
@@ -163,7 +167,7 @@ class Rehearsal:
         self.embedding = method_embedding(config, method, seed)
         self.rng = np.random.default_rng(seed)
         self.memory = mem.RehearsalMemory.empty(memory_size)
-        self.sieve = mem.SieveState(memory_size)
+        self.sieve = mem.SieveState()
 
     def update(self, batch: Dataset, params: nn.MlpParams) -> mem.RehearsalMemory:
         """Offer one batch; local matching embeds at ``params``."""

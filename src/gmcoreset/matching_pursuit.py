@@ -29,13 +29,12 @@ class GradientMatrix:
 
     Args:
       data: D x N array, 64-bit float; column i is the embedding of
-        example i.
-      column_norms: optional cached Euclidean norms of the columns.
-        Recomputed when omitted; validated against the data otherwise.
+        example i.  Its Euclidean column norms are computed on
+        construction.
     """
 
     data: np.ndarray
-    column_norms: np.ndarray | None = None
+    column_norms: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.data = np.ascontiguousarray(self.data, dtype=np.float64)
@@ -45,16 +44,7 @@ class GradientMatrix:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("dictionary contains non-finite entries")
-        if self.column_norms is None:
-            self.column_norms = np.linalg.norm(self.data, axis=0)
-        else:
-            self.column_norms = np.asarray(self.column_norms, dtype=np.float64)
-            fresh = np.linalg.norm(self.data, axis=0)
-            scale = np.maximum(fresh, 1.0)
-            if self.column_norms.shape != fresh.shape or np.any(
-                np.abs(self.column_norms - fresh) > 1e-12 * scale
-            ):
-                raise ValueError("cached column norms disagree with the data")
+        self.column_norms = np.linalg.norm(self.data, axis=0)
 
     @property
     def dim(self) -> int:
@@ -91,26 +81,12 @@ class CoresetSelection:
         return int(self.indices.size)
 
 
-@dataclass
-class CholeskyFactor:
-    """Lower-triangular L with L L^T equal to the Gram matrix of the selection."""
-
-    lower: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @classmethod
-    def empty(cls) -> "CholeskyFactor":
-        return cls(np.zeros((0, 0)))
-
-    @property
-    def size(self) -> int:
-        return self.lower.shape[0]
-
-
-def cholesky_append(chol: CholeskyFactor, cross: np.ndarray, diag: float) -> CholeskyFactor:
+def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.ndarray:
     """Extend a Cholesky factor by one column of the underlying Gram matrix.
 
     Args:
-      chol: factor of the current m x m Gram matrix.
+      lower: lower-triangular L with L L^T equal to the current m x m
+        Gram matrix of the selection (0 x 0 when empty).
       cross: inner products of the selected columns with the new column,
         length m.
       diag: squared norm of the new column, must be positive.
@@ -127,13 +103,13 @@ def cholesky_append(chol: CholeskyFactor, cross: np.ndarray, diag: float) -> Cho
     diag = float(diag)
     if diag <= 0.0:
         raise ValueError(f"diag must be positive, got {diag}")
-    m = chol.size
+    m = lower.shape[0]
     if cross.shape != (m,):
         raise ValueError(f"cross term must have length {m}, got shape {cross.shape}")
     if m == 0:
         w = np.zeros(0)
     else:
-        w = solve_triangular(chol.lower, cross, lower=True)
+        w = solve_triangular(lower, cross, lower=True)
     schur = diag - float(w @ w)
     if schur <= DEPENDENT_RTOL * diag:
         raise SingularGramError(
@@ -141,31 +117,31 @@ def cholesky_append(chol: CholeskyFactor, cross: np.ndarray, diag: float) -> Cho
             f"(schur complement {schur:.3e} <= {DEPENDENT_RTOL:.0e} * {diag:.3e})"
         )
     grown = np.zeros((m + 1, m + 1))
-    grown[:m, :m] = chol.lower
+    grown[:m, :m] = lower
     grown[m, :m] = w
     grown[m, m] = np.sqrt(schur)
-    return CholeskyFactor(grown)
+    return grown
 
 
 def refit_weights(
-    G: GradientMatrix, indices: np.ndarray, target: np.ndarray, chol: CholeskyFactor
+    G: GradientMatrix, indices: np.ndarray, target: np.ndarray, lower: np.ndarray
 ) -> np.ndarray:
     """Least-squares weights of the selected columns against the target.
 
     Solves the normal equations through two triangular solves with the
-    maintained Cholesky factor; the residual target - G_I w is orthogonal
-    to every selected column.
+    maintained Cholesky factor ``lower``; the residual target - G_I w is
+    orthogonal to every selected column.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("cannot refit an empty selection")
-    if chol.size != indices.size:
+    if lower.shape[0] != indices.size:
         raise ValueError("Cholesky factor does not match the selection size")
-    if np.any(np.diag(chol.lower) <= 0.0):
+    if np.any(np.diag(lower) <= 0.0):
         raise SingularGramError("non-positive diagonal in the Cholesky factor")
     rhs = G.data[:, indices].T @ target
-    half = solve_triangular(chol.lower, rhs, lower=True)
-    return solve_triangular(chol.lower.T, half, lower=False)
+    half = solve_triangular(lower, rhs, lower=True)
+    return solve_triangular(lower.T, half, lower=False)
 
 
 def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelection:
@@ -209,7 +185,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     safe_norms = np.where(admissible, norms, 1.0)
     indices: list[int] = []
     weights = np.zeros(0)
-    chol = CholeskyFactor.empty()
+    chol = np.zeros((0, 0))
     residual = target.copy()
     truncated = False
 

@@ -20,6 +20,9 @@ from .grad_embed import EmbeddingConfig, embed_batch_at_params
 from .matching_pursuit import GradientMatrix, omp_select
 from .nn import MlpParams
 
+# Consecutive sieve thresholds differ by the factor 1 + SIEVE_EPSILON.
+SIEVE_EPSILON = 0.1
+
 
 @dataclass
 class RehearsalMemory:
@@ -259,19 +262,15 @@ class SieveState:
 
     ``bound`` is the online estimate of the largest pairwise distance
     (twice the largest feature norm seen); the active thresholds
-    (1 + epsilon)^j cover [bound, 2 * capacity * bound].
+    (1 + SIEVE_EPSILON)^j cover [bound, 2 * n * bound] for memory size n.
     """
 
-    capacity: int
-    epsilon: float = 0.1
     bound: float = 0.0
     sets: dict[int, _Candidates] = field(default_factory=dict)
     fallback: _Candidates = field(default_factory=_Candidates)
 
     def copy(self) -> "SieveState":
         return SieveState(
-            self.capacity,
-            self.epsilon,
             self.bound,
             {j: s.copy() for j, s in self.sets.items()},
             self.fallback.copy(),
@@ -305,7 +304,7 @@ def facility_location_update(
     all weights 1.
     """
     state = state.copy()
-    eps = state.epsilon
+    eps = SIEVE_EPSILON
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
         if state.bound <= 0.0:
@@ -349,13 +348,3 @@ def sieve_memory(state: SieveState, n: int) -> RehearsalMemory:
         weights=np.ones(len(best.labels)),
     )
 
-
-def facility_location_objective(
-    selected: np.ndarray, points: np.ndarray, bound: float
-) -> float:
-    """Sum over points of the best similarity (bound - distance) to the selection."""
-    selected = np.atleast_2d(np.asarray(selected, dtype=np.float64))
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    diffs = points[:, None, :] - selected[None, :, :]
-    dists = np.sqrt((diffs * diffs).sum(axis=2))
-    return float((bound - dists.min(axis=1)).sum())

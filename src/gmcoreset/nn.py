@@ -35,10 +35,6 @@ class MlpArch:
     def penultimate_width(self) -> int:
         return self.hidden[-1] if self.hidden else self.input_dim
 
-    @property
-    def num_params(self) -> int:
-        return sum(fi * fo + fo for fi, fo in self.layer_dims())
-
 
 @dataclass
 class MlpParams:
@@ -50,9 +46,6 @@ class MlpParams:
     @property
     def num_layers(self) -> int:
         return len(self.weights)
-
-    def copy(self) -> "MlpParams":
-        return MlpParams([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
     def flatten(self) -> np.ndarray:
         """Concatenate [W1, b1, W2, b2, ...] in C order."""

@@ -16,13 +16,10 @@ from gmcoreset.cli import main
 from gmcoreset.grad_embed import (
     EmbeddingConfig,
     last_layer_size,
-    per_example_gradient,
-    project,
     sign_projection,
 )
 from gmcoreset.harness import ExperimentConfig, run_gdumb
 from gmcoreset.matching_pursuit import (
-    CholeskyFactor,
     GradientMatrix,
     cholesky_append,
     omp_select,
@@ -41,6 +38,7 @@ from gmcoreset.scenarios import (
     synth_blobs,
 )
 
+from oracles import per_example_gradient, project
 from test_nn import finite_difference_grad
 
 
@@ -74,11 +72,11 @@ def test_criterion_02_cholesky_append_equivalence():
         m = int(rng.integers(2, 7))
         cols = rng.standard_normal((m + 4, m))
         gram = cols.T @ cols
-        chol = CholeskyFactor.empty()
+        chol = np.zeros((0, 0))
         for j in range(m):
             chol = cholesky_append(chol, gram[:j, j], gram[j, j])
         oracle = np.linalg.cholesky(gram)
-        assert np.abs(chol.lower - oracle).max() <= 1e-10
+        assert np.abs(chol - oracle).max() <= 1e-10
     assert time.perf_counter() - started < 5.0
     report(2, "incremental Cholesky equals one-shot factorization")
 

@@ -96,6 +96,37 @@ def test_select_rejects_size_beyond_embedding_dim(tmp_path, capsys):
     assert "D >= n" in err and "32" in err
 
 
+def test_select_rejects_size_beyond_dataset_size(tmp_path, capsys):
+    path, data = write_blob_csv(tmp_path)  # 40 rows, D = 4 * 16 = 64 >= 41
+    code = main([
+        "select", path, "-n", str(data.num_examples + 1), "--out", str(tmp_path / "x.csv"),
+        "--label-column", "label", "--proj-dim", "16", "--draws", "4", "--hidden", "8",
+    ])
+    assert code == 2
+    assert f"dataset size {data.num_examples}" in capsys.readouterr().err
+
+
+def test_select_rejects_empty_coreset_before_embedding(tmp_path, capsys, monkeypatch):
+    path, _ = write_blob_csv(tmp_path)
+    monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    code = main([
+        "select", path, "-n", "0", "--out", str(tmp_path / "x.csv"), "--label-column", "label",
+    ])
+    assert code == 2
+    assert "coreset size must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--init-seed", "--proj-seed"])
+def test_select_rejects_negative_seed(tmp_path, capsys, flag):
+    path, _ = write_blob_csv(tmp_path)
+    code = main([
+        "select", path, "-n", "3", "--out", str(tmp_path / "x.csv"),
+        "--label-column", "label", flag, "-1",
+    ])
+    assert code == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
 def test_select_output_reproduces_first_task_accuracy(tmp_path):
     # feed the select output into a weighted training run and compare with the
     # retrain-from-scratch harness on the same single batch and seeds
@@ -204,6 +235,30 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
                  "--memory-sizes", "64"])
     assert code == 2
     assert "D >= n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, flags, message", [
+    ("", ["--memory-sizes", "0"], "memory sizes must be >= 1"),
+    ("", ["--seed", "-1"], "seeds must be >= 0"),
+    ("init_seed = -1\n", [], "init_seed and projection_seed must be >= 0"),
+    ("proj_seed = -1\n", [], "init_seed and projection_seed must be >= 0"),
+], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1"])
+def test_run_rejects_out_of_range_values_up_front(tmp_path, capsys, line, flags, message):
+    cfg = write_config(tmp_path, MINIMAL_CONFIG + line)
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_the_embedding_key(tmp_path, capsys):
+    # each gmc method fixes its own embedding mode, so the key would be ignored
+    cfg = write_config(tmp_path, MINIMAL_CONFIG + "embedding = last_layer\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "embedding" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--embedding", "last_layer"])
+    assert exc.value.code == 2
 
 
 # MINIMAL_CONFIG has hidden 8, 3 classes, proj_dim 16 and 2 draws, so D is 32

@@ -8,10 +8,10 @@ from gmcoreset.grad_embed import (
     embed_batch_at_params,
     embedding_dim,
     last_layer_size,
-    per_example_gradient,
-    project,
     sign_projection,
 )
+
+from oracles import num_params, per_example_gradient, project
 
 
 def small_batch(seed, n=6, arch=None):
@@ -28,13 +28,13 @@ def small_batch(seed, n=6, arch=None):
 def test_sign_matrix_entries_and_reproducibility():
     a = sign_projection(16, 40, seed=11)
     b = sign_projection(16, 40, seed=11)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert set(np.unique(a.matrix)) == {-1.0, 1.0}
+    assert np.array_equal(a, b)
+    assert set(np.unique(a)) == {-1.0, 1.0}
 
 
 def test_project_single_row():
     proj = sign_projection(1, 2, seed=0)
-    proj.matrix[:] = 1.0
+    proj[:] = 1.0
     assert project(np.array([3.0, 4.0]), proj) == pytest.approx(7.0)
 
 
@@ -136,7 +136,7 @@ def test_columns_match_componentwise_recomputation():
     arch, X, y = small_batch(8)
     config = EmbeddingConfig(draws=3, proj_dim=12, projection_seed=2, init_seed=9)
     G = embed_batch(X, y, arch, config)
-    P = arch.num_params
+    P = num_params(arch)
     for i in range(len(y)):
         parts = []
         for j in range(config.draws):
@@ -151,7 +151,7 @@ def test_column_sum_equals_embedding_of_summed_gradients():
     arch, X, y = small_batch(10, n=12)
     config = EmbeddingConfig(draws=2, proj_dim=20, projection_seed=3, init_seed=4)
     G = embed_batch(X, y, arch, config)
-    P = arch.num_params
+    P = num_params(arch)
     parts = []
     for j in range(config.draws):
         params = nn.init_sample(arch, config.init_seed + j)
@@ -187,3 +187,9 @@ def test_empty_batch_is_rejected():
     arch = nn.MlpArch(3, (4,), 2)
     with pytest.raises(ValueError):
         embed_batch(np.zeros((0, 3)), np.zeros(0, dtype=int), arch, EmbeddingConfig(draws=1, proj_dim=4))
+
+
+@pytest.mark.parametrize("field", ["init_seed", "projection_seed"])
+def test_embedding_config_rejects_negative_seed(field):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        EmbeddingConfig(**{field: -1})

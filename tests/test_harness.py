@@ -6,6 +6,7 @@ from gmcoreset.grad_embed import EmbeddingConfig
 from gmcoreset.harness import (
     ExperimentConfig,
     aggregate_rows,
+    method_embedding,
     run_gdumb,
     run_replay,
     sweep,
@@ -287,3 +288,16 @@ def test_config_validation():
         ExperimentConfig(paradigm="other")
     with pytest.raises(ValueError, match="distinct"):
         ExperimentConfig(seeds=(1, 1))
+    with pytest.raises(ValueError, match="memory sizes must be >= 1"):
+        ExperimentConfig(memory_sizes=(10, 0))
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        ExperimentConfig(seeds=(0, -1))
+
+
+@pytest.mark.parametrize("method, mode", [
+    ("gmc", "random_projection"), ("gmc_last_layer", "last_layer"), ("gmc_local", "random_projection"),
+])
+def test_each_gmc_method_pins_its_embedding_mode(method, mode):
+    for configured in ("random_projection", "last_layer"):
+        config = ExperimentConfig(embedding=EmbeddingConfig(mode=configured))
+        assert method_embedding(config, method, seed=0).mode == mode

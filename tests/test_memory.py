@@ -11,13 +11,14 @@ from gmcoreset.memory import (
     RehearsalMemory,
     SieveState,
     class_balance_update,
-    facility_location_objective,
     facility_location_update,
     gmc_update,
     local_gmc_update,
     reservoir_update,
     sliding_window_update,
 )
+
+from oracles import facility_location_objective
 
 
 def fake_batch(n, dims=3, label=0, seed=0):
@@ -267,7 +268,7 @@ def test_sieve_covers_all_distinct_points_with_room():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((6, 2)) * 3.0
     labels = np.zeros(6, dtype=np.int64)
-    state, memory = facility_location_update(SieveState(8), feats, labels, 8)
+    state, memory = facility_location_update(SieveState(), feats, labels, 8)
     objective = facility_location_objective(memory.features, feats, state.bound)
     assert objective == pytest.approx(6 * state.bound, rel=1e-9)
 
@@ -279,7 +280,7 @@ def test_sieve_selects_one_point_per_cluster():
     feats = np.vstack([cluster_a, cluster_b])
     labels = np.repeat([0, 1], 12)
     order = rng.permutation(24)
-    state, memory = facility_location_update(SieveState(2), feats[order], labels[order], 2)
+    state, memory = facility_location_update(SieveState(), feats[order], labels[order], 2)
     assert memory.size == 2
     assert set(memory.labels.tolist()) == {0, 1}
     # brute force over all pairs agrees that the optimum straddles the clusters
@@ -303,7 +304,7 @@ def test_sieve_objective_beats_singletons():
     rng = np.random.default_rng(31)
     feats = rng.standard_normal((30, 3))
     labels = np.zeros(30, dtype=np.int64)
-    state, memory = facility_location_update(SieveState(4), feats, labels, 4)
+    state, memory = facility_location_update(SieveState(), feats, labels, 4)
     chosen = facility_location_objective(memory.features, feats, state.bound)
     for i in range(30):
         single = facility_location_objective(feats[[i]], feats, state.bound)
@@ -311,7 +312,7 @@ def test_sieve_objective_beats_singletons():
 
 
 def test_sieve_memory_respects_capacity_across_batches():
-    state = SieveState(3)
+    state = SieveState()
     for t in range(4):
         feats, labels = fake_batch(20, seed=t)
         state, memory = facility_location_update(state, feats, labels, 3)
@@ -335,7 +336,7 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
         "sliding_window": RehearsalMemory.empty(n),
         "gmc": RehearsalMemory.empty(n),
     }
-    sieve = SieveState(n)
+    sieve = SieveState()
     for b, size in enumerate(batch_sizes):
         feats = rng.standard_normal((size, 2))
         labels = rng.integers(0, 3, size=size)
