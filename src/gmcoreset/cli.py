@@ -355,6 +355,8 @@ def cmd_run(args) -> int:
     overrides = {key: getattr(args, key, None) for key in CONFIG_SCHEMA}
     try:
         cfg = resolve_config(file_values, overrides)
+        if cfg["jobs"] < 1:
+            raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
         config = experiment_config(cfg)
         sizes = _feasible_sizes(cfg, config, scenario)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching_pursuit import GradientMatrix
-from .nn import MlpArch, MlpParams, _forward, _softmax, init_sample
+from .nn import MlpArch, MlpParams, _backprop, _output_delta, init_sample
 
 
 @dataclass(frozen=True)
@@ -80,18 +80,10 @@ def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str
         raise ValueError(f"unknown gradient scope {scope!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    activations, pre, logits = _forward(params, X)
-    if not np.all(np.isfinite(logits)):
-        bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
-        raise FloatingPointError(f"non-finite activations for example {bad}")
-    delta = _softmax(logits)
-    delta[np.arange(len(y)), y] -= 1.0
-
+    activations, pre, _, delta = _output_delta(params, X, y)
     blocks = []
-    for layer in range(params.num_layers - 1, -1, -1):
-        if layer < params.num_layers - 1:
-            delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
-        dw = np.einsum("bo,bi->boi", delta, activations[layer]).reshape(len(y), -1)
+    for _, delta, inputs in _backprop(params, activations, pre, delta):
+        dw = np.einsum("bo,bi->boi", delta, inputs).reshape(len(y), -1)
         blocks.append(np.concatenate([dw, delta], axis=1))
         if scope == "last_layer":
             return blocks[0]

@@ -62,6 +62,8 @@ class ExperimentConfig:
             raise ValueError(f"memory sizes must be >= 1, got {self.memory_sizes}")
         if min(self.seeds) < 0:
             raise ValueError(f"seeds must be >= 0, got {self.seeds}")
+        if self.replay_epochs is not None and self.replay_epochs < 1:
+            raise ValueError(f"replay_epochs must be >= 1, got {self.replay_epochs}")
 
 
 @dataclass
@@ -308,9 +310,10 @@ def _run_cell_args(args):
 def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) -> SweepResult:
     """Run the full grid; cells are independent and may run in parallel.
 
-    Rows are sorted into a canonical order so the output is
-    deterministic for a given seed set regardless of execution order;
-    per-cell failures are recorded and the sweep continues.
+    At most min(jobs, number of cells) worker processes start.  Rows are
+    sorted into a canonical order so the output is deterministic for a
+    given seed set regardless of execution order; per-cell failures are
+    recorded and the sweep continues.
     """
     cells = [
         (scenario, method, size, config, seed)
@@ -331,8 +334,9 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
             rows.extend(partial)
             failures.append(CellFailure(method, size, seed, task, str(error)))
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell_args, cell) for cell in cells]
             for cell, fut in zip(cells, futures):
                 try:

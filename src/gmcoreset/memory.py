@@ -71,6 +71,23 @@ def _stack_examples(memory: RehearsalMemory, features: np.ndarray, labels: np.nd
     return np.vstack([memory.features, features]), np.concatenate([memory.labels, labels])
 
 
+def _next_memory(
+    memory, batch_labels, n, features, labels, weights=None, embeddings=None, target=None
+) -> RehearsalMemory:
+    """The capacity-n memory after a batch: weights default to 1, seen and classes advance."""
+    batch_labels = np.asarray(batch_labels, dtype=np.int64).tolist()
+    return RehearsalMemory(
+        capacity=n,
+        features=np.asarray(features),
+        labels=np.asarray(labels, dtype=np.int64),
+        weights=np.ones(len(labels)) if weights is None else weights,
+        embeddings=embeddings,
+        target=target,
+        seen=memory.seen + len(batch_labels),
+        classes_seen=tuple(sorted(set(memory.classes_seen) | set(batch_labels))),
+    )
+
+
 def gmc_update(
     memory: RehearsalMemory,
     batch_features: np.ndarray,
@@ -103,15 +120,9 @@ def gmc_update(
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
-    return RehearsalMemory(
-        capacity=n,
-        features=all_features[idx],
-        labels=all_labels[idx],
-        weights=selection.weights,
-        embeddings=dictionary[:, idx],
-        target=target,
-        seen=memory.seen + data.shape[1],
-        classes_seen=tuple(sorted(set(memory.classes_seen) | set(np.asarray(batch_labels).tolist()))),
+    return _next_memory(
+        memory, batch_labels, n, all_features[idx], all_labels[idx], selection.weights,
+        embeddings=dictionary[:, idx], target=target,
     )
 
 
@@ -129,21 +140,38 @@ def local_gmc_update(
     ``current_params`` (a single draw), so nothing is cached across
     updates; the target is the column sum of this local embedding.
     """
-    batch_features = np.asarray(batch_features, dtype=np.float64)
-    batch_labels = np.asarray(batch_labels, dtype=np.int64)
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     pool = embed_batch_at_params([current_params], all_features, all_labels, config)
     target = pool.data.sum(axis=1)
     selection = omp_select(pool, target, min(n, pool.num_columns))
     idx = selection.indices
-    return RehearsalMemory(
-        capacity=n,
-        features=all_features[idx],
-        labels=all_labels[idx],
-        weights=selection.weights,
-        seen=memory.seen + len(batch_labels),
-        classes_seen=tuple(sorted(set(memory.classes_seen) | set(batch_labels.tolist()))),
+    return _next_memory(
+        memory, batch_labels, n, all_features[idx], all_labels[idx], selection.weights
     )
+
+
+def _admit_each(memory, batch_features, batch_labels, n, evict) -> RehearsalMemory:
+    """Offer the batch one item at a time; fill up to n, then let ``evict`` choose.
+
+    ``evict(labels, y, seen, num_classes)`` returns the slot item y
+    overwrites, or None to leave it out; the counts include the item.
+    """
+    feats = list(memory.features) if memory.size else []
+    labels = list(memory.labels) if memory.size else []
+    seen, classes = memory.seen, set(memory.classes_seen)
+    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
+        y = int(y)
+        seen += 1
+        classes.add(y)
+        if len(labels) < n:
+            feats.append(x)
+            labels.append(y)
+            continue
+        slot = evict(labels, y, seen, len(classes))
+        if slot is not None:
+            feats[slot] = x
+            labels[slot] = y
+    return _next_memory(memory, batch_labels, n, feats, labels)
 
 
 def reservoir_update(
@@ -154,27 +182,12 @@ def reservoir_update(
     rng: np.random.Generator,
 ) -> RehearsalMemory:
     """Classic single-pass reservoir: item t survives with probability n/t."""
-    feats = list(memory.features) if memory.size else []
-    labels = list(memory.labels) if memory.size else []
-    seen = memory.seen
-    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
-        seen += 1
-        if len(labels) < n:
-            feats.append(x)
-            labels.append(int(y))
-        else:
-            slot = int(rng.integers(0, seen))
-            if slot < n:
-                feats[slot] = x
-                labels[slot] = int(y)
-    return RehearsalMemory(
-        capacity=n,
-        features=np.asarray(feats),
-        labels=np.asarray(labels, dtype=np.int64),
-        weights=np.ones(len(labels)),
-        seen=seen,
-        classes_seen=tuple(sorted(set(memory.classes_seen) | set(int(y) for y in batch_labels))),
-    )
+
+    def evict(labels, y, seen, num_classes):
+        slot = int(rng.integers(0, seen))
+        return slot if slot < n else None
+
+    return _admit_each(memory, batch_features, batch_labels, n, evict)
 
 
 def class_balance_update(
@@ -191,35 +204,18 @@ def class_balance_update(
     uniformly random member of the currently largest class (ties toward
     the lowest class id).
     """
-    feats = list(memory.features) if memory.size else []
-    labels = list(memory.labels) if memory.size else []
-    classes_seen = set(memory.classes_seen)
-    seen = memory.seen
-    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
-        y = int(y)
-        seen += 1
-        classes_seen.add(y)
-        if len(labels) < n:
-            feats.append(x)
-            labels.append(y)
-            continue
+
+    def evict(labels, y, seen, num_classes):
         counts: dict[int, int] = {}
         for lab in labels:
             counts[lab] = counts.get(lab, 0) + 1
-        if counts.get(y, 0) < n // len(classes_seen):
-            largest = max(counts, key=lambda c: (counts[c], -c))
-            members = [i for i, lab in enumerate(labels) if lab == largest]
-            victim = members[int(rng.integers(0, len(members)))]
-            feats[victim] = x
-            labels[victim] = y
-    return RehearsalMemory(
-        capacity=n,
-        features=np.asarray(feats),
-        labels=np.asarray(labels, dtype=np.int64),
-        weights=np.ones(len(labels)),
-        seen=seen,
-        classes_seen=tuple(sorted(classes_seen)),
-    )
+        if counts.get(y, 0) >= n // num_classes:
+            return None
+        largest = max(counts, key=lambda c: (counts[c], -c))
+        members = [i for i, lab in enumerate(labels) if lab == largest]
+        return members[int(rng.integers(0, len(members)))]
+
+    return _admit_each(memory, batch_features, batch_labels, n, evict)
 
 
 def sliding_window_update(
@@ -230,15 +226,7 @@ def sliding_window_update(
 ) -> RehearsalMemory:
     """Keep the last n items in arrival order."""
     feats, labels = _stack_examples(memory, batch_features, batch_labels)
-    feats, labels = feats[-n:], labels[-n:]
-    return RehearsalMemory(
-        capacity=n,
-        features=feats,
-        labels=labels,
-        weights=np.ones(len(labels)),
-        seen=memory.seen + len(np.asarray(batch_labels)),
-        classes_seen=tuple(sorted(set(memory.classes_seen) | set(int(y) for y in batch_labels))),
-    )
+    return _next_memory(memory, batch_labels, n, feats[-n:], labels[-n:])
 
 
 # --- streaming facility location (sieve thresholds) -----------------------
@@ -251,9 +239,6 @@ class _Candidates:
     features: list[np.ndarray] = field(default_factory=list)
     labels: list[int] = field(default_factory=list)
     value: float = 0.0
-
-    def copy(self) -> "_Candidates":
-        return _Candidates(list(self.features), list(self.labels), self.value)
 
 
 @dataclass
@@ -268,13 +253,6 @@ class SieveState:
     bound: float = 0.0
     sets: dict[int, _Candidates] = field(default_factory=dict)
     fallback: _Candidates = field(default_factory=_Candidates)
-
-    def copy(self) -> "SieveState":
-        return SieveState(
-            self.bound,
-            {j: s.copy() for j, s in self.sets.items()},
-            self.fallback.copy(),
-        )
 
 
 def _marginal_gain(x: np.ndarray, cand: _Candidates, bound: float) -> float:
@@ -296,14 +274,13 @@ def facility_location_update(
     batch_labels: np.ndarray,
     n: int,
 ) -> tuple[SieveState, RehearsalMemory]:
-    """Stream a batch through the sieve thresholds.
+    """Stream a batch through the sieve thresholds, updating ``state`` in place.
 
     An item joins a threshold-v set when its marginal gain is at least
     (v/2 - F) / (n - |set|), F being the set's accumulated objective.
-    The returned memory is the candidate set with the best objective,
-    all weights 1.
+    Returns ``state`` itself and the candidate set with the best
+    objective as a memory, all weights 1.
     """
-    state = state.copy()
     eps = SIEVE_EPSILON
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
@@ -315,12 +292,7 @@ def facility_location_update(
         top = state.bound  # max singleton gain
         j_lo = math.ceil(math.log(top) / math.log1p(eps) - 1e-12)
         j_hi = math.floor(math.log(2.0 * n * top) / math.log1p(eps) + 1e-12)
-        for j in list(state.sets):
-            if j < j_lo or j > j_hi:
-                del state.sets[j]
-        for j in range(j_lo, j_hi + 1):
-            if j not in state.sets:
-                state.sets[j] = _Candidates()
+        state.sets = {j: state.sets.get(j) or _Candidates() for j in range(j_lo, j_hi + 1)}
         for j, cand in state.sets.items():
             if len(cand.labels) >= n:
                 continue

@@ -47,13 +47,11 @@ class MlpParams:
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def flatten(self) -> np.ndarray:
-        """Concatenate [W1, b1, W2, b2, ...] in C order."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+
+# Adam's moment decay rates and the denominator's guard term.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,6 @@ class TrainConfig:
     step_size: float = 1e-3
     batch_size: int = 100
     epochs: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -77,23 +72,16 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators and the step counter."""
+    """First/second moment accumulators, weights then biases, and the step counter."""
 
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: list[np.ndarray]
+    v: list[np.ndarray]
     step: int = 0
 
     @classmethod
     def zeros(cls, params: MlpParams) -> "AdamState":
-        return cls(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-            [np.zeros_like(b) for b in params.biases],
-            step=0,
-        )
+        tensors = (*params.weights, *params.biases)
+        return cls([np.zeros_like(p) for p in tensors], [np.zeros_like(p) for p in tensors])
 
 
 def init_sample(arch: MlpArch, seed: int) -> MlpParams:
@@ -132,10 +120,25 @@ def predict_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
     return logits
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _output_delta(params: MlpParams, X: np.ndarray, y: np.ndarray):
+    """(layer inputs, hidden pre-activations, logits, softmax - onehot) of a forward pass."""
+    activations, pre, logits = _forward(params, X)
+    if not np.all(np.isfinite(logits)):
+        bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+        raise FloatingPointError(f"non-finite activations for example {bad}")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = e / e.sum(axis=1, keepdims=True)
+    delta[np.arange(len(y)), y] -= 1.0
+    return activations, pre, logits, delta
+
+
+def _backprop(params: MlpParams, activations, pre, delta):
+    """Lazily yield (layer, delta, input) from the output layer down: dW = delta^T input."""
+    layer = params.num_layers - 1
+    yield layer, delta, activations[layer]
+    for layer in range(layer - 1, -1, -1):
+        delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
+        yield layer, delta, activations[layer]
 
 
 def loss_and_grad(
@@ -156,58 +159,39 @@ def loss_and_grad(
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
 
-    activations, pre, logits = _forward(params, X)
-    if not np.all(np.isfinite(logits)):
-        bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
-        raise FloatingPointError(f"non-finite activations for example {bad}")
+    activations, pre, logits, delta = _output_delta(params, X, y)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     ce = logsumexp - logits[np.arange(len(y)), y]
     loss = float(weights @ ce / wsum)
 
-    probs = _softmax(logits)
-    delta = probs
-    delta[np.arange(len(y)), y] -= 1.0
     delta *= (weights / wsum)[:, None]
-
-    grad_w = [None] * params.num_layers
-    grad_b = [None] * params.num_layers
-    grad_w[-1] = delta.T @ activations[-1]
-    grad_b[-1] = delta.sum(axis=0)
-    for layer in range(params.num_layers - 2, -1, -1):
-        delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
-        grad_w[layer] = delta.T @ activations[layer]
-        grad_b[layer] = delta.sum(axis=0)
-    return loss, MlpParams(grad_w, grad_b)
+    grads = MlpParams([None] * params.num_layers, [None] * params.num_layers)
+    for layer, delta, inputs in _backprop(params, activations, pre, delta):
+        grads.weights[layer] = delta.T @ inputs
+        grads.biases[layer] = delta.sum(axis=0)
+    return loss, grads
 
 
 def adam_step(
     params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig
 ) -> tuple[MlpParams, AdamState]:
     """One bias-corrected Adam update; inputs are not mutated."""
-    for g in (*grads.weights, *grads.biases):
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient in Adam update")
+    gradients = (*grads.weights, *grads.biases)
+    if not all(np.all(np.isfinite(g)) for g in gradients):
+        raise FloatingPointError("non-finite gradient in Adam update")
     t = state.step + 1
-    b1, b2 = config.beta1, config.beta2
-    mc = 1.0 - b1 ** t
-    vc = 1.0 - b2 ** t
-
-    new_w, new_b = [], []
-    mw, vw, mb, vb = [], [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, state.m_weights, state.v_weights):
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    mc, vc = 1.0 - b1 ** t, 1.0 - b2 ** t
+    updated, ms, vs = [], [], []
+    for p, g, m, v in zip((*params.weights, *params.biases), gradients, state.m, state.v):
         m = b1 * m + (1.0 - b1) * g
         v = b2 * v + (1.0 - b2) * g * g
-        new_w.append(p - config.step_size * (m / mc) / (np.sqrt(v / vc) + config.eps))
-        mw.append(m)
-        vw.append(v)
-    for p, g, m, v in zip(params.biases, grads.biases, state.m_biases, state.v_biases):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        new_b.append(p - config.step_size * (m / mc) / (np.sqrt(v / vc) + config.eps))
-        mb.append(m)
-        vb.append(v)
-    return MlpParams(new_w, new_b), AdamState(mw, vw, mb, vb, step=t)
+        updated.append(p - config.step_size * (m / mc) / (np.sqrt(v / vc) + ADAM_EPS))
+        ms.append(m)
+        vs.append(v)
+    k = params.num_layers
+    return MlpParams(updated[:k], updated[k:]), AdamState(ms, vs, t)
 
 
 def train_steps(

@@ -6,7 +6,7 @@ library computes in batch, so a test can compare the two.
 
 import numpy as np
 
-from gmcoreset.grad_embed import _batch_gradients
+from gmcoreset.nn import loss_and_grad
 
 
 def project(gradient: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -19,15 +19,30 @@ def project(gradient: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (matrix @ gradient) / np.sqrt(matrix.shape[0])
 
 
+def flatten(params) -> np.ndarray:
+    """Concatenate [W1, b1, W2, b2, ...] in C order."""
+    parts = []
+    for w, b in zip(params.weights, params.biases):
+        parts.append(w.ravel())
+        parts.append(b)
+    return np.concatenate(parts)
+
+
 def per_example_gradient(params, example: tuple[np.ndarray, int], scope: str = "full") -> np.ndarray:
     """Gradient of one example's cross-entropy loss, flattened.
 
-    With scope "last_layer" only the output-layer block is returned,
-    which equals the corresponding tail block of the full gradient.
+    Computed by ``nn.loss_and_grad`` on the example alone with weight 1,
+    independently of the batched per-example path.  With scope
+    "last_layer" only the output-layer block, the tail of the full
+    gradient, is returned.
     """
     features, label = example
     X = np.asarray(features, dtype=np.float64)[None, :]
-    return _batch_gradients(params, X, np.asarray([label]), scope)[0]
+    _, grads = loss_and_grad(params, X, np.asarray([label]), np.ones(1))
+    full = flatten(grads)
+    if scope == "last_layer":
+        return full[-(grads.weights[-1].size + grads.biases[-1].size):]
+    return full
 
 
 def num_params(arch) -> int:

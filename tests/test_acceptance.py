@@ -15,6 +15,7 @@ from gmcoreset import nn
 from gmcoreset.cli import main
 from gmcoreset.grad_embed import (
     EmbeddingConfig,
+    embed_batch_at_params,
     last_layer_size,
     sign_projection,
 )
@@ -38,7 +39,7 @@ from gmcoreset.scenarios import (
     synth_blobs,
 )
 
-from oracles import per_example_gradient, project
+from oracles import flatten, per_example_gradient, project
 from test_nn import finite_difference_grad
 
 
@@ -93,7 +94,7 @@ def test_criterion_03_gradient_correctness():
         params = nn.init_sample(arch, 500 + seed)
         _, grads = nn.loss_and_grad(params, X, y, w)
         numeric = finite_difference_grad(arch, params, X, y, w, step=1e-5)
-        analytic = grads.flatten()
+        analytic = flatten(grads)
         denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-6)
         worst = max(worst, float((np.abs(analytic - numeric) / denom).max()))
     assert worst <= 1e-4
@@ -109,7 +110,9 @@ def test_criterion_04_last_layer_shortcut():
         y = int(rng.integers(0, 3))
         params = nn.init_sample(arch, seed)
         full = per_example_gradient(params, (x, y), scope="full")
-        short = per_example_gradient(params, (x, y), scope="last_layer")
+        short = embed_batch_at_params(
+            [params], x[None, :], [y], EmbeddingConfig(draws=1, mode="last_layer")
+        ).data[:, 0]
         assert np.abs(full[-last_layer_size(arch):] - short).max() <= 1e-12
     report(4, "closed-form output-layer gradient equals the backprop block")
 

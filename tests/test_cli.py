@@ -242,7 +242,12 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
     ("", ["--seed", "-1"], "seeds must be >= 0"),
     ("init_seed = -1\n", [], "init_seed and projection_seed must be >= 0"),
     ("proj_seed = -1\n", [], "init_seed and projection_seed must be >= 0"),
-], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1"])
+    ("", ["--jobs", "0"], "jobs must be >= 1"),
+    ("", ["--jobs", "-2"], "jobs must be >= 1"),
+    ("paradigm = replay\nreplay_epochs = 0\n", [], "replay_epochs must be >= 1"),
+    ("paradigm = replay\nreplay_epochs = -1\n", [], "replay_epochs must be >= 1"),
+], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1",
+        "jobs-0", "jobs-minus-2", "replay-epochs-0", "replay-epochs-minus-1"])
 def test_run_rejects_out_of_range_values_up_front(tmp_path, capsys, line, flags, message):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + line)
     out = tmp_path / "o"

@@ -94,7 +94,8 @@ def test_last_layer_scope_is_tail_of_full_gradient(seed):
     arch, X, y, = small_batch(seed, n=1)
     params = nn.init_sample(arch, seed + 50)
     full = per_example_gradient(params, (X[0], int(y[0])), scope="full")
-    short = per_example_gradient(params, (X[0], int(y[0])), scope="last_layer")
+    config = EmbeddingConfig(draws=1, mode="last_layer")
+    short = embed_batch_at_params([params], X, y, config).data[:, 0]
     assert np.abs(full[-last_layer_size(arch):] - short).max() <= 1e-12
 
 
@@ -103,7 +104,7 @@ def test_non_finite_activation_reports_example_index():
     params = nn.init_sample(arch, 0)
     params.weights[0][:] = np.inf
     with pytest.raises(FloatingPointError, match="example 0"):
-        per_example_gradient(params, (np.ones(2), 1))
+        embed_batch_at_params([params], np.ones((1, 2)), [1], EmbeddingConfig(draws=1, proj_dim=2))
 
 
 # --- batch embeddings ---------------------------------------------------------------

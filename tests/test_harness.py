@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from gmcoreset.harness import (
 from gmcoreset.harness import _train_seed
 from gmcoreset.memory import reservoir_update, RehearsalMemory
 from gmcoreset.scenarios import make_class_incremental, make_sorted_scenario, synth_blobs
+
+from oracles import flatten
 
 
 def tiny_config(**kwargs):
@@ -118,7 +122,7 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     original = mem.local_gmc_update
 
     def spy(memory, feats, labels, params, n, config):
-        seen_params.append(params.flatten().copy())
+        seen_params.append(flatten(params).copy())
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
@@ -127,7 +131,7 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     assert len(seen_params) == tiny_scenario.num_tasks
     # the first update sees the fresh draw; later ones see trained iterates
     arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
-    assert np.array_equal(seen_params[0], nn.init_sample(arch, 1 ^ 0).flatten())
+    assert np.array_equal(seen_params[0], flatten(nn.init_sample(arch, 1 ^ 0)))
     assert np.abs(seen_params[1] - seen_params[0]).max() > 0
 
 
@@ -202,7 +206,7 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
     original = mem.local_gmc_update
 
     def spy(memory, feats, labels, params, n, config):
-        seen_params.append(params.flatten().copy())
+        seen_params.append(flatten(params).copy())
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
@@ -253,6 +257,38 @@ def test_sweep_parallel_cells_match_serial(tiny_scenario):
     assert [r.test_accuracy for r in serial.rows] == [r.test_accuracy for r in parallel.rows]
 
 
+@pytest.mark.parametrize("methods, jobs, pools", [
+    (("reservoir", "sliding_window", "class_balance"), 64, [3]),
+    (("reservoir", "sliding_window", "class_balance"), 2, [2]),
+    (("reservoir",), 8, []),  # a single cell runs in this process
+])
+def test_sweep_starts_no_more_workers_than_cells(tiny_scenario, monkeypatch, methods, jobs, pools):
+    started = []
+
+    class RecordingExecutor:
+        """Records max_workers and runs each submitted cell at once, in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    config = tiny_config(methods=methods, memory_sizes=(10,), seeds=(0,))
+    result = sweep(config, tiny_scenario, jobs=jobs)
+    assert started == pools
+    assert len(result.rows) == len(methods) * 3 and not result.failures
+
+
 def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch):
     original = mem.reservoir_update
     calls = {"count": 0}
@@ -292,6 +328,9 @@ def test_config_validation():
         ExperimentConfig(memory_sizes=(10, 0))
     with pytest.raises(ValueError, match="seeds must be >= 0"):
         ExperimentConfig(seeds=(0, -1))
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match="replay_epochs must be >= 1"):
+            ExperimentConfig(replay_epochs=epochs)
 
 
 @pytest.mark.parametrize("method, mode", [

@@ -322,6 +322,34 @@ def test_sieve_memory_respects_capacity_across_batches():
 # --- shared properties ---------------------------------------------------------------
 
 
+LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
+UPDATES = {
+    "gmc": lambda m, X, y, rng: gmc_update(
+        m, X, y, GradientMatrix(rng.standard_normal((16, len(y)))), 4
+    ),
+    "gmc_local": lambda m, X, y, rng: local_gmc_update(
+        m, X, y, nn.init_sample(LOCAL_ARCH, 0), 4, EmbeddingConfig(draws=1, proj_dim=24)
+    ),
+    "reservoir": lambda m, X, y, rng: reservoir_update(m, X, y, 4, rng),
+    "class_balance": lambda m, X, y, rng: class_balance_update(m, X, y, 4, rng),
+    "sliding_window": lambda m, X, y, rng: sliding_window_update(m, X, y, 4),
+}
+
+
+@pytest.mark.parametrize("method", sorted(UPDATES))
+def test_updates_count_items_and_classes_offered(method):
+    # class 2 arrives only in the first batch, so a memory may drop it while
+    # the bookkeeping must keep it
+    rng = np.random.default_rng(0)
+    batches = [np.array([2, 0, 2, 2, 0, 2, 0]), np.array([3, 3, 0, 3, 3])]
+    memory = RehearsalMemory.empty(4)
+    for labels in batches:
+        memory = UPDATES[method](memory, rng.standard_normal((len(labels), 3)), labels, rng)
+    assert memory.seen == 12
+    assert memory.classes_seen == (0, 2, 3)
+    assert all(type(c) is int for c in memory.classes_seen)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**31 - 1),

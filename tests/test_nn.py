@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from gmcoreset import nn
 
+from oracles import flatten
+
 
 def small_problem(seed, n=8, arch=None):
     arch = arch or nn.MlpArch(5, (6, 4), 3)
@@ -27,7 +29,7 @@ def unflatten(arch, vec):
 
 
 def finite_difference_grad(arch, params, X, y, w, step=1e-5):
-    flat = params.flatten()
+    flat = flatten(params)
     grad = np.zeros_like(flat)
     for i in range(len(flat)):
         bumped = flat.copy()
@@ -115,7 +117,7 @@ def test_gradients_match_finite_differences(seed):
     params = nn.init_sample(arch, seed + 100)
     _, grads = nn.loss_and_grad(params, X, y, w)
     numeric = finite_difference_grad(arch, params, X, y, w)
-    analytic = grads.flatten()
+    analytic = flatten(grads)
     denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-6)
     assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
@@ -159,7 +161,7 @@ def test_adam_zero_gradient_is_a_no_op():
     updated, state = nn.adam_step(params, grads, state, nn.TrainConfig())
     for a, b in zip(updated.weights, params.weights):
         assert np.array_equal(a, b)
-    assert all(np.all(m == 0) for m in state.m_weights)
+    assert all(np.all(m == 0) for m in state.m)
     assert state.step == 1
 
 
@@ -171,7 +173,7 @@ def test_adam_first_step_is_signed_step_size():
                          [np.full_like(b, c) for b in params.biases])
     config = nn.TrainConfig(step_size=1e-3)
     updated, _ = nn.adam_step(params, grads, nn.AdamState.zeros(params), config)
-    expected = -config.step_size * c / (c + config.eps)
+    expected = -config.step_size * c / (c + nn.ADAM_EPS)
     assert np.allclose(updated.weights[0] - params.weights[0], expected, rtol=1e-12)
 
 

@@ -1,0 +1,69 @@
+"""A tiny `run` in both paradigms and a tiny `select`, pinned to recorded outputs.
+
+The files in tests/pinned/ hold the outputs of exactly these commands.
+A refactor must reproduce raw.csv byte for byte and the coreset's rows
+exactly (weights within rtol 1e-9); a change meant to alter numerics
+re-records the files and says why.  The run covers all seven methods,
+and the replay run keeps the known gmc_local failure at seed 1, task 1
+(refit weights whose sum is negative), so it exits 1 with partial rows.
+"""
+
+import os
+
+import numpy as np
+import pytest
+
+from gmcoreset.cli import main
+from gmcoreset.scenarios import save_csv, synth_blobs
+
+PINNED = os.path.join(os.path.dirname(__file__), "pinned")
+
+# At the default step size three epochs barely move the learner and most
+# methods give equal rows; at 0.1 all seven differ under gdumb.
+RUN_CONFIG = """
+scenario = sorted
+dataset = synthetic
+synth_classes = 3
+synth_per_class = 40
+synth_dims = 4
+synth_drift = 1.0
+num_batches = 3
+methods = gmc,gmc_last_layer,gmc_local,reservoir,class_balance,sliding_window,facility_location
+memory_sizes = 10
+seeds = 0,1
+epochs = 3
+batch_size = 10
+step_size = 0.1
+hidden = 8
+proj_dim = 16
+draws = 2
+"""
+
+SELECT_FLAGS = ["-n", "10", "--label-column", "label", "--hidden", "8",
+                "--proj-dim", "16", "--draws", "2"]
+
+
+def pinned(name):
+    return os.path.join(PINNED, name)
+
+
+@pytest.mark.parametrize("paradigm, code", [("gdumb", 0), ("replay", 1)])
+def test_run_reproduces_pinned_raw_csv(tmp_path, paradigm, code):
+    config = tmp_path / "pin.cfg"
+    config.write_text(RUN_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--paradigm", paradigm, "--out", str(out)]) == code
+    with open(pinned(f"run-{paradigm}.csv"), "rb") as fh:
+        assert (out / "raw.csv").read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("mode", ["random_projection", "last_layer"])
+def test_select_reproduces_pinned_coreset(tmp_path, mode):
+    data_path = str(tmp_path / "data.csv")
+    save_csv(synth_blobs(seed=0, n_per_class=40, num_classes=3, dims=4), data_path)
+    out = str(tmp_path / "coreset.csv")
+    assert main(["select", data_path, "--out", out, "--embedding", mode, *SELECT_FLAGS]) == 0
+    got = np.loadtxt(out, delimiter=",", skiprows=1)
+    want = np.loadtxt(pinned(f"select-{mode}.csv"), delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, 0], want[:, 0])
+    np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-9, atol=0)
