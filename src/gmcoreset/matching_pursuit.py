@@ -123,23 +123,23 @@ def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.nda
     return grown
 
 
-def refit_weights(
-    G: GradientMatrix, indices: np.ndarray, target: np.ndarray, lower: np.ndarray
-) -> np.ndarray:
+def refit_weights(selected: np.ndarray, target: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Least-squares weights of the selected columns against the target.
 
+    ``selected`` is the D x m block of the selected columns, in
+    selection order, so ``selected @ weights`` approximates the target.
     Solves the normal equations through two triangular solves with the
-    maintained Cholesky factor ``lower``; the residual target - G_I w is
-    orthogonal to every selected column.
+    maintained Cholesky factor ``lower`` of ``selected.T @ selected``;
+    the residual target - selected @ w is orthogonal to every selected
+    column.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size == 0:
+    if selected.shape[1] == 0:
         raise ValueError("cannot refit an empty selection")
-    if lower.shape[0] != indices.size:
+    if lower.shape[0] != selected.shape[1]:
         raise ValueError("Cholesky factor does not match the selection size")
     if np.any(np.diag(lower) <= 0.0):
         raise SingularGramError("non-positive diagonal in the Cholesky factor")
-    rhs = G.data[:, indices].T @ target
+    rhs = selected.T @ target
     half = solve_triangular(lower, rhs, lower=True)
     return solve_triangular(lower.T, half, lower=False)
 
@@ -150,7 +150,10 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     Each round picks the admissible column maximizing the correlation
     ratio |<g_k, r>| / ||g_k|| with the current residual r, then re-fits
     all weights by exact least squares on the selected support, so the
-    residual norm never increases.
+    residual norm never increases.  Each picked column is copied once
+    into a column-major D x n buffer; the cross terms, the refit and the
+    residual read the contiguous block of the picks so far instead of
+    gathering the selected columns from ``G`` again on every pick.
 
     Args:
       G: column dictionary.
@@ -184,6 +187,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     admissible = norms > 0.0
     safe_norms = np.where(admissible, norms, 1.0)
     indices: list[int] = []
+    picked = np.empty((D, n), order="F")
     weights = np.zeros(0)
     chol = np.zeros((0, 0))
     residual = target.copy()
@@ -196,16 +200,20 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         if not np.isfinite(ratios[k]):
             truncated = True  # no admissible column left
             break
-        cross = G.data[:, indices].T @ G.data[:, k] if indices else np.zeros(0)
+        m = len(indices)
+        column = G.data[:, k]
+        cross = picked[:, :m].T @ column if m else np.zeros(0)
         try:
             chol = cholesky_append(chol, cross, float(norms[k]) ** 2)
         except SingularGramError:
             truncated = True
             break
+        picked[:, m] = column
         indices.append(k)
         admissible[k] = False
-        weights = refit_weights(G, np.asarray(indices), target, chol)
-        residual = target - G.data[:, indices] @ weights
+        selected = picked[:, : m + 1]
+        weights = refit_weights(selected, target, chol)
+        residual = target - selected @ weights
 
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
 

@@ -5,7 +5,9 @@ library computes in batch, so a test can compare the two.
 """
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
+from gmcoreset.matching_pursuit import CoresetSelection, SingularGramError, cholesky_append
 from gmcoreset.nn import loss_and_grad
 
 
@@ -57,3 +59,39 @@ def facility_location_objective(selected: np.ndarray, points: np.ndarray, bound:
     diffs = points[:, None, :] - selected[None, :, :]
     dists = np.sqrt((diffs * diffs).sum(axis=2))
     return float((bound - dists.min(axis=1)).sum())
+
+
+def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
+    """The gather-based form of ``omp_select``: the selected columns are
+    gathered from ``G.data`` for the cross term, the refit and the
+    residual on every pick.  Expects valid arguments (no checks)."""
+    target = np.asarray(target, dtype=np.float64)
+    norms = G.column_norms
+    admissible = norms > 0.0
+    safe_norms = np.where(admissible, norms, 1.0)
+    indices: list[int] = []
+    weights = np.zeros(0)
+    chol = np.zeros((0, 0))
+    residual = target.copy()
+    truncated = False
+
+    while len(indices) < n:
+        ratios = np.abs((residual @ G.data) / safe_norms)
+        ratios[~admissible] = -np.inf
+        k = int(np.argmax(ratios))
+        if not np.isfinite(ratios[k]):
+            truncated = True  # no admissible column left
+            break
+        cross = G.data[:, indices].T @ G.data[:, k] if indices else np.zeros(0)
+        try:
+            chol = cholesky_append(chol, cross, float(norms[k]) ** 2)
+        except SingularGramError:
+            truncated = True
+            break
+        indices.append(k)
+        admissible[k] = False
+        rhs = G.data[:, indices].T @ target
+        weights = solve_triangular(chol.T, solve_triangular(chol, rhs, lower=True), lower=False)
+        residual = target - G.data[:, indices] @ weights
+
+    return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)

@@ -11,6 +11,7 @@ from gmcoreset.matching_pursuit import (
     refit_weights,
     selection_residual,
 )
+from oracles import omp_select_by_gathers
 
 
 def random_instance(seed, D, N):
@@ -84,14 +85,14 @@ def test_refit_orthonormal_columns():
     target = np.array([1.0, -2.0, 0.5, 3.0])
     idx = np.array([0, 3])
     chol = np.eye(2)
-    weights = refit_weights(G, idx, target, chol)
+    weights = refit_weights(G.data[:, idx], target, chol)
     assert np.allclose(weights, G.data[:, idx].T @ target)
 
 
 def test_refit_single_column():
     G = GradientMatrix(np.array([[2.0], [0.0]]))
     chol = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
-    weights = refit_weights(G, np.array([0]), np.array([4.0, 0.0]), chol)
+    weights = refit_weights(G.data[:, [0]], np.array([4.0, 0.0]), chol)
     assert np.allclose(weights, [2.0])
 
 
@@ -105,7 +106,7 @@ def test_refit_matches_pseudo_inverse(seed):
     chol = np.zeros((0, 0))
     for j in range(3):
         chol = cholesky_append(chol, gram[:j, j], gram[j, j])
-    weights = refit_weights(G, np.arange(3), target, chol)
+    weights = refit_weights(G.data[:, np.arange(3)], target, chol)
     oracle = np.linalg.pinv(cols) @ target
     assert np.abs(weights - oracle).max() <= 1e-8
     # residual orthogonal to every selected column
@@ -115,9 +116,8 @@ def test_refit_matches_pseudo_inverse(seed):
 
 
 def test_refit_rejects_empty_selection():
-    G = GradientMatrix(np.eye(2))
     with pytest.raises(ValueError):
-        refit_weights(G, np.array([], dtype=int), np.ones(2), np.zeros((0, 0)))
+        refit_weights(np.zeros((2, 0)), np.ones(2), np.zeros((0, 0)))
 
 
 # --- greedy selection ----------------------------------------------------------
@@ -183,6 +183,63 @@ def test_preconditions():
         omp_select(G, np.array([1.0, np.inf]), 1)
     with pytest.raises(ValueError):
         omp_select(G, np.ones(2), 0)
+
+
+def _oracle_cases():
+    """(name, dictionary, target, n) on seeded random dictionaries."""
+    rng = np.random.default_rng(2024)
+    plain = rng.standard_normal((16, 30))
+    zeros = rng.standard_normal((16, 30))
+    zeros[:, [0, 7, 19]] = 0.0
+    duplicates = rng.standard_normal((16, 30))
+    duplicates[:, 10:20] = duplicates[:, :10]
+    low_rank = rng.standard_normal((16, 4)) @ rng.standard_normal((4, 30))
+    wide = rng.standard_normal((12, 40))
+    tall = rng.standard_normal((40, 12))
+    cases = [
+        ("plain", plain, rng.standard_normal(16), 10),
+        ("zero-norm", zeros, zeros.sum(axis=1), 12),
+        ("duplicates", duplicates, duplicates.sum(axis=1), 14),
+        ("low-rank", low_rank, rng.standard_normal(16), 8),
+        ("n-equals-D", wide, wide.sum(axis=1), 12),
+        ("n-equals-N", tall, rng.standard_normal(40), 12),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name,data,target,n", _oracle_cases())
+def test_selection_equals_the_gather_loop_bit_for_bit(name, data, target, n):
+    G = GradientMatrix(data)
+    sel = omp_select(G, target, n)
+    oracle = omp_select_by_gathers(G, target, n)
+    assert np.array_equal(sel.indices, oracle.indices)
+    assert np.array_equal(sel.weights, oracle.weights)
+    assert sel.truncated == oracle.truncated
+    if name == "low-rank":
+        assert sel.truncated and sel.size == 4
+
+
+class _CountsGathers(np.ndarray):
+    """ndarray that counts indexing with a list or an array (a gather)."""
+
+    gathers = 0
+
+    def __getitem__(self, index):
+        parts = index if isinstance(index, tuple) else (index,)
+        if any(isinstance(part, (list, np.ndarray)) for part in parts):
+            type(self).gathers += 1
+        return super().__getitem__(index)
+
+
+def test_selection_gathers_no_columns():
+    G, target = random_instance(5, 32, 60)
+    plain = omp_select(G, target, 20)
+    G.data = G.data.view(_CountsGathers)
+    _CountsGathers.gathers = 0
+    counted = omp_select(G, target, 20)
+    assert _CountsGathers.gathers == 0
+    assert np.array_equal(counted.indices, plain.indices)
+    assert np.array_equal(counted.weights, plain.weights)
 
 
 # --- properties ----------------------------------------------------------------
