@@ -47,6 +47,11 @@ class EmbeddingConfig:
             raise ValueError("init_seed and projection_seed must be >= 0")
 
 
+# Rows of the sign matrix drawn per call of the generator: bounds the
+# int64 draw buffer at _SIGN_BLOCK_ROWS * input_dim * 8 bytes.
+_SIGN_BLOCK_ROWS = 64
+
+
 def last_layer_size(arch: MlpArch) -> int:
     """Output-layer parameter count: k * penultimate_width + k."""
     return arch.num_classes * arch.penultimate_width + arch.num_classes
@@ -62,32 +67,58 @@ def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
 def sign_projection(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
     """Sample a (proj_dim, input_dim) {+1, -1} matrix; bit-identical for equal seeds (PCG64).
 
+    The matrix is allocated once and filled _SIGN_BLOCK_ROWS rows at a
+    time from int64 draws in {0, 1}, then mapped to {-1, +1} in place.
+    Bounded int64 draws take 32 bits at a time from the generator, which
+    carries a spare half-word across calls, so the blocks draw the same
+    stream as a single call for the whole matrix would.  (Narrower
+    dtypes draw from a buffer that is dropped between calls; they would
+    give a different matrix.)
+
     Projecting by it and scaling by 1/sqrt(proj_dim) preserves inner
     products in expectation.
     """
     rng = np.random.default_rng(seed)
-    return rng.integers(0, 2, size=(proj_dim, input_dim)).astype(np.float64) * 2.0 - 1.0
+    signs = np.empty((proj_dim, input_dim))
+    for start in range(0, proj_dim, _SIGN_BLOCK_ROWS):
+        rows = signs[start:start + _SIGN_BLOCK_ROWS]
+        rows[...] = rng.integers(0, 2, size=rows.shape)
+    signs *= 2.0
+    signs -= 1.0
+    return signs
 
 
 def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str) -> np.ndarray:
-    """Per-example loss gradients, one row per example.
+    """Per-example loss gradients, one row per example, in one (N, P) array.
 
     scope "full" backpropagates the single-example cross-entropy through
-    all layers and flattens [W1, b1, ..., Wk, bk]; "last_layer" uses the
-    closed form (softmax - onehot) x penultimate activation.
+    all layers; row i is example i's gradient flattened as
+    [W1, b1, ..., Wk, bk].  "last_layer" keeps only the output-layer
+    block [Wk, bk], the closed form (softmax - onehot) x penultimate
+    activation.  The array is allocated once: each layer's outer product
+    delta x input is written by ``einsum(..., out=)`` into a view of its
+    column block, and its bias block is delta itself.
     """
     if scope not in ("full", "last_layer"):
         raise ValueError(f"unknown gradient scope {scope!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     activations, pre, _, delta = _output_delta(params, X, y)
-    blocks = []
-    for _, delta, inputs in _backprop(params, activations, pre, delta):
-        dw = np.einsum("bo,bi->boi", delta, inputs).reshape(len(y), -1)
-        blocks.append(np.concatenate([dw, delta], axis=1))
+    sizes = [w.size + b.size for w, b in zip(params.weights, params.biases)]
+    grads = np.empty((len(y), sizes[-1] if scope == "last_layer" else sum(sizes)))
+    stop = grads.shape[1]
+    for layer, delta, inputs in _backprop(params, activations, pre, delta):
+        shape = params.weights[layer].shape
+        bias = stop - shape[0]
+        start = bias - shape[0] * shape[1]
+        dw = grads[:, start:bias].reshape(len(y), *shape)
+        assert np.shares_memory(dw, grads), "weight block must be a view of the gradient matrix"
+        np.einsum("bo,bi->boi", delta, inputs, out=dw)
+        grads[:, bias:stop] = delta
         if scope == "last_layer":
-            return blocks[0]
-    return np.concatenate(blocks[::-1], axis=1)
+            break
+        stop = start
+    return grads
 
 
 def embed_batch_at_params(
@@ -96,20 +127,37 @@ def embed_batch_at_params(
     labels: np.ndarray,
     config: EmbeddingConfig,
 ) -> GradientMatrix:
-    """Embed a batch at explicit parameter draws (columns = examples)."""
+    """Embed a batch at explicit parameter draws (columns = examples).
+
+    The D x N result is allocated once, C-contiguous, and ``GradientMatrix``
+    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d) with the
+    transpose of its (N, d) block: the per-example gradients projected by
+    that draw's sign matrix and divided by sqrt(proj_dim) in place, or
+    the output-layer gradients in last_layer mode.  Each draw's gradients
+    and sign matrix are released before the next draw is built, and the
+    projection is one product over all N rows.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(features) == 0:
         raise ValueError("batch must be non-empty")
-    blocks = []
+    if config.mode == "random_projection":
+        rows = config.proj_dim
+    else:
+        rows = draws[0].weights[-1].size + draws[0].biases[-1].size
+    out = np.empty((len(draws) * rows, len(features)))
     for j, params in enumerate(draws):
         if config.mode == "random_projection":
             grads = _batch_gradients(params, features, labels, "full")
             proj = sign_projection(config.proj_dim, grads.shape[1], config.projection_seed + j)
-            blocks.append(grads @ proj.T / np.sqrt(config.proj_dim))
+            block = grads @ proj.T
+            del grads, proj
+            block /= np.sqrt(config.proj_dim)
         else:
-            blocks.append(_batch_gradients(params, features, labels, "last_layer"))
-    return GradientMatrix(np.concatenate(blocks, axis=1).T)
+            block = _batch_gradients(params, features, labels, "last_layer")
+        out[j * rows:(j + 1) * rows] = block.T
+        del block
+    return GradientMatrix(out)
 
 
 def embed_batch(

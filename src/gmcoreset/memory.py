@@ -11,6 +11,7 @@ examples at the current parameters instead of caching columns.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -205,15 +206,24 @@ def class_balance_update(
     the lowest class id).
     """
 
+    # Class counts and each class's slots in ascending order, built from the
+    # full memory on the first eviction and then kept up to date per admission.
+    counts: dict[int, int] = {}
+    members: dict[int, list[int]] = {}
+
     def evict(labels, y, seen, num_classes):
-        counts: dict[int, int] = {}
-        for lab in labels:
-            counts[lab] = counts.get(lab, 0) + 1
+        if not counts:
+            for slot, lab in enumerate(labels):
+                counts[lab] = counts.get(lab, 0) + 1
+                members.setdefault(lab, []).append(slot)
         if counts.get(y, 0) >= n // num_classes:
             return None
         largest = max(counts, key=lambda c: (counts[c], -c))
-        members = [i for i, lab in enumerate(labels) if lab == largest]
-        return members[int(rng.integers(0, len(members)))]
+        slot = members[largest].pop(int(rng.integers(0, counts[largest])))
+        counts[largest] -= 1
+        counts[y] = counts.get(y, 0) + 1
+        bisect.insort(members.setdefault(y, []), slot)
+        return slot
 
     return _admit_each(memory, batch_features, batch_labels, n, evict)
 

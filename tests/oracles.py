@@ -7,8 +7,13 @@ library computes in batch, so a test can compare the two.
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from gmcoreset.matching_pursuit import CoresetSelection, SingularGramError, cholesky_append
-from gmcoreset.nn import loss_and_grad
+from gmcoreset.matching_pursuit import (
+    CoresetSelection,
+    GradientMatrix,
+    SingularGramError,
+    cholesky_append,
+)
+from gmcoreset.nn import _backprop, _output_delta, loss_and_grad
 
 
 def project(gradient: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -95,3 +100,64 @@ def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
         residual = target - G.data[:, indices] @ weights
 
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
+
+
+def sign_projection_one_shot(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
+    """The (proj_dim, input_dim) {+1, -1} matrix drawn by one call for the
+    whole matrix, then mapped to floats out of place."""
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 2, size=(proj_dim, input_dim)).astype(np.float64) * 2.0 - 1.0
+
+
+def batch_gradients_by_concatenation(params, X: np.ndarray, y: np.ndarray, scope: str) -> np.ndarray:
+    """The concatenating form of ``grad_embed._batch_gradients``: one
+    einsum and one concatenation per layer, then one across layers."""
+    if scope not in ("full", "last_layer"):
+        raise ValueError(f"unknown gradient scope {scope!r}")
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    activations, pre, _, delta = _output_delta(params, X, y)
+    blocks = []
+    for _, delta, inputs in _backprop(params, activations, pre, delta):
+        dw = np.einsum("bo,bi->boi", delta, inputs).reshape(len(y), -1)
+        blocks.append(np.concatenate([dw, delta], axis=1))
+        if scope == "last_layer":
+            return blocks[0]
+    return np.concatenate(blocks[::-1], axis=1)
+
+
+def embed_batch_by_concatenation(draws, features, labels, config) -> GradientMatrix:
+    """The concatenating form of ``grad_embed.embed_batch_at_params``: the
+    per-draw blocks are concatenated, transposed and copied into the
+    dictionary, and the projection is divided out of place."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(features) == 0:
+        raise ValueError("batch must be non-empty")
+    blocks = []
+    for j, params in enumerate(draws):
+        if config.mode == "random_projection":
+            grads = batch_gradients_by_concatenation(params, features, labels, "full")
+            proj = sign_projection_one_shot(config.proj_dim, grads.shape[1], config.projection_seed + j)
+            blocks.append(grads @ proj.T / np.sqrt(config.proj_dim))
+        else:
+            blocks.append(batch_gradients_by_concatenation(params, features, labels, "last_layer"))
+    return GradientMatrix(np.concatenate(blocks, axis=1).T)
+
+
+def class_balance_by_rescan(n: int, rng):
+    """The rescanning eviction rule of ``memory.class_balance_update``:
+    class counts and the largest class's members are rebuilt from the
+    whole memory for every item offered to it when full."""
+
+    def evict(labels, y, seen, num_classes):
+        counts: dict[int, int] = {}
+        for lab in labels:
+            counts[lab] = counts.get(lab, 0) + 1
+        if counts.get(y, 0) >= n // num_classes:
+            return None
+        largest = max(counts, key=lambda c: (counts[c], -c))
+        members = [i for i, lab in enumerate(labels) if lab == largest]
+        return members[int(rng.integers(0, len(members)))]
+
+    return evict

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gmcoreset import nn
 from gmcoreset.grad_embed import (
+    _SIGN_BLOCK_ROWS,
     EmbeddingConfig,
+    _batch_gradients,
     embed_batch,
     embed_batch_at_params,
     embedding_dim,
@@ -11,7 +15,14 @@ from gmcoreset.grad_embed import (
     sign_projection,
 )
 
-from oracles import num_params, per_example_gradient, project
+from oracles import (
+    batch_gradients_by_concatenation,
+    embed_batch_by_concatenation,
+    num_params,
+    per_example_gradient,
+    project,
+    sign_projection_one_shot,
+)
 
 
 def small_batch(seed, n=6, arch=None):
@@ -30,6 +41,23 @@ def test_sign_matrix_entries_and_reproducibility():
     b = sign_projection(16, 40, seed=11)
     assert np.array_equal(a, b)
     assert set(np.unique(a)) == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize(
+    "proj_dim, input_dim",
+    [
+        (_SIGN_BLOCK_ROWS - 1, 40),  # fewer rows than one block
+        (2 * _SIGN_BLOCK_ROWS, 40),  # a whole number of blocks
+        (2 * _SIGN_BLOCK_ROWS + 5, 40),  # a partial last block
+        (_SIGN_BLOCK_ROWS + 3, 333),  # odd input dimension
+        (1, 333),
+        (1, 1),
+    ],
+)
+def test_sign_matrix_equals_one_shot_draw(proj_dim, input_dim):
+    for seed in (0, 5):
+        expected = sign_projection_one_shot(proj_dim, input_dim, seed)
+        assert np.array_equal(sign_projection(proj_dim, input_dim, seed), expected)
 
 
 def test_project_single_row():
@@ -194,3 +222,49 @@ def test_empty_batch_is_rejected():
 def test_embedding_config_rejects_negative_seed(field):
     with pytest.raises(ValueError, match="must be >= 0"):
         EmbeddingConfig(**{field: -1})
+
+
+# --- in-place construction: bit-identical to the concatenating form ---------------
+
+
+@pytest.mark.parametrize("num_examples", [1, 7, 1200])
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("mode", ["random_projection", "last_layer"])
+def test_embedding_equals_concatenating_form(num_examples, draws, mode):
+    arch, X, y = small_batch(21, n=num_examples, arch=nn.MlpArch(9, (16, 12), 4))
+    config = EmbeddingConfig(draws=draws, mode=mode, proj_dim=37, projection_seed=3, init_seed=5)
+    params = [nn.init_sample(arch, config.init_seed + j) for j in range(draws)]
+    G = embed_batch_at_params(params, X, y, config)
+    expected = embed_batch_by_concatenation(params, X, y, config)
+    assert G.data.flags.c_contiguous
+    assert np.array_equal(G.data, expected.data)
+    assert np.array_equal(G.column_norms, expected.column_norms)
+
+
+@pytest.mark.parametrize("hidden", [(16, 12), (6,), ()])
+@pytest.mark.parametrize("scope", ["full", "last_layer"])
+def test_batch_gradients_equal_concatenating_form(hidden, scope):
+    arch, X, y = small_batch(22, n=50, arch=nn.MlpArch(9, hidden, 4))
+    params = nn.init_sample(arch, 1)
+    expected = batch_gradients_by_concatenation(params, X, y, scope)
+    assert np.array_equal(_batch_gradients(params, X, y, scope), expected)
+
+
+def test_embedding_holds_one_gradient_and_one_sign_matrix_at_a_time():
+    # The traced peak stays near one draw's gradients, its sign matrix, the
+    # output and one (N, proj_dim) product block; copies of the gradients or
+    # of the output, or a previous draw's arrays kept alive, exceed it.
+    arch = nn.MlpArch(20, (64, 64), 10)
+    num_examples, config = 1000, EmbeddingConfig(draws=2, proj_dim=500)
+    _, X, y = small_batch(23, n=num_examples, arch=arch)
+    grad_bytes = 8 * num_examples * num_params(arch)
+    sign_bytes = 8 * config.proj_dim * num_params(arch)
+    out_bytes = 8 * embedding_dim(config, arch) * num_examples
+    block_bytes = 8 * num_examples * config.proj_dim
+    tracemalloc.start()
+    try:
+        embed_batch(X, y, arch, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * (grad_bytes + sign_bytes + out_bytes + block_bytes)

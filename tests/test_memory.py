@@ -10,6 +10,7 @@ from gmcoreset.matching_pursuit import GradientMatrix, omp_select, selection_res
 from gmcoreset.memory import (
     RehearsalMemory,
     SieveState,
+    _admit_each,
     class_balance_update,
     facility_location_update,
     gmc_update,
@@ -18,7 +19,7 @@ from gmcoreset.memory import (
     sliding_window_update,
 )
 
-from oracles import facility_location_objective
+from oracles import class_balance_by_rescan, facility_location_objective
 
 
 def fake_batch(n, dims=3, label=0, seed=0):
@@ -233,6 +234,31 @@ def test_class_balance_balanced_supply():
 
 
 # --- sliding window ------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 12),
+    num_classes=st.integers(1, 5),
+    batch_sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+)
+def test_class_balance_equals_the_rescanning_rule(seed, n, num_classes, batch_sizes):
+    data = np.random.default_rng(seed)
+    # a skewed class mix, so the largest class changes during the stream
+    mix = data.dirichlet(np.full(num_classes, 0.5))
+    memory = expected = RehearsalMemory.empty(n)
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for size in batch_sizes:
+        feats = data.standard_normal((size, 2))
+        labels = data.choice(num_classes, size=size, p=mix)
+        memory = class_balance_update(memory, feats, labels, n, rng)
+        expected = _admit_each(expected, feats, labels, n, class_balance_by_rescan(n, oracle_rng))
+        assert np.array_equal(memory.labels, expected.labels)
+        assert np.array_equal(memory.features, expected.features)
+        assert np.array_equal(memory.weights, expected.weights)
+        assert (memory.seen, memory.classes_seen) == (expected.seen, expected.classes_seen)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_sliding_window_keeps_most_recent():
