@@ -20,7 +20,7 @@ from .memory import (
     reservoir_update,
     sliding_window_update,
 )
-from .nn import AdamState, MlpArch, MlpParams, TrainConfig, adam_step, evaluate, init_sample, loss_and_grad, train
+from .nn import AdamState, MlpArch, MlpParams, TrainConfig, adam_step, evaluate, init_sample, train
 from .scenarios import (
     ContinualScenario,
     Dataset,

@@ -229,7 +229,8 @@ def _replay_task(params, state, batch, memory, represented, train_cfg, epochs):
     Memory examples carry their stored weights rescaled to sum to the
     number of stream items the memory stands in for, so batch and memory
     contribute in proportion to their data masses.  With an empty memory
-    this reduces exactly to plain minibatch training on the batch.
+    this reduces exactly to plain minibatch training on the batch.  Trains
+    copies of ``params`` and ``state`` and returns them.
     """
     if memory.size == 0:
         return nn.train_steps(
@@ -240,6 +241,8 @@ def _replay_task(params, state, batch, memory, represented, train_cfg, epochs):
     if total <= 0.0:
         raise ValueError("memory weights sum to a non-positive value")
     scaled = memory.weights * (represented / total)
+    params, state = params.copy(), state.copy()
+    grads = nn.MlpParams.zeros(params.layer_dims)
     rng = np.random.default_rng(train_cfg.seed)
     n = batch.num_examples
     half = max(1, train_cfg.batch_size // 2)
@@ -251,8 +254,8 @@ def _replay_task(params, state, batch, memory, represented, train_cfg, epochs):
             X = np.vstack([batch.features[cur], memory.features[pick]])
             y = np.concatenate([batch.labels[cur], memory.labels[pick]])
             w = np.concatenate([np.ones(len(cur)), scaled[pick]])
-            _, grads = nn.loss_and_grad(params, X, y, w)
-            params, state = nn.adam_step(params, grads, state, train_cfg)
+            nn.weighted_gradient(params, X, y, w, grads)
+            nn.adam_step(params, grads, state, train_cfg)
     return params, state
 
 

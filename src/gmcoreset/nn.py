@@ -1,9 +1,11 @@
 """Plain-numpy MLP classifier with analytic gradients.
 
 ReLU hidden layers, softmax cross-entropy with per-example loss weights,
-Adam updates, and uniform fan-in initialization.  Everything is 64-bit
-and deterministic given the seeds, which makes the training loop usable
-both as a learner and as a source of gradient embeddings.
+Adam updates, and uniform fan-in initialization.  All parameters live in
+one float64 vector, so a gradient is written into one buffer and an Adam
+step is a few in-place vector operations.  Everything is 64-bit and
+deterministic given the seeds, which makes the training loop usable both
+as a learner and as a source of gradient embeddings.
 """
 
 from __future__ import annotations
@@ -36,16 +38,41 @@ class MlpArch:
         return self.hidden[-1] if self.hidden else self.input_dim
 
 
-@dataclass
 class MlpParams:
-    """Per-layer weight matrices (fan_out x fan_in) and bias vectors."""
+    """Every weight and bias in one float64 vector ``flat``, laid out
+    [W1, b1, ..., Wk, bk] in C order.
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    ``weights[l]`` (fan_out x fan_in) and ``biases[l]`` are views into
+    ``flat``: writing through them writes the vector.
+    """
+
+    def __init__(self, flat: np.ndarray, layer_dims: list[tuple[int, int]]):
+        self.flat = flat
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        offset = 0
+        for fan_in, fan_out in layer_dims:
+            self.weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in))
+            offset += fan_in * fan_out
+            self.biases.append(flat[offset : offset + fan_out])
+            offset += fan_out
+        if flat.shape != (offset,) or flat.dtype != np.float64:
+            raise ValueError(f"expected {offset} float64 parameters, got {flat.dtype} {flat.shape}")
+
+    @classmethod
+    def zeros(cls, layer_dims: list[tuple[int, int]]) -> "MlpParams":
+        return cls(np.zeros(sum(fi * fo + fo for fi, fo in layer_dims)), layer_dims)
+
+    @property
+    def layer_dims(self) -> list[tuple[int, int]]:
+        return [(w.shape[1], w.shape[0]) for w in self.weights]
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
+
+    def copy(self) -> "MlpParams":
+        return MlpParams(self.flat.copy(), self.layer_dims)
 
 
 # Adam's moment decay rates and the denominator's guard term.
@@ -62,8 +89,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
+        if not (np.isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step_size must be positive and finite, got {self.step_size}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
@@ -72,16 +99,18 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, weights then biases, and the step counter."""
+    """First/second moment vectors, laid out like ``MlpParams.flat``, and the step counter."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
     def zeros(cls, params: MlpParams) -> "AdamState":
-        tensors = (*params.weights, *params.biases)
-        return cls([np.zeros_like(p) for p in tensors], [np.zeros_like(p) for p in tensors])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
+
+    def copy(self) -> "AdamState":
+        return AdamState(self.m.copy(), self.v.copy(), self.step)
 
 
 def init_sample(arch: MlpArch, seed: int) -> MlpParams:
@@ -92,12 +121,12 @@ def init_sample(arch: MlpArch, seed: int) -> MlpParams:
     (numpy's ``default_rng``) so draws are bit-reproducible per seed.
     """
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in arch.layer_dims():
+    params = MlpParams.zeros(arch.layer_dims())
+    for (fan_in, fan_out), w, b in zip(arch.layer_dims(), params.weights, params.biases):
         bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpParams(weights, biases)
+        w[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+        b[...] = rng.uniform(-bound, bound, size=fan_out)
+    return params
 
 
 def _forward(params: MlpParams, X: np.ndarray):
@@ -141,14 +170,14 @@ def _backprop(params: MlpParams, activations, pre, delta):
         yield layer, delta, activations[layer]
 
 
-def loss_and_grad(
-    params: MlpParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-) -> tuple[float, MlpParams]:
-    """Weighted softmax cross-entropy and its exact gradient.
+def weighted_gradient(
+    params: MlpParams, X: np.ndarray, y: np.ndarray, weights: np.ndarray, out: MlpParams
+) -> None:
+    """Write the exact gradient of the weighted softmax cross-entropy into ``out``.
 
-    loss = sum_i w_i * ce_i / sum_i w_i; individual weights may be
+    The loss is sum_i w_i * ce_i / sum_i w_i; individual weights may be
     negative (coreset refits produce them) but their sum must be
-    positive.  Returned gradients share the parameter structure.
+    positive.  ``out`` has the layout of ``params`` and is overwritten.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -159,39 +188,36 @@ def loss_and_grad(
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
 
-    activations, pre, logits, delta = _output_delta(params, X, y)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
-    ce = logsumexp - logits[np.arange(len(y)), y]
-    loss = float(weights @ ce / wsum)
-
+    activations, pre, _, delta = _output_delta(params, X, y)
     delta *= (weights / wsum)[:, None]
-    grads = MlpParams([None] * params.num_layers, [None] * params.num_layers)
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
-        grads.weights[layer] = delta.T @ inputs
-        grads.biases[layer] = delta.sum(axis=0)
-    return loss, grads
+        np.matmul(delta.T, inputs, out=out.weights[layer])
+        np.sum(delta, axis=0, out=out.biases[layer])
 
 
-def adam_step(
-    params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig
-) -> tuple[MlpParams, AdamState]:
-    """One bias-corrected Adam update; inputs are not mutated."""
-    gradients = (*grads.weights, *grads.biases)
-    if not all(np.all(np.isfinite(g)) for g in gradients):
+def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place.
+
+    A non-finite gradient raises before anything is changed.
+    """
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
         raise FloatingPointError("non-finite gradient in Adam update")
-    t = state.step + 1
+    state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    mc, vc = 1.0 - b1 ** t, 1.0 - b2 ** t
-    updated, ms, vs = [], [], []
-    for p, g, m, v in zip((*params.weights, *params.biases), gradients, state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        updated.append(p - config.step_size * (m / mc) / (np.sqrt(v / vc) + ADAM_EPS))
-        ms.append(m)
-        vs.append(v)
-    k = params.num_layers
-    return MlpParams(updated[:k], updated[k:]), AdamState(ms, vs, t)
+    mc, vc = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    update = m / mc
+    update *= config.step_size
+    scale = v / vc
+    np.sqrt(scale, out=scale)
+    scale += ADAM_EPS
+    update /= scale
+    params.flat -= update
 
 
 def train_steps(
@@ -205,8 +231,9 @@ def train_steps(
 ) -> tuple[MlpParams, AdamState]:
     """Minibatch Adam over seeded shuffles, threading the optimizer state.
 
-    Runs epochs * ceil(N / batch_size) steps; each epoch draws a fresh
-    permutation from ``default_rng(config.seed)``.
+    Runs epochs * ceil(N / batch_size) steps on copies of ``params`` and
+    ``state``, which are returned; each epoch draws a fresh permutation
+    from ``default_rng(config.seed)``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -214,13 +241,15 @@ def train_steps(
     if len(X) == 0:
         raise ValueError("training set must be non-empty")
     epochs = config.epochs if epochs is None else epochs
+    params, state = params.copy(), state.copy()
+    grads = MlpParams.zeros(params.layer_dims)
     rng = np.random.default_rng(config.seed)
     for _ in range(epochs):
         perm = rng.permutation(len(X))
         for start in range(0, len(X), config.batch_size):
             idx = perm[start : start + config.batch_size]
-            _, grads = loss_and_grad(params, X[idx], y[idx], weights[idx])
-            params, state = adam_step(params, grads, state, config)
+            weighted_gradient(params, X[idx], y[idx], weights[idx], grads)
+            adam_step(params, grads, state, config)
     return params, state
 
 

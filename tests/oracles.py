@@ -4,6 +4,8 @@ Each one is the plain, one-example-at-a-time form of something the
 library computes in batch, so a test can compare the two.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -13,7 +15,7 @@ from gmcoreset.matching_pursuit import (
     SingularGramError,
     cholesky_append,
 )
-from gmcoreset.nn import _backprop, _output_delta, loss_and_grad
+from gmcoreset.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams, _backprop, _output_delta
 
 
 def project(gradient: np.ndarray, matrix: np.ndarray) -> np.ndarray:
@@ -26,19 +28,114 @@ def project(gradient: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (matrix @ gradient) / np.sqrt(matrix.shape[0])
 
 
-def flatten(params) -> np.ndarray:
-    """Concatenate [W1, b1, W2, b2, ...] in C order."""
-    parts = []
-    for w, b in zip(params.weights, params.biases):
-        parts.append(w.ravel())
-        parts.append(b)
-    return np.concatenate(parts)
+def loss_and_grad(params, X: np.ndarray, y: np.ndarray, weights: np.ndarray):
+    """Weighted softmax cross-entropy and its exact gradient.
+
+    loss = sum_i w_i * ce_i / sum_i w_i; individual weights may be
+    negative but their sum must be positive.  The gradient is returned
+    as an ``nn.MlpParams``; ``params`` may be one or ``LayerParams``.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != y.shape or len(X) != len(y):
+        raise ValueError("batch, labels and weights must have equal length")
+    wsum = float(weights.sum())
+    if wsum <= 0.0:
+        raise ValueError(f"sum of example weights must be positive, got {wsum}")
+
+    activations, pre, logits, delta = _output_delta(params, X, y)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
+    ce = logsumexp - logits[np.arange(len(y)), y]
+    loss = float(weights @ ce / wsum)
+
+    delta *= (weights / wsum)[:, None]
+    grads = MlpParams.zeros([(w.shape[1], w.shape[0]) for w in params.weights])
+    for layer, delta, inputs in _backprop(params, activations, pre, delta):
+        grads.weights[layer][...] = delta.T @ inputs
+        grads.biases[layer][...] = delta.sum(axis=0)
+    return loss, grads
+
+
+@dataclass
+class LayerParams:
+    """Per-layer weight matrices (fan_out x fan_in) and bias vectors, each its own array."""
+
+    weights: list[np.ndarray]
+    biases: list[np.ndarray]
+
+    @property
+    def num_layers(self) -> int:
+        return len(self.weights)
+
+
+@dataclass
+class LayerAdamState:
+    """Per-tensor first/second moments, weights then biases, and the step counter."""
+
+    m: list[np.ndarray]
+    v: list[np.ndarray]
+    step: int = 0
+
+    @classmethod
+    def zeros(cls, params: LayerParams) -> "LayerAdamState":
+        tensors = (*params.weights, *params.biases)
+        return cls([np.zeros_like(p) for p in tensors], [np.zeros_like(p) for p in tensors])
+
+
+def init_sample_by_layers(arch, seed: int) -> LayerParams:
+    """The per-layer form of ``nn.init_sample``: one array per draw."""
+    rng = np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in arch.layer_dims():
+        bound = 1.0 / np.sqrt(fan_in)
+        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        biases.append(rng.uniform(-bound, bound, size=fan_out))
+    return LayerParams(weights, biases)
+
+
+def adam_step_by_layers(params, grads, state: LayerAdamState, config):
+    """The per-tensor, out-of-place form of ``nn.adam_step``; inputs are not mutated."""
+    gradients = (*grads.weights, *grads.biases)
+    if not all(np.all(np.isfinite(g)) for g in gradients):
+        raise FloatingPointError("non-finite gradient in Adam update")
+    t = state.step + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    mc, vc = 1.0 - b1 ** t, 1.0 - b2 ** t
+    updated, ms, vs = [], [], []
+    for p, g, m, v in zip((*params.weights, *params.biases), gradients, state.m, state.v):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        updated.append(p - config.step_size * (m / mc) / (np.sqrt(v / vc) + ADAM_EPS))
+        ms.append(m)
+        vs.append(v)
+    k = params.num_layers
+    return LayerParams(updated[:k], updated[k:]), LayerAdamState(ms, vs, t)
+
+
+def train_steps_by_layers(params, state, X, y, weights, config, epochs=None):
+    """The per-layer form of ``nn.train_steps``: a fresh gradient from
+    ``loss_and_grad`` and fresh parameters from ``adam_step_by_layers``
+    on every step."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
+    epochs = config.epochs if epochs is None else epochs
+    rng = np.random.default_rng(config.seed)
+    for _ in range(epochs):
+        perm = rng.permutation(len(X))
+        for start in range(0, len(X), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            _, grads = loss_and_grad(params, X[idx], y[idx], weights[idx])
+            params, state = adam_step_by_layers(params, grads, state, config)
+    return params, state
 
 
 def per_example_gradient(params, example: tuple[np.ndarray, int], scope: str = "full") -> np.ndarray:
     """Gradient of one example's cross-entropy loss, flattened.
 
-    Computed by ``nn.loss_and_grad`` on the example alone with weight 1,
+    Computed by ``loss_and_grad`` on the example alone with weight 1,
     independently of the batched per-example path.  With scope
     "last_layer" only the output-layer block, the tail of the full
     gradient, is returned.
@@ -46,7 +143,7 @@ def per_example_gradient(params, example: tuple[np.ndarray, int], scope: str = "
     features, label = example
     X = np.asarray(features, dtype=np.float64)[None, :]
     _, grads = loss_and_grad(params, X, np.asarray([label]), np.ones(1))
-    full = flatten(grads)
+    full = grads.flat
     if scope == "last_layer":
         return full[-(grads.weights[-1].size + grads.biases[-1].size):]
     return full

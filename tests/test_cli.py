@@ -246,8 +246,12 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
     ("", ["--jobs", "-2"], "jobs must be >= 1"),
     ("paradigm = replay\nreplay_epochs = 0\n", [], "replay_epochs must be >= 1"),
     ("paradigm = replay\nreplay_epochs = -1\n", [], "replay_epochs must be >= 1"),
+    ("step_size = nan\n", [], "step_size must be positive and finite"),
+    ("step_size = inf\n", [], "step_size must be positive and finite"),
+    ("step_size = -1\n", [], "step_size must be positive and finite"),
 ], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1",
-        "jobs-0", "jobs-minus-2", "replay-epochs-0", "replay-epochs-minus-1"])
+        "jobs-0", "jobs-minus-2", "replay-epochs-0", "replay-epochs-minus-1",
+        "step-size-nan", "step-size-inf", "step-size-minus-1"])
 def test_run_rejects_out_of_range_values_up_front(tmp_path, capsys, line, flags, message):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + line)
     out = tmp_path / "o"

@@ -17,8 +17,6 @@ from gmcoreset.harness import _train_seed
 from gmcoreset.memory import reservoir_update, RehearsalMemory
 from gmcoreset.scenarios import make_class_incremental, make_sorted_scenario, synth_blobs
 
-from oracles import flatten
-
 
 def tiny_config(**kwargs):
     defaults = dict(
@@ -122,7 +120,7 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     original = mem.local_gmc_update
 
     def spy(memory, feats, labels, params, n, config):
-        seen_params.append(flatten(params).copy())
+        seen_params.append(params.flat.copy())
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
@@ -131,7 +129,7 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     assert len(seen_params) == tiny_scenario.num_tasks
     # the first update sees the fresh draw; later ones see trained iterates
     arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
-    assert np.array_equal(seen_params[0], flatten(nn.init_sample(arch, 1 ^ 0)))
+    assert np.array_equal(seen_params[0], nn.init_sample(arch, 1 ^ 0).flat)
     assert np.abs(seen_params[1] - seen_params[0]).max() > 0
 
 
@@ -206,7 +204,7 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
     original = mem.local_gmc_update
 
     def spy(memory, feats, labels, params, n, config):
-        seen_params.append(flatten(params).copy())
+        seen_params.append(params.flat.copy())
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
@@ -214,6 +212,68 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
     assert len(seen_params) == tiny_scenario.num_tasks
     for earlier, later in zip(seen_params, seen_params[1:]):
         assert np.abs(earlier - later).max() > 0  # training moved the iterate
+
+
+def test_replay_task_leaves_params_and_state_unchanged(tiny_scenario):
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    first, second = tiny_scenario.batches[:2]
+    config = nn.TrainConfig(batch_size=10, epochs=3, seed=0)
+    params = nn.init_sample(arch, 0)
+    state = nn.AdamState.zeros(params)
+    full = reservoir_update(
+        RehearsalMemory.empty(10), first.features, first.labels, 10, np.random.default_rng(0)
+    )
+    for memory in (RehearsalMemory.empty(10), full):
+        kept = params.flat.copy(), state.m.copy(), state.v.copy()
+        trained, moved = harness._replay_task(
+            params, state, second, memory, first.num_examples, config, 2
+        )
+        assert moved.step > 0 and not np.array_equal(trained.flat, params.flat)
+        for before, now in zip(kept, (params.flat, state.m, state.v)):
+            assert np.array_equal(before, now)
+        assert state.step == 0
+
+
+# --- the step counts the benchmark's traced spans rest on ------------------------------
+
+
+def count_steps(monkeypatch, module, name):
+    """Open a new count at every call of ``module.name``; count each
+    ``nn.adam_step`` call in the open one."""
+    steps = []
+    opener, adam_step = getattr(module, name), nn.adam_step
+
+    def opening(*args):
+        steps.append(0)
+        return opener(*args)
+
+    def counting(*args):
+        steps[-1] += 1
+        return adam_step(*args)
+
+    monkeypatch.setattr(module, name, opening)
+    monkeypatch.setattr(nn, "adam_step", counting)
+    return steps
+
+
+def test_gdumb_trains_once_per_task_for_epochs_times_batches_steps(tiny_scenario, monkeypatch):
+    steps = count_steps(monkeypatch, nn, "train")
+    n, config = 15, tiny_config(memory_sizes=(15,))
+    run_gdumb(tiny_scenario, "reservoir", n, config, seed=0)
+    seen = np.cumsum([b.num_examples for b in tiny_scenario.batches])
+    batch, epochs = config.train.batch_size, config.train.epochs
+    assert steps == [epochs * -(-min(n, s) // batch) for s in seen]
+
+
+def test_replay_steps_epochs_times_minibatches_per_task(tiny_scenario, monkeypatch):
+    steps = count_steps(monkeypatch, harness, "_replay_task")
+    monkeypatch.setattr(nn, "train", None)  # replay never calls it
+    config = tiny_config(paradigm="replay", replay_epochs=2)
+    run_replay(tiny_scenario, "reservoir", 15, config, seed=0)
+    sizes = [b.num_examples for b in tiny_scenario.batches]
+    batch = config.train.batch_size
+    # the first task trains on the batch alone, later ones on half batch, half memory
+    assert steps == [2 * -(-sizes[0] // batch)] + [2 * -(-s // (batch // 2)) for s in sizes[1:]]
 
 
 # --- sweeps -------------------------------------------------------------------------

@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from gmcoreset import nn
 
-from oracles import flatten
+from oracles import (
+    LayerAdamState,
+    adam_step_by_layers,
+    init_sample_by_layers,
+    loss_and_grad,
+    train_steps_by_layers,
+)
 
 
 def small_problem(seed, n=8, arch=None):
@@ -18,25 +24,18 @@ def small_problem(seed, n=8, arch=None):
 
 
 def unflatten(arch, vec):
-    params = nn.init_sample(arch, 0)
-    offset = 0
-    for layer, (fan_in, fan_out) in enumerate(arch.layer_dims()):
-        params.weights[layer] = vec[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in)
-        offset += fan_in * fan_out
-        params.biases[layer] = vec[offset : offset + fan_out].copy()
-        offset += fan_out
-    return params
+    return nn.MlpParams(vec.copy(), arch.layer_dims())
 
 
 def finite_difference_grad(arch, params, X, y, w, step=1e-5):
-    flat = flatten(params)
+    flat = params.flat
     grad = np.zeros_like(flat)
     for i in range(len(flat)):
         bumped = flat.copy()
         bumped[i] += step
-        hi, _ = nn.loss_and_grad(unflatten(arch, bumped), X, y, w)
+        hi, _ = loss_and_grad(unflatten(arch, bumped), X, y, w)
         bumped[i] -= 2 * step
-        lo, _ = nn.loss_and_grad(unflatten(arch, bumped), X, y, w)
+        lo, _ = loss_and_grad(unflatten(arch, bumped), X, y, w)
         grad[i] = (hi - lo) / (2 * step)
     return grad
 
@@ -84,19 +83,19 @@ def test_uniform_softmax_loss_is_log_k():
     params.weights[-1][:] = 0.0
     params.biases[-1][:] = 0.0
     _, X, y, w = small_problem(2)
-    loss, _ = nn.loss_and_grad(params, X, y, w)
+    loss, _ = loss_and_grad(params, X, y, w)
     assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
 
 def test_uniform_weights_equal_plain_mean():
     arch, X, y, _ = small_problem(3)
     params = nn.init_sample(arch, 3)
-    loss, grads = nn.loss_and_grad(params, X, y, np.ones(len(y)))
+    loss, grads = loss_and_grad(params, X, y, np.ones(len(y)))
     # independent per-example cross entropy
     logits = nn.predict_logits(params, X)
     ce = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(len(y)), y]
     assert loss == pytest.approx(ce.mean(), rel=1e-12)
-    scaled, grads7 = nn.loss_and_grad(params, X, y, np.full(len(y), 7.0))
+    scaled, grads7 = loss_and_grad(params, X, y, np.full(len(y), 7.0))
     assert scaled == pytest.approx(loss, rel=1e-12)
     for a, b in zip(grads.weights, grads7.weights):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -105,19 +104,22 @@ def test_uniform_weights_equal_plain_mean():
 def test_rejects_degenerate_weights():
     arch, X, y, _ = small_problem(4)
     params = nn.init_sample(arch, 0)
+    out = nn.MlpParams(np.full_like(params.flat, 2.5), arch.layer_dims())
     with pytest.raises(ValueError, match="positive"):
-        nn.loss_and_grad(params, X, y, np.zeros(len(y)))
+        nn.weighted_gradient(params, X, y, np.zeros(len(y)), out)
     with pytest.raises(ValueError, match="positive"):
-        nn.loss_and_grad(params, X, y, -np.ones(len(y)))
+        nn.weighted_gradient(params, X, y, -np.ones(len(y)), out)
+    assert np.all(out.flat == 2.5)  # rejected before anything is written
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_gradients_match_finite_differences(seed):
     arch, X, y, w = small_problem(seed)
     params = nn.init_sample(arch, seed + 100)
-    _, grads = nn.loss_and_grad(params, X, y, w)
+    grads = nn.MlpParams.zeros(arch.layer_dims())
+    nn.weighted_gradient(params, X, y, w, grads)
     numeric = finite_difference_grad(arch, params, X, y, w)
-    analytic = flatten(grads)
+    analytic = grads.flat
     denom = np.maximum(np.maximum(np.abs(numeric), np.abs(analytic)), 1e-6)
     assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
 
@@ -127,8 +129,8 @@ def test_gradients_match_finite_differences(seed):
 def test_weight_scaling_leaves_loss_unchanged(seed, scale):
     arch, X, y, w = small_problem(seed % 1000)
     params = nn.init_sample(arch, seed % 977)
-    base_loss, base_grads = nn.loss_and_grad(params, X, y, w)
-    loss, grads = nn.loss_and_grad(params, X, y, scale * w)
+    base_loss, base_grads = loss_and_grad(params, X, y, w)
+    loss, grads = loss_and_grad(params, X, y, scale * w)
     assert loss == pytest.approx(base_loss, rel=1e-12)
     for a, b in zip(grads.weights + grads.biases, base_grads.weights + base_grads.biases):
         assert np.allclose(a, b, rtol=1e-12, atol=1e-14)
@@ -140,8 +142,8 @@ def test_weight_two_equals_duplicated_example():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((3, 3))
     y = np.array([0, 1, 0])
-    weighted = nn.loss_and_grad(params, X, y, np.array([2.0, 1.0, 1.0]))
-    duplicated = nn.loss_and_grad(
+    weighted = loss_and_grad(params, X, y, np.array([2.0, 1.0, 1.0]))
+    duplicated = loss_and_grad(
         params, np.vstack([X[[0]], X]), np.array([0, 0, 1, 0]), np.ones(4)
     )
     assert weighted[0] == pytest.approx(duplicated[0], rel=1e-12)
@@ -155,47 +157,51 @@ def test_weight_two_equals_duplicated_example():
 def test_adam_zero_gradient_is_a_no_op():
     arch = nn.MlpArch(3, (4,), 2)
     params = nn.init_sample(arch, 0)
-    grads = nn.MlpParams([np.zeros_like(w) for w in params.weights],
-                         [np.zeros_like(b) for b in params.biases])
+    before = params.flat.copy()
     state = nn.AdamState.zeros(params)
-    updated, state = nn.adam_step(params, grads, state, nn.TrainConfig())
-    for a, b in zip(updated.weights, params.weights):
-        assert np.array_equal(a, b)
-    assert all(np.all(m == 0) for m in state.m)
+    nn.adam_step(params, nn.MlpParams.zeros(arch.layer_dims()), state, nn.TrainConfig())
+    assert np.array_equal(params.flat, before)
+    assert np.all(state.m == 0)
     assert state.step == 1
 
 
 def test_adam_first_step_is_signed_step_size():
     arch = nn.MlpArch(2, (), 2)
     params = nn.init_sample(arch, 0)
+    before = params.weights[0].copy()
     c = 3.0
-    grads = nn.MlpParams([np.full_like(w, c) for w in params.weights],
-                         [np.full_like(b, c) for b in params.biases])
+    grads = nn.MlpParams(np.full_like(params.flat, c), arch.layer_dims())
     config = nn.TrainConfig(step_size=1e-3)
-    updated, _ = nn.adam_step(params, grads, nn.AdamState.zeros(params), config)
+    nn.adam_step(params, grads, nn.AdamState.zeros(params), config)
     expected = -config.step_size * c / (c + nn.ADAM_EPS)
-    assert np.allclose(updated.weights[0] - params.weights[0], expected, rtol=1e-12)
+    assert np.allclose(params.weights[0] - before, expected, rtol=1e-12)
 
 
 def test_adam_rejects_non_finite_gradients():
-    arch = nn.MlpArch(2, (), 2)
+    arch = nn.MlpArch(3, (4,), 2)
     params = nn.init_sample(arch, 0)
-    grads = nn.MlpParams([np.full_like(w, np.nan) for w in params.weights],
-                         [np.zeros_like(b) for b in params.biases])
+    state = nn.AdamState.zeros(params)
+    grads = nn.MlpParams(np.full_like(params.flat, 0.5), arch.layer_dims())
+    nn.adam_step(params, grads, state, nn.TrainConfig())
+    before = params.flat.copy(), state.m.copy(), state.v.copy()
+    grads.weights[0][1, 2] = np.nan
     with pytest.raises(FloatingPointError):
-        nn.adam_step(params, grads, nn.AdamState.zeros(params), nn.TrainConfig())
+        nn.adam_step(params, grads, state, nn.TrainConfig())
+    for kept, now in zip(before, (params.flat, state.m, state.v)):
+        assert np.array_equal(kept, now)
+    assert state.step == 1
 
 
 def test_adam_descends_a_quadratic():
     # minimize 0.5 * (x - 3)^2 by feeding its gradient through the optimizer
-    x = np.array([[10.0]])
-    params = nn.MlpParams([x], [np.zeros(1)])
+    params = nn.MlpParams(np.array([10.0, 0.0]), [(1, 1)])  # x is the one weight
     state = nn.AdamState.zeros(params)
     config = nn.TrainConfig(step_size=0.1)
-    start = 0.5 * (x[0, 0] - 3.0) ** 2
+    start = 0.5 * (params.weights[0][0, 0] - 3.0) ** 2
+    grad = nn.MlpParams.zeros([(1, 1)])
     for _ in range(100):
-        grad = nn.MlpParams([params.weights[0] - 3.0], [np.zeros(1)])
-        params, state = nn.adam_step(params, grad, state, config)
+        grad.weights[0][...] = params.weights[0] - 3.0
+        nn.adam_step(params, grad, state, config)
     assert 0.5 * (params.weights[0][0, 0] - 3.0) ** 2 < start
 
 
@@ -209,7 +215,7 @@ def test_train_overfits_one_example():
     y = np.array([2])
     config = nn.TrainConfig(step_size=1e-2, batch_size=1, epochs=300, seed=0)
     trained = nn.train(params, X, y, np.ones(1), config)
-    assert nn.loss_and_grad(trained, X, y, np.ones(1))[0] <= 1e-3
+    assert loss_and_grad(trained, X, y, np.ones(1))[0] <= 1e-3
 
 
 def test_zero_epochs_returns_params_unchanged():
@@ -259,3 +265,161 @@ def test_evaluate_ties_break_to_class_zero():
     X = np.ones((8, 3))
     y = np.repeat(np.arange(4), 2)  # balanced
     assert nn.evaluate(params, X, y) == pytest.approx(1.0 / 4.0)
+
+
+# --- the flat parameter vector ----------------------------------------------------
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (32, 32)])
+def test_weights_and_biases_are_views_of_flat(hidden):
+    arch = nn.MlpArch(5, hidden, 3)
+    for params in (nn.init_sample(arch, 0), nn.init_sample(arch, 0).copy()):
+        assert params.flat.shape == (sum(fi * fo + fo for fi, fo in arch.layer_dims()),)
+        for tensor in params.weights + params.biases:
+            assert np.shares_memory(tensor, params.flat)
+        params.biases[-1][0] = 123.0
+        assert params.flat[-arch.num_classes] == 123.0
+
+
+def test_flat_is_laid_out_layer_by_layer():
+    arch = nn.MlpArch(5, (6, 4), 3)
+    params = nn.init_sample(arch, 2)
+    expected = np.concatenate([
+        part for w, b in zip(params.weights, params.biases) for part in (w.ravel(), b)
+    ])
+    assert np.array_equal(params.flat, expected)
+
+
+def test_params_reject_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError, match="float64 parameters"):
+        nn.MlpParams(np.zeros(5), [(1, 2)])
+
+
+# --- exactness against the per-layer form ------------------------------------------
+
+
+def assert_params_equal(params, layers):
+    for a, b in zip(params.weights + params.biases, layers.weights + layers.biases):
+        assert np.array_equal(a, b)
+
+
+def assert_state_equal(state, layers, layer_dims):
+    assert state.step == layers.step
+    for flat, tensors in ((state.m, layers.m), (state.v, layers.v)):
+        view = nn.MlpParams(flat, layer_dims)
+        for a, b in zip(view.weights + view.biases, tensors):
+            assert np.array_equal(a, b)
+
+
+HIDDEN_SIZES = [(), (6,), (32, 32), (128, 128)]
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+def test_init_sample_equals_per_layer_draws(hidden):
+    arch = nn.MlpArch(5, hidden, 3)
+    assert_params_equal(nn.init_sample(arch, 17), init_sample_by_layers(arch, 17))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_weighted_gradient_equals_loss_and_grad(seed):
+    arch, X, y, w = small_problem(seed % 1000)
+    params = nn.init_sample(arch, seed % 977)
+    out = nn.MlpParams(np.full_like(params.flat, np.nan), arch.layer_dims())
+    nn.weighted_gradient(params, X, y, w, out)
+    assert np.array_equal(out.flat, loss_and_grad(params, X, y, w)[1].flat)
+
+
+def signed_weights(n, rng):
+    """Weights in [0.5, 2] with two entries of -0.1: every minibatch of two or
+    more examples has a positive sum."""
+    w = rng.uniform(0.5, 2.0, size=n)
+    w[[1, n // 2]] = -0.1
+    return w
+
+
+@pytest.mark.parametrize("hidden", HIDDEN_SIZES)
+@pytest.mark.parametrize("n, batch_size, signed", [(21, 10, False), (23, 10, True)],
+                         ids=["last-batch-of-1", "negative-weights"])
+def test_train_steps_equal_per_layer_training(hidden, n, batch_size, signed):
+    arch, X, y, w = small_problem(n, n=n, arch=nn.MlpArch(5, hidden, 3))
+    if signed:
+        w = signed_weights(n, np.random.default_rng(n))
+    config = nn.TrainConfig(step_size=0.05, batch_size=batch_size, epochs=3, seed=8)
+    start, layers = nn.init_sample(arch, 4), init_sample_by_layers(arch, 4)
+    params, state = nn.train_steps(start, nn.AdamState.zeros(start), X, y, w, config)
+    expected, expected_state = train_steps_by_layers(
+        layers, LayerAdamState.zeros(layers), X, y, w, config
+    )
+    assert state.step == 3 * -(-n // batch_size)
+    assert_params_equal(params, expected)
+    assert_state_equal(state, expected_state, arch.layer_dims())
+
+
+@pytest.mark.parametrize("hidden", [(6,), (32, 32)])
+def test_adam_state_threads_across_train_steps_calls_exactly(hidden):
+    # replay trains task after task from the previous task's parameters and moments
+    arch = nn.MlpArch(5, hidden, 3)
+    _, X1, y1, w1 = small_problem(1, n=17, arch=arch)
+    _, X2, y2, w2 = small_problem(2, n=13, arch=arch)
+    first, second = (nn.TrainConfig(step_size=0.05, batch_size=5, seed=s) for s in (1, 2))
+    params = nn.init_sample(arch, 3)
+    state = nn.AdamState.zeros(params)
+    layers = init_sample_by_layers(arch, 3)
+    layer_state = LayerAdamState.zeros(layers)
+    for (X, y, w), config in (((X1, y1, w1), first), ((X2, y2, w2), second)):
+        params, state = nn.train_steps(params, state, X, y, w, config, epochs=2)
+        layers, layer_state = train_steps_by_layers(layers, layer_state, X, y, w, config, epochs=2)
+    assert_params_equal(params, layers)
+    assert_state_equal(state, layer_state, arch.layer_dims())
+
+
+def test_adam_step_equals_per_tensor_update():
+    arch = nn.MlpArch(5, (6, 4), 3)
+    params = nn.init_sample(arch, 5)
+    layers = init_sample_by_layers(arch, 5)
+    state, layer_state = nn.AdamState.zeros(params), LayerAdamState.zeros(layers)
+    config = nn.TrainConfig(step_size=0.3)
+    rng = np.random.default_rng(5)
+    grads = nn.MlpParams.zeros(arch.layer_dims())
+    for scale in (1.0, -2.0, 1e-9, 1e6):
+        grads.flat[:] = scale * rng.standard_normal(grads.flat.size)
+        nn.adam_step(params, grads, state, config)
+        layers, layer_state = adam_step_by_layers(layers, grads, layer_state, config)
+    assert_params_equal(params, layers)
+    assert_state_equal(state, layer_state, arch.layer_dims())
+
+
+# --- what training leaves alone ------------------------------------------------------
+
+
+def test_train_and_train_steps_leave_their_arguments_unchanged():
+    arch, X, y, w = small_problem(6, n=25)
+    config = nn.TrainConfig(batch_size=10, epochs=2, seed=3)
+    params = nn.init_sample(arch, 6)
+    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config)
+    kept = params.flat.copy(), state.m.copy(), state.v.copy(), state.step
+    nn.train(params, X, y, w, config)
+    nn.train_steps(params, state, X, y, w, config)
+    assert np.array_equal(params.flat, kept[0])
+    assert np.array_equal(state.m, kept[1]) and np.array_equal(state.v, kept[2])
+    assert state.step == kept[3]
+
+
+@pytest.mark.parametrize("poison, error", [("features", FloatingPointError), ("weights", ValueError)])
+def test_failed_training_leaves_its_arguments_unchanged(poison, error):
+    arch, X, y, w = small_problem(8, n=20)
+    params = nn.init_sample(arch, 8)
+    config = nn.TrainConfig(batch_size=5, epochs=2, seed=1)
+    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config, epochs=1)
+    if poison == "features":
+        X = X.copy()
+        X[11] = np.nan  # in the second minibatch: one step is taken before the raise
+    else:
+        w = -w
+    kept = params.flat.copy(), state.m.copy(), state.v.copy()
+    with pytest.raises(error):
+        nn.train_steps(params, state, X, y, w, config)
+    for before, now in zip(kept, (params.flat, state.m, state.v)):
+        assert np.array_equal(before, now)
+    assert state.step == 4
