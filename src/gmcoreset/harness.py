@@ -54,8 +54,9 @@ class ExperimentConfig:
                 raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
         if self.paradigm not in PARADIGMS:
             raise ValueError(f"unknown paradigm {self.paradigm!r}")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must be distinct")
+        for name in ("methods", "memory_sizes", "seeds"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValueError(f"{name} must be distinct")
         if not self.methods or not self.memory_sizes or not self.seeds:
             raise ValueError("methods, memory_sizes and seeds must be non-empty")
         if min(self.memory_sizes) < 1:
@@ -117,6 +118,10 @@ class PartialRunError(RuntimeError):
         self.rows = rows
         self.task_index = task_index
         self.cause = cause
+
+    def __reduce__(self):
+        # rebuilt from all three arguments, so it survives the trip from a worker process
+        return PartialRunError, (self.rows, self.task_index, self.cause)
 
 
 def method_embedding(config: ExperimentConfig, method: str, seed: int) -> EmbeddingConfig:
@@ -186,7 +191,7 @@ class Rehearsal:
         elif method == "sliding_window":
             self.memory = mem.sliding_window_update(self.memory, X, y, n)
         else:
-            self.sieve, self.memory = mem.facility_location_update(self.sieve, X, y, n)
+            self.memory = mem.facility_location_update(self.memory, X, y, n, self.sieve)
         return self.memory
 
 
@@ -223,40 +228,37 @@ def run_gdumb(
     return rows
 
 
-def _replay_task(params, state, batch, memory, represented, train_cfg, epochs):
-    """Train on minibatches mixed half from the batch, half from memory.
+def _replay_task(params, state, batch, memory, train_cfg, epochs):
+    """``nn.train_steps`` on minibatches mixed half from the batch, half from memory.
 
-    Memory examples carry their stored weights rescaled to sum to the
-    number of stream items the memory stands in for, so batch and memory
-    contribute in proportion to their data masses.  With an empty memory
-    this reduces exactly to plain minibatch training on the batch.  Trains
-    copies of ``params`` and ``state`` and returns them.
+    Each epoch cuts a shuffle of the batch into halves of ``batch_size``,
+    each joined by as many memory rows drawn with replacement.  Memory
+    weights are rescaled to sum to ``memory.seen``, the stream items the
+    memory stands in for, so batch and memory count by their data masses.
+    An empty memory gives plain minibatch training on the batch.
     """
-    if memory.size == 0:
+    rng = np.random.default_rng(train_cfg.seed)
+    n, m = batch.num_examples, memory.size
+    if m == 0:
+        batches = nn.shuffled_batches(n, train_cfg.batch_size, epochs, rng)
         return nn.train_steps(
-            params, state, batch.features, batch.labels,
-            np.ones(batch.num_examples), train_cfg, epochs,
+            params, state, batch.features, batch.labels, np.ones(n), train_cfg, batches
         )
     total = float(memory.weights.sum())
     if total <= 0.0:
         raise ValueError("memory weights sum to a non-positive value")
-    scaled = memory.weights * (represented / total)
-    params, state = params.copy(), state.copy()
-    grads = nn.MlpParams.zeros(params.layer_dims)
-    rng = np.random.default_rng(train_cfg.seed)
-    n = batch.num_examples
     half = max(1, train_cfg.batch_size // 2)
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, half):
-            cur = perm[start : start + half]
-            pick = rng.integers(0, memory.size, size=half)
-            X = np.vstack([batch.features[cur], memory.features[pick]])
-            y = np.concatenate([batch.labels[cur], memory.labels[pick]])
-            w = np.concatenate([np.ones(len(cur)), scaled[pick]])
-            nn.weighted_gradient(params, X, y, w, grads)
-            nn.adam_step(params, grads, state, train_cfg)
-    return params, state
+    mixed = (
+        np.concatenate([cur, n + rng.integers(0, m, size=half)])
+        for cur in nn.shuffled_batches(n, half, epochs, rng)
+    )
+    return nn.train_steps(
+        params, state,
+        np.vstack([batch.features, memory.features]),
+        np.concatenate([batch.labels, memory.labels]),
+        np.concatenate([np.ones(n), memory.weights * (memory.seen / total)]),
+        train_cfg, mixed,
+    )
 
 
 def run_replay(
@@ -274,20 +276,18 @@ def run_replay(
         epochs = max(1, config.train.epochs // scenario.num_tasks)
     params = nn.init_sample(arch, seed)
     adam = nn.AdamState.zeros(params)
-    represented = 0
     rows: list[ResultRow] = []
     for t, batch in enumerate(scenario.batches):
         started = time.perf_counter()
         try:
             params, adam = _replay_task(
-                params, adam, batch, rehearsal.memory, represented,
+                params, adam, batch, rehearsal.memory,
                 replace(config.train, seed=_train_seed(seed, t)), epochs,
             )
             rehearsal.update(batch, params)
             accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
         except Exception as exc:
             raise PartialRunError(rows, t, exc) from exc
-        represented += batch.num_examples
         rows.append(ResultRow(
             scenario.kind, "replay", method, memory_size, seed, t,
             accuracy, time.perf_counter() - started,
@@ -304,10 +304,6 @@ def run_cell(
 ) -> list[ResultRow]:
     runner = run_gdumb if config.paradigm == "gdumb" else run_replay
     return runner(scenario, method, memory_size, config, seed)
-
-
-def _run_cell_args(args):
-    return run_cell(*args)
 
 
 def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) -> SweepResult:
@@ -327,31 +323,26 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
     rows: list[ResultRow] = []
     failures: list[CellFailure] = []
 
-    def collect(cell, outcome, error=None):
-        _, method, size, _, seed = cell
-        if error is None:
-            rows.extend(outcome)
-        else:
-            partial = error.rows if isinstance(error, PartialRunError) else []
-            task = error.task_index if isinstance(error, PartialRunError) else -1
-            rows.extend(partial)
+    def collect(cell, result):
+        """Add the rows ``result()`` returns; a failed cell keeps those it completed."""
+        try:
+            rows.extend(result())
+        except Exception as error:
+            partial = isinstance(error, PartialRunError)
+            rows.extend(error.rows if partial else [])
+            _, method, size, _, seed = cell
+            task = error.task_index if partial else -1
             failures.append(CellFailure(method, size, seed, task, str(error)))
 
     workers = min(jobs, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_args, cell) for cell in cells]
+            futures = [pool.submit(run_cell, *cell) for cell in cells]
             for cell, fut in zip(cells, futures):
-                try:
-                    collect(cell, fut.result())
-                except Exception as exc:
-                    collect(cell, None, exc)
+                collect(cell, fut.result)
     else:
         for cell in cells:
-            try:
-                collect(cell, run_cell(*cell))
-            except Exception as exc:
-                collect(cell, None, exc)
+            collect(cell, lambda: run_cell(*cell))
 
     rows.sort(key=lambda r: (r.scenario, r.paradigm, r.method, r.memory_size, r.seed, r.task_index))
     return SweepResult(rows, aggregate_rows(rows, scenario.num_tasks), failures)

@@ -279,17 +279,19 @@ def _marginal_gain(x: np.ndarray, cand: _Candidates, bound: float) -> float:
 
 
 def facility_location_update(
-    state: SieveState,
+    memory: RehearsalMemory,
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
     n: int,
-) -> tuple[SieveState, RehearsalMemory]:
+    state: SieveState,
+) -> RehearsalMemory:
     """Stream a batch through the sieve thresholds, updating ``state`` in place.
 
     An item joins a threshold-v set when its marginal gain is at least
     (v/2 - F) / (n - |set|), F being the set's accumulated objective.
-    Returns ``state`` itself and the candidate set with the best
-    objective as a memory, all weights 1.
+    Returns the candidate set with the best objective as the next
+    memory, all weights 1: the fallback set wins ties, then the lowest
+    threshold with the strictly largest value.
     """
     eps = SIEVE_EPSILON
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
@@ -312,21 +314,8 @@ def facility_location_update(
                 cand.features.append(x)
                 cand.labels.append(int(y))
                 cand.value += gain
-    return state, sieve_memory(state, n)
-
-
-def sieve_memory(state: SieveState, n: int) -> RehearsalMemory:
-    """Materialize the best-objective candidate set as a memory."""
     best = state.fallback
     for j in sorted(state.sets):
         if state.sets[j].value > best.value:
             best = state.sets[j]
-    if not best.labels:
-        return RehearsalMemory.empty(n)
-    return RehearsalMemory(
-        capacity=n,
-        features=np.asarray(best.features),
-        labels=np.asarray(best.labels, dtype=np.int64),
-        weights=np.ones(len(best.labels)),
-    )
-
+    return _next_memory(memory, batch_labels, n, best.features, best.labels)

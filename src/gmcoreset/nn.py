@@ -10,6 +10,7 @@ as a learner and as a source of gradient embeddings.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,6 +221,17 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: Tra
     params.flat -= update
 
 
+def shuffled_batches(
+    n: int, batch_size: int, epochs: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """Row-index minibatches: a fresh permutation of range(n) per epoch, cut into
+    chunks of ``batch_size``.  Lazy, so a caller may draw from ``rng`` between batches."""
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            yield perm[start : start + batch_size]
+
+
 def train_steps(
     params: MlpParams,
     state: AdamState,
@@ -227,29 +239,20 @@ def train_steps(
     y: np.ndarray,
     weights: np.ndarray,
     config: TrainConfig,
-    epochs: int | None = None,
+    batches: Iterable[np.ndarray],
 ) -> tuple[MlpParams, AdamState]:
-    """Minibatch Adam over seeded shuffles, threading the optimizer state.
-
-    Runs epochs * ceil(N / batch_size) steps on copies of ``params`` and
-    ``state``, which are returned; each epoch draws a fresh permutation
-    from ``default_rng(config.seed)``.
-    """
+    """The training loop: one Adam step per row-index array in ``batches``,
+    on copies of ``params`` and ``state``, which are returned."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     if len(X) == 0:
         raise ValueError("training set must be non-empty")
-    epochs = config.epochs if epochs is None else epochs
     params, state = params.copy(), state.copy()
     grads = MlpParams.zeros(params.layer_dims)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(epochs):
-        perm = rng.permutation(len(X))
-        for start in range(0, len(X), config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            weighted_gradient(params, X[idx], y[idx], weights[idx], grads)
-            adam_step(params, grads, state, config)
+    for idx in batches:
+        weighted_gradient(params, X[idx], y[idx], weights[idx], grads)
+        adam_step(params, grads, state, config)
     return params, state
 
 
@@ -260,9 +263,11 @@ def train(
     weights: np.ndarray,
     config: TrainConfig,
 ) -> MlpParams:
-    """Train from the given parameters with a fresh optimizer state."""
-    state = AdamState.zeros(params)
-    params, _ = train_steps(params, state, X, y, weights, config)
+    """Train from the given parameters with a fresh optimizer state for
+    ``config.epochs`` seeded shuffles of the training set."""
+    rng = np.random.default_rng(config.seed)
+    batches = shuffled_batches(len(X), config.batch_size, config.epochs, rng)
+    params, _ = train_steps(params, AdamState.zeros(params), X, y, weights, config, batches)
     return params
 
 

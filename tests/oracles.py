@@ -15,6 +15,7 @@ from gmcoreset.matching_pursuit import (
     SingularGramError,
     cholesky_append,
 )
+from gmcoreset import nn
 from gmcoreset.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams, _backprop, _output_delta
 
 
@@ -129,6 +130,43 @@ def train_steps_by_layers(params, state, X, y, weights, config, epochs=None):
             idx = perm[start : start + config.batch_size]
             _, grads = loss_and_grad(params, X[idx], y[idx], weights[idx])
             params, state = adam_step_by_layers(params, grads, state, config)
+    return params, state
+
+
+def replay_task_by_stacking(params, state, batch, memory, represented, train_cfg, epochs):
+    """The stacking form of ``harness._replay_task``: every mixed minibatch is
+    a fresh ``vstack`` of the batch rows and the memory rows it draws, with
+    memory weights rescaled to sum to ``represented``; its own loop steps
+    on copies of ``params`` and ``state``."""
+    params, state = params.copy(), state.copy()
+    grads = nn.MlpParams.zeros(params.layer_dims)
+    rng = np.random.default_rng(train_cfg.seed)
+    n = batch.num_examples
+    if memory.size == 0:
+        for _ in range(epochs):
+            perm = rng.permutation(n)
+            for start in range(0, n, train_cfg.batch_size):
+                idx = perm[start : start + train_cfg.batch_size]
+                nn.weighted_gradient(
+                    params, batch.features[idx], batch.labels[idx], np.ones(len(idx)), grads
+                )
+                nn.adam_step(params, grads, state, train_cfg)
+        return params, state
+    total = float(memory.weights.sum())
+    if total <= 0.0:
+        raise ValueError("memory weights sum to a non-positive value")
+    scaled = memory.weights * (represented / total)
+    half = max(1, train_cfg.batch_size // 2)
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, half):
+            cur = perm[start : start + half]
+            pick = rng.integers(0, memory.size, size=half)
+            X = np.vstack([batch.features[cur], memory.features[pick]])
+            y = np.concatenate([batch.labels[cur], memory.labels[pick]])
+            w = np.concatenate([np.ones(len(cur)), scaled[pick]])
+            nn.weighted_gradient(params, X, y, w, grads)
+            nn.adam_step(params, grads, state, train_cfg)
     return params, state
 
 

@@ -249,9 +249,12 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
     ("step_size = nan\n", [], "step_size must be positive and finite"),
     ("step_size = inf\n", [], "step_size must be positive and finite"),
     ("step_size = -1\n", [], "step_size must be positive and finite"),
+    ("", ["--method", "reservoir,reservoir"], "methods must be distinct"),
+    ("", ["--memory-sizes", "10,10"], "memory_sizes must be distinct"),
 ], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1",
         "jobs-0", "jobs-minus-2", "replay-epochs-0", "replay-epochs-minus-1",
-        "step-size-nan", "step-size-inf", "step-size-minus-1"])
+        "step-size-nan", "step-size-inf", "step-size-minus-1",
+        "duplicate-methods", "duplicate-memory-sizes"])
 def test_run_rejects_out_of_range_values_up_front(tmp_path, capsys, line, flags, message):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + line)
     out = tmp_path / "o"

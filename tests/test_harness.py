@@ -1,3 +1,4 @@
+import pickle
 from concurrent.futures import Future
 
 import numpy as np
@@ -14,8 +15,12 @@ from gmcoreset.harness import (
     sweep,
 )
 from gmcoreset.harness import _train_seed
-from gmcoreset.memory import reservoir_update, RehearsalMemory
-from gmcoreset.scenarios import make_class_incremental, make_sorted_scenario, synth_blobs
+from gmcoreset.memory import (
+    RehearsalMemory, SieveState, facility_location_update, reservoir_update,
+)
+from gmcoreset.scenarios import Dataset, make_class_incremental, make_sorted_scenario, synth_blobs
+
+from oracles import replay_task_by_stacking
 
 
 def tiny_config(**kwargs):
@@ -225,13 +230,57 @@ def test_replay_task_leaves_params_and_state_unchanged(tiny_scenario):
     )
     for memory in (RehearsalMemory.empty(10), full):
         kept = params.flat.copy(), state.m.copy(), state.v.copy()
-        trained, moved = harness._replay_task(
-            params, state, second, memory, first.num_examples, config, 2
-        )
+        trained, moved = harness._replay_task(params, state, second, memory, config, 2)
         assert moved.step > 0 and not np.array_equal(trained.flat, params.flat)
         for before, now in zip(kept, (params.flat, state.m, state.v)):
             assert np.array_equal(before, now)
         assert state.step == 0
+
+
+def replay_memories(first):
+    """Memories after the first batch, keyed by kind: none, reservoir, facility
+    location, and a reservoir memory with three negative weights (every mixed
+    minibatch still has a positive weight sum)."""
+    reservoir = reservoir_update(
+        RehearsalMemory.empty(10), first.features, first.labels, 10, np.random.default_rng(0)
+    )
+    signed = RehearsalMemory(
+        capacity=10, features=reservoir.features, labels=reservoir.labels,
+        weights=np.where(np.arange(10) % 4 == 1, -0.2, 1.5), seen=reservoir.seen,
+    )
+    sieve = facility_location_update(
+        RehearsalMemory.empty(10), first.features, first.labels, 10, SieveState()
+    )
+    return {
+        "empty": RehearsalMemory.empty(10), "reservoir": reservoir,
+        "facility_location": sieve, "negative-weights": signed,
+    }
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 10])
+@pytest.mark.parametrize("kind", ["empty", "reservoir", "facility_location", "negative-weights"])
+@pytest.mark.parametrize("rows", [None, 3], ids=["full-batch", "batch-shorter-than-half"])
+def test_replay_task_equals_minibatches_by_stacking(tiny_scenario, batch_size, kind, rows):
+    first, second = tiny_scenario.batches[:2]
+    if rows is not None:
+        second = Dataset(second.features[:rows], second.labels[:rows])
+    memory = replay_memories(first)[kind]
+    assert memory.seen == (first.num_examples if memory.size else 0)
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    config = nn.TrainConfig(step_size=0.05, batch_size=batch_size, seed=9)
+    # moments from an earlier task, so the state threaded through is not all zeros
+    start = nn.init_sample(arch, 2)
+    params, state = harness._replay_task(
+        start, nn.AdamState.zeros(start), first, RehearsalMemory.empty(10), config, 1
+    )
+    got, got_state = harness._replay_task(params, state, second, memory, config, 2)
+    want, want_state = replay_task_by_stacking(
+        params, state, second, memory, memory.seen, config, 2
+    )
+    assert np.array_equal(got.flat, want.flat)
+    assert np.array_equal(got_state.m, want_state.m)
+    assert np.array_equal(got_state.v, want_state.v)
+    assert got_state.step == want_state.step > state.step
 
 
 # --- the step counts the benchmark's traced spans rest on ------------------------------
@@ -274,6 +323,50 @@ def test_replay_steps_epochs_times_minibatches_per_task(tiny_scenario, monkeypat
     batch = config.train.batch_size
     # the first task trains on the batch alone, later ones on half batch, half memory
     assert steps == [2 * -(-sizes[0] // batch)] + [2 * -(-s // (batch // 2)) for s in sizes[1:]]
+
+
+def record_training_scopes(monkeypatch):
+    """Patch the learner so each gradient and Adam call records which of
+    ``nn.train`` / ``nn.train_steps`` are open around it."""
+    open_scopes, calls = [], []
+
+    def scoped(name, fn):
+        def wrapper(*args):
+            open_scopes.append(name)
+            try:
+                return fn(*args)
+            finally:
+                open_scopes.pop()
+        return wrapper
+
+    def recorded(name, fn):
+        def wrapper(*args):
+            calls.append((name, tuple(open_scopes)))
+            return fn(*args)
+        return wrapper
+
+    for name in ("train", "train_steps"):
+        monkeypatch.setattr(nn, name, scoped(name, getattr(nn, name)))
+    for name in ("weighted_gradient", "adam_step"):
+        monkeypatch.setattr(nn, name, recorded(name, getattr(nn, name)))
+    return calls
+
+
+@pytest.mark.parametrize("paradigm", ["gdumb", "replay"])
+@pytest.mark.parametrize("method", ["reservoir", "facility_location", "gmc"])
+def test_every_learner_step_runs_inside_the_training_loop(
+    tiny_scenario, monkeypatch, paradigm, method
+):
+    # the benchmark attributes learner time by the nn.train / nn.train_steps spans
+    calls = record_training_scopes(monkeypatch)
+    if paradigm == "replay":
+        monkeypatch.setattr(nn, "train", None)  # replay never calls it
+    config = tiny_config(paradigm=paradigm, methods=(method,), memory_sizes=(10,))
+    harness.run_cell(tiny_scenario, method, 10, config, 0)
+    names = [name for name, _ in calls]
+    assert names.count("adam_step") == names.count("weighted_gradient") > 0
+    outer = ("train", "train_steps") if paradigm == "gdumb" else ("train_steps",)
+    assert all(scopes == outer for _, scopes in calls)
 
 
 # --- sweeps -------------------------------------------------------------------------
@@ -369,6 +462,37 @@ def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch
     reservoir_rows = [r for r in result.rows if r.method == "reservoir"]
     window_rows = [r for r in result.rows if r.method == "sliding_window"]
     assert len(reservoir_rows) == 1 and len(window_rows) == 3
+
+
+def test_partial_run_error_survives_pickling():
+    rows = [harness.ResultRow("sorted", "replay", "gmc", 10, 0, 0, 0.5, 0.1)]
+    error = harness.PartialRunError(rows, 1, ValueError("weights sum to zero"))
+    again = pickle.loads(pickle.dumps(error))
+    assert type(again) is harness.PartialRunError
+    assert again.rows == rows and again.task_index == 1
+    assert str(again) == str(error) and str(again.cause) == str(error.cause)
+
+
+def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
+    # gmc_local at size 20, seed 2 fails at task 2 (its refit weights sum below
+    # zero); it is the first cell, so every later cell is still pending then
+    config = tiny_config(
+        paradigm="replay", methods=("gmc_local", "reservoir"), memory_sizes=(20,), seeds=(2, 0)
+    )
+    serial, parallel = (sweep(config, tiny_scenario, jobs=jobs) for jobs in (1, 2))
+
+    def rows(result):
+        return [(r.method, r.memory_size, r.seed, r.task_index, r.test_accuracy)
+                for r in result.rows]
+
+    def failures(result):
+        return [(f.method, f.memory_size, f.seed, f.task_index, f.message)
+                for f in result.failures]
+
+    assert [failure[:4] for failure in failures(serial)] == [("gmc_local", 20, 2, 2)]
+    assert len(serial.rows) == 2 + 3 * 3
+    assert rows(parallel) == rows(serial)
+    assert failures(parallel) == failures(serial)
 
 
 def test_aggregate_rows_skip_partial_runs(tiny_scenario):

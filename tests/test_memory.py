@@ -294,7 +294,8 @@ def test_sieve_covers_all_distinct_points_with_room():
     rng = np.random.default_rng(8)
     feats = rng.standard_normal((6, 2)) * 3.0
     labels = np.zeros(6, dtype=np.int64)
-    state, memory = facility_location_update(SieveState(), feats, labels, 8)
+    state = SieveState()
+    memory = facility_location_update(RehearsalMemory.empty(8), feats, labels, 8, state)
     objective = facility_location_objective(memory.features, feats, state.bound)
     assert objective == pytest.approx(6 * state.bound, rel=1e-9)
 
@@ -306,7 +307,10 @@ def test_sieve_selects_one_point_per_cluster():
     feats = np.vstack([cluster_a, cluster_b])
     labels = np.repeat([0, 1], 12)
     order = rng.permutation(24)
-    state, memory = facility_location_update(SieveState(), feats[order], labels[order], 2)
+    state = SieveState()
+    memory = facility_location_update(
+        RehearsalMemory.empty(2), feats[order], labels[order], 2, state
+    )
     assert memory.size == 2
     assert set(memory.labels.tolist()) == {0, 1}
     # brute force over all pairs agrees that the optimum straddles the clusters
@@ -330,7 +334,8 @@ def test_sieve_objective_beats_singletons():
     rng = np.random.default_rng(31)
     feats = rng.standard_normal((30, 3))
     labels = np.zeros(30, dtype=np.int64)
-    state, memory = facility_location_update(SieveState(), feats, labels, 4)
+    state = SieveState()
+    memory = facility_location_update(RehearsalMemory.empty(4), feats, labels, 4, state)
     chosen = facility_location_objective(memory.features, feats, state.bound)
     for i in range(30):
         single = facility_location_objective(feats[[i]], feats, state.bound)
@@ -338,11 +343,26 @@ def test_sieve_objective_beats_singletons():
 
 
 def test_sieve_memory_respects_capacity_across_batches():
-    state = SieveState()
+    state, memory = SieveState(), RehearsalMemory.empty(3)
     for t in range(4):
         feats, labels = fake_batch(20, seed=t)
-        state, memory = facility_location_update(state, feats, labels, 3)
+        memory = facility_location_update(memory, feats, labels, 3, state)
         assert memory.size <= 3
+
+
+def test_sieve_keeps_the_first_best_set_fallback_first():
+    from gmcoreset.memory import _Candidates
+
+    def cand(label, value):
+        return _Candidates([np.full(2, float(label))], [label], value)
+
+    no_items = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
+    state = SieveState(bound=1.0, sets={5: cand(5, 2.0), 3: cand(3, 2.0), 4: cand(4, 1.0)})
+    memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
+    assert memory.labels.tolist() == [3]  # the lowest threshold of the tied best
+    state = SieveState(bound=1.0, sets={3: cand(3, 0.0)}, fallback=cand(9, 0.0))
+    memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
+    assert memory.labels.tolist() == [9]  # the fallback wins a tie
 
 
 # --- shared properties ---------------------------------------------------------------
@@ -350,15 +370,16 @@ def test_sieve_memory_respects_capacity_across_batches():
 
 LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
 UPDATES = {
-    "gmc": lambda m, X, y, rng: gmc_update(
+    "gmc": lambda m, X, y, rng, sieve: gmc_update(
         m, X, y, GradientMatrix(rng.standard_normal((16, len(y)))), 4
     ),
-    "gmc_local": lambda m, X, y, rng: local_gmc_update(
+    "gmc_local": lambda m, X, y, rng, sieve: local_gmc_update(
         m, X, y, nn.init_sample(LOCAL_ARCH, 0), 4, EmbeddingConfig(draws=1, proj_dim=24)
     ),
-    "reservoir": lambda m, X, y, rng: reservoir_update(m, X, y, 4, rng),
-    "class_balance": lambda m, X, y, rng: class_balance_update(m, X, y, 4, rng),
-    "sliding_window": lambda m, X, y, rng: sliding_window_update(m, X, y, 4),
+    "reservoir": lambda m, X, y, rng, sieve: reservoir_update(m, X, y, 4, rng),
+    "class_balance": lambda m, X, y, rng, sieve: class_balance_update(m, X, y, 4, rng),
+    "sliding_window": lambda m, X, y, rng, sieve: sliding_window_update(m, X, y, 4),
+    "facility_location": lambda m, X, y, rng, sieve: facility_location_update(m, X, y, 4, sieve),
 }
 
 
@@ -368,9 +389,9 @@ def test_updates_count_items_and_classes_offered(method):
     # the bookkeeping must keep it
     rng = np.random.default_rng(0)
     batches = [np.array([2, 0, 2, 2, 0, 2, 0]), np.array([3, 3, 0, 3, 3])]
-    memory = RehearsalMemory.empty(4)
+    memory, sieve = RehearsalMemory.empty(4), SieveState()
     for labels in batches:
-        memory = UPDATES[method](memory, rng.standard_normal((len(labels), 3)), labels, rng)
+        memory = UPDATES[method](memory, rng.standard_normal((len(labels), 3)), labels, rng, sieve)
     assert memory.seen == 12
     assert memory.classes_seen == (0, 2, 3)
     assert all(type(c) is int for c in memory.classes_seen)
@@ -390,7 +411,7 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
         "sliding_window": RehearsalMemory.empty(n),
         "gmc": RehearsalMemory.empty(n),
     }
-    sieve = SieveState()
+    sieve, fl_memory = SieveState(), RehearsalMemory.empty(n)
     for b, size in enumerate(batch_sizes):
         feats = rng.standard_normal((size, 2))
         labels = rng.integers(0, 3, size=size)
@@ -403,7 +424,7 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
         )
         G = GradientMatrix(np.random.default_rng([seed, b]).standard_normal((8, size)))
         memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G, n)
-        sieve, fl_memory = facility_location_update(sieve, feats, labels, n)
+        fl_memory = facility_location_update(fl_memory, feats, labels, n, sieve)
         assert fl_memory.size <= n
         for memory in memories.values():
             assert memory.size <= n

@@ -246,6 +246,19 @@ def test_train_is_bit_reproducible():
         assert np.array_equal(wa, wb)
 
 
+def test_shuffled_batches_cut_one_fresh_permutation_per_epoch_lazily():
+    rng, fresh = np.random.default_rng(6), np.random.default_rng(6)
+    batches = nn.shuffled_batches(7, 3, 2, rng)
+    for _ in range(2):
+        perm = fresh.permutation(7)
+        epoch = [next(batches) for _ in range(3)]
+        assert [len(b) for b in epoch] == [3, 3, 1]
+        assert np.array_equal(np.concatenate(epoch), perm)
+        # a draw between epochs lands before the next permutation
+        assert rng.integers(0, 100) == fresh.integers(0, 100)
+    assert next(batches, None) is None
+
+
 def test_evaluate_perfect_and_flipped():
     arch = nn.MlpArch(2, (), 2)
     params = nn.init_sample(arch, 3)
@@ -330,6 +343,12 @@ def test_weighted_gradient_equals_loss_and_grad(seed):
     assert np.array_equal(out.flat, loss_and_grad(params, X, y, w)[1].flat)
 
 
+def shuffled(n, config, epochs=None):
+    """The minibatches ``nn.train`` feeds ``nn.train_steps`` for ``config``."""
+    epochs = config.epochs if epochs is None else epochs
+    return nn.shuffled_batches(n, config.batch_size, epochs, np.random.default_rng(config.seed))
+
+
 def signed_weights(n, rng):
     """Weights in [0.5, 2] with two entries of -0.1: every minibatch of two or
     more examples has a positive sum."""
@@ -347,7 +366,9 @@ def test_train_steps_equal_per_layer_training(hidden, n, batch_size, signed):
         w = signed_weights(n, np.random.default_rng(n))
     config = nn.TrainConfig(step_size=0.05, batch_size=batch_size, epochs=3, seed=8)
     start, layers = nn.init_sample(arch, 4), init_sample_by_layers(arch, 4)
-    params, state = nn.train_steps(start, nn.AdamState.zeros(start), X, y, w, config)
+    params, state = nn.train_steps(
+        start, nn.AdamState.zeros(start), X, y, w, config, shuffled(n, config)
+    )
     expected, expected_state = train_steps_by_layers(
         layers, LayerAdamState.zeros(layers), X, y, w, config
     )
@@ -368,7 +389,7 @@ def test_adam_state_threads_across_train_steps_calls_exactly(hidden):
     layers = init_sample_by_layers(arch, 3)
     layer_state = LayerAdamState.zeros(layers)
     for (X, y, w), config in (((X1, y1, w1), first), ((X2, y2, w2), second)):
-        params, state = nn.train_steps(params, state, X, y, w, config, epochs=2)
+        params, state = nn.train_steps(params, state, X, y, w, config, shuffled(len(X), config, 2))
         layers, layer_state = train_steps_by_layers(layers, layer_state, X, y, w, config, epochs=2)
     assert_params_equal(params, layers)
     assert_state_equal(state, layer_state, arch.layer_dims())
@@ -397,10 +418,11 @@ def test_train_and_train_steps_leave_their_arguments_unchanged():
     arch, X, y, w = small_problem(6, n=25)
     config = nn.TrainConfig(batch_size=10, epochs=2, seed=3)
     params = nn.init_sample(arch, 6)
-    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config)
+    batches = list(shuffled(len(X), config))
+    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config, batches)
     kept = params.flat.copy(), state.m.copy(), state.v.copy(), state.step
     nn.train(params, X, y, w, config)
-    nn.train_steps(params, state, X, y, w, config)
+    nn.train_steps(params, state, X, y, w, config, batches)
     assert np.array_equal(params.flat, kept[0])
     assert np.array_equal(state.m, kept[1]) and np.array_equal(state.v, kept[2])
     assert state.step == kept[3]
@@ -411,7 +433,8 @@ def test_failed_training_leaves_its_arguments_unchanged(poison, error):
     arch, X, y, w = small_problem(8, n=20)
     params = nn.init_sample(arch, 8)
     config = nn.TrainConfig(batch_size=5, epochs=2, seed=1)
-    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config, epochs=1)
+    first = shuffled(len(X), config, epochs=1)
+    _, state = nn.train_steps(params, nn.AdamState.zeros(params), X, y, w, config, first)
     if poison == "features":
         X = X.copy()
         X[11] = np.nan  # in the second minibatch: one step is taken before the raise
@@ -419,7 +442,7 @@ def test_failed_training_leaves_its_arguments_unchanged(poison, error):
         w = -w
     kept = params.flat.copy(), state.m.copy(), state.v.copy()
     with pytest.raises(error):
-        nn.train_steps(params, state, X, y, w, config)
+        nn.train_steps(params, state, X, y, w, config, shuffled(len(X), config))
     for before, now in zip(kept, (params.flat, state.m, state.v)):
         assert np.array_equal(before, now)
     assert state.step == 4
