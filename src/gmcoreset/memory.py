@@ -244,11 +244,21 @@ def sliding_window_update(
 
 @dataclass
 class _Candidates:
-    """One threshold's candidate set with its accumulated objective value."""
+    """One threshold's set: the store slots of its members, in admission order, and its value."""
 
-    features: list[np.ndarray] = field(default_factory=list)
-    labels: list[int] = field(default_factory=list)
+    slots: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    size: int = 0
     value: float = 0.0
+
+    @property
+    def members(self) -> np.ndarray:
+        return self.slots[: self.size]
+
+    def add(self, slot: int) -> None:
+        if self.size == len(self.slots):
+            self.slots = np.concatenate([self.slots, np.empty(self.size + 8, dtype=np.intp)])
+        self.slots[self.size] = slot
+        self.size += 1
 
 
 @dataclass
@@ -257,25 +267,44 @@ class SieveState:
 
     ``bound`` is the online estimate of the largest pairwise distance
     (twice the largest feature norm seen); the active thresholds
-    (1 + SIEVE_EPSILON)^j cover [bound, 2 * n * bound] for memory size n.
+    (1 + SIEVE_EPSILON)^j cover [bound, 2 * n * bound] for memory size n,
+    and ``span`` is the (lowest, highest) j of the current ``sets``.
+
+    Every admitted item is stored once, in the next row (slot) of the
+    growing float64 ``points`` store, its label in ``labels`` beside it;
+    ``count`` rows are in use.  Each threshold set, and the ``fallback``
+    set that collects zero-norm items while the bound is 0, holds the
+    slots of its members in admission order.  An item whose sets all
+    drop off as the bound rises keeps its row, so the store's rows never
+    exceed the items offered.
     """
 
     bound: float = 0.0
     sets: dict[int, _Candidates] = field(default_factory=dict)
     fallback: _Candidates = field(default_factory=_Candidates)
+    span: tuple[int, int] | None = None
+    points: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    count: int = 0
 
+    def store(self, x: np.ndarray, y: int) -> int:
+        """Put one item in the next slot, doubling the store when it is full."""
+        slot = self.count
+        if slot == len(self.labels):
+            points = np.empty((2 * slot + 64, len(x)))
+            labels = np.empty(len(points), dtype=np.int64)
+            if slot:
+                points[:slot] = self.points[:slot]
+                labels[:slot] = self.labels[:slot]
+            self.points, self.labels = points, labels
+        self.points[slot] = x
+        self.labels[slot] = y
+        self.count += 1
+        return slot
 
-def _marginal_gain(x: np.ndarray, cand: _Candidates, bound: float) -> float:
-    """Coverage gain of adding x: its distance to the nearest selected point.
-
-    With similarity bound - distance, a point covers itself at value
-    ``bound``, so the gain of the first point is the bound itself and
-    the gain of re-adding a selected point is exactly zero.
-    """
-    if not cand.features:
-        return bound
-    diffs = np.asarray(cand.features) - x
-    return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
+    def distances(self, x: np.ndarray) -> np.ndarray:
+        """Distance from x to every stored point, one row sum per point."""
+        return np.sqrt(((self.points[: self.count] - x) ** 2).sum(axis=1))
 
 
 def facility_location_update(
@@ -289,33 +318,46 @@ def facility_location_update(
 
     An item joins a threshold-v set when its marginal gain is at least
     (v/2 - F) / (n - |set|), F being the set's accumulated objective.
-    Returns the candidate set with the best objective as the next
-    memory, all weights 1: the fallback set wins ties, then the lowest
-    threshold with the strictly largest value.
+    With similarity bound - distance, the gain is the item's distance to
+    the set's nearest member, or ``bound`` for an empty set, so a
+    duplicate of a member gains exactly zero.  The item's distances to
+    the store are measured once and shared by every open set.  Returns
+    the candidate set with the best objective as the next memory, all
+    weights 1: the fallback set wins ties, then the lowest threshold with
+    the strictly largest value.
     """
     eps = SIEVE_EPSILON
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
         if state.bound <= 0.0:
-            if len(state.fallback.labels) < n:
-                state.fallback.features.append(x)
-                state.fallback.labels.append(int(y))
+            if state.fallback.size < n:
+                state.fallback.add(state.store(x, y))
             continue
         top = state.bound  # max singleton gain
         j_lo = math.ceil(math.log(top) / math.log1p(eps) - 1e-12)
         j_hi = math.floor(math.log(2.0 * n * top) / math.log1p(eps) + 1e-12)
-        state.sets = {j: state.sets.get(j) or _Candidates() for j in range(j_lo, j_hi + 1)}
+        if state.span != (j_lo, j_hi):
+            state.span = (j_lo, j_hi)
+            state.sets = {j: state.sets.get(j) or _Candidates() for j in range(j_lo, j_hi + 1)}
+        dist, slot = None, None
         for j, cand in state.sets.items():
-            if len(cand.labels) >= n:
+            if cand.size >= n:
                 continue
-            gain = _marginal_gain(x, cand, state.bound)
-            threshold = ((1.0 + eps) ** j / 2.0 - cand.value) / (n - len(cand.labels))
+            if cand.size:
+                dist = state.distances(x) if dist is None else dist
+                gain = float(dist[cand.members].min())
+            else:
+                gain = state.bound
+            threshold = ((1.0 + eps) ** j / 2.0 - cand.value) / (n - cand.size)
             if gain >= threshold:
-                cand.features.append(x)
-                cand.labels.append(int(y))
+                if slot is None:
+                    slot = state.store(x, y)
+                cand.add(slot)
                 cand.value += gain
     best = state.fallback
     for j in sorted(state.sets):
         if state.sets[j].value > best.value:
             best = state.sets[j]
-    return _next_memory(memory, batch_labels, n, best.features, best.labels)
+    return _next_memory(
+        memory, batch_labels, n, state.points[best.members], state.labels[best.members]
+    )

@@ -4,7 +4,8 @@ Each one is the plain, one-example-at-a-time form of something the
 library computes in batch, so a test can compare the two.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -16,6 +17,7 @@ from gmcoreset.matching_pursuit import (
     cholesky_append,
 )
 from gmcoreset import nn
+from gmcoreset.memory import SIEVE_EPSILON, RehearsalMemory, _next_memory
 from gmcoreset.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams, _backprop, _output_delta
 
 
@@ -296,3 +298,77 @@ def class_balance_by_rescan(n: int, rng):
         return members[int(rng.integers(0, len(members)))]
 
     return evict
+
+
+@dataclass
+class _Candidates:
+    """One threshold's candidate set with its accumulated objective value."""
+
+    features: list[np.ndarray] = field(default_factory=list)
+    labels: list[int] = field(default_factory=list)
+    value: float = 0.0
+
+
+@dataclass
+class SetScanSieveState:
+    """Threshold sets for one-pass submodular maximization.
+
+    ``bound`` is the online estimate of the largest pairwise distance
+    (twice the largest feature norm seen); the active thresholds
+    (1 + SIEVE_EPSILON)^j cover [bound, 2 * n * bound] for memory size n.
+    """
+
+    bound: float = 0.0
+    sets: dict[int, _Candidates] = field(default_factory=dict)
+    fallback: _Candidates = field(default_factory=_Candidates)
+
+
+def _marginal_gain(x: np.ndarray, cand: _Candidates, bound: float) -> float:
+    """Coverage gain of adding x: its distance to the nearest selected point.
+
+    With similarity bound - distance, a point covers itself at value
+    ``bound``, so the gain of the first point is the bound itself and
+    the gain of re-adding a selected point is exactly zero.
+    """
+    if not cand.features:
+        return bound
+    diffs = np.asarray(cand.features) - x
+    return float(np.sqrt((diffs * diffs).sum(axis=1)).min())
+
+
+def facility_location_by_set_scans(
+    memory: RehearsalMemory,
+    batch_features: np.ndarray,
+    batch_labels: np.ndarray,
+    n: int,
+    state: SetScanSieveState,
+) -> RehearsalMemory:
+    """The set-scanning form of ``memory.facility_location_update``: every
+    threshold set keeps its own list of member points, and an offered item
+    runs one distance pass per open set over that set's stacked list."""
+    eps = SIEVE_EPSILON
+    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
+        state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
+        if state.bound <= 0.0:
+            if len(state.fallback.labels) < n:
+                state.fallback.features.append(x)
+                state.fallback.labels.append(int(y))
+            continue
+        top = state.bound  # max singleton gain
+        j_lo = math.ceil(math.log(top) / math.log1p(eps) - 1e-12)
+        j_hi = math.floor(math.log(2.0 * n * top) / math.log1p(eps) + 1e-12)
+        state.sets = {j: state.sets.get(j) or _Candidates() for j in range(j_lo, j_hi + 1)}
+        for j, cand in state.sets.items():
+            if len(cand.labels) >= n:
+                continue
+            gain = _marginal_gain(x, cand, state.bound)
+            threshold = ((1.0 + eps) ** j / 2.0 - cand.value) / (n - len(cand.labels))
+            if gain >= threshold:
+                cand.features.append(x)
+                cand.labels.append(int(y))
+                cand.value += gain
+    best = state.fallback
+    for j in sorted(state.sets):
+        if state.sets[j].value > best.value:
+            best = state.sets[j]
+    return _next_memory(memory, batch_labels, n, best.features, best.labels)

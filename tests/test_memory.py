@@ -19,7 +19,12 @@ from gmcoreset.memory import (
     sliding_window_update,
 )
 
-from oracles import class_balance_by_rescan, facility_location_objective
+from oracles import (
+    SetScanSieveState,
+    class_balance_by_rescan,
+    facility_location_by_set_scans,
+    facility_location_objective,
+)
 
 
 def fake_batch(n, dims=3, label=0, seed=0):
@@ -324,10 +329,11 @@ def test_sieve_selects_one_point_per_cluster():
 
 
 def test_sieve_duplicate_gain_is_zero():
-    from gmcoreset.memory import _Candidates, _marginal_gain
+    from gmcoreset.memory import _Candidates
 
-    cand = _Candidates([np.array([1.0, 2.0])], [0], value=4.0)
-    assert _marginal_gain(np.array([1.0, 2.0]), cand, bound=4.0) == 0.0
+    state, cand = SieveState(), _Candidates(value=4.0)
+    cand.add(state.store(np.array([1.0, 2.0]), 0))
+    assert float(state.distances(np.array([1.0, 2.0]))[cand.members].min()) == 0.0
 
 
 def test_sieve_objective_beats_singletons():
@@ -353,16 +359,101 @@ def test_sieve_memory_respects_capacity_across_batches():
 def test_sieve_keeps_the_first_best_set_fallback_first():
     from gmcoreset.memory import _Candidates
 
-    def cand(label, value):
-        return _Candidates([np.full(2, float(label))], [label], value)
+    def cand(state, label, value):
+        c = _Candidates(value=value)
+        c.add(state.store(np.full(2, float(label)), label))
+        return c
 
     no_items = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
-    state = SieveState(bound=1.0, sets={5: cand(5, 2.0), 3: cand(3, 2.0), 4: cand(4, 1.0)})
+    state = SieveState(bound=1.0)
+    state.sets = {5: cand(state, 5, 2.0), 3: cand(state, 3, 2.0), 4: cand(state, 4, 1.0)}
     memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
     assert memory.labels.tolist() == [3]  # the lowest threshold of the tied best
-    state = SieveState(bound=1.0, sets={3: cand(3, 0.0)}, fallback=cand(9, 0.0))
+    state = SieveState(bound=1.0)
+    state.sets, state.fallback = {3: cand(state, 3, 0.0)}, cand(state, 9, 0.0)
     memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
     assert memory.labels.tolist() == [9]  # the fallback wins a tie
+
+
+def _sieve_sets(state):
+    """(value, member labels in admission order) of the fallback and of every live threshold."""
+
+    def view(c):
+        if isinstance(state, SetScanSieveState):
+            return c.value, c.labels
+        return c.value, state.labels[c.members].tolist()
+
+    return view(state.fallback), {j: view(c) for j, c in state.sets.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.sampled_from([1, 2, 7, 50]),
+    dims=st.integers(1, 4),
+    zeros=st.integers(0, 4),
+    growth=st.sampled_from([1.0, 8.0]),
+    batch_sizes=st.lists(st.integers(1, 25), min_size=1, max_size=4),
+)
+def test_sieve_equals_the_set_scans(seed, n, dims, zeros, growth, batch_sizes):
+    # a zero-norm prefix takes the fallback path, copies of earlier items are
+    # duplicates, and a growing scale raises the bound so that sets drop off
+    rng = np.random.default_rng(seed)
+    total = sum(batch_sizes)
+    feats = rng.standard_normal((total, dims)) * growth ** (np.arange(total) / total)[:, None]
+    feats[:zeros] = 0.0
+    for i in range(1, total):
+        if rng.random() < 0.25:
+            feats[i] = feats[rng.integers(0, i)]
+    labels = rng.integers(0, 5, size=total)
+    state, oracle_state = SieveState(), SetScanSieveState()
+    memory = oracle = RehearsalMemory.empty(n)
+    start = 0
+    for size in batch_sizes:
+        X, y = feats[start : start + size], labels[start : start + size]
+        start += size
+        memory = facility_location_update(memory, X, y, n, state)
+        oracle = facility_location_by_set_scans(oracle, X, y, n, oracle_state)
+        assert np.array_equal(memory.features, oracle.features)
+        assert np.array_equal(memory.labels, oracle.labels)
+        assert memory.seen == oracle.seen
+        assert state.bound == oracle_state.bound
+        assert _sieve_sets(state) == _sieve_sets(oracle_state)
+
+
+class _CountsPasses:
+    """numpy, with every sqrt call counted: one per distance pass."""
+
+    def __init__(self):
+        self.passes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sqrt(self, a):
+        self.passes.append(len(a))
+        return np.sqrt(a)
+
+
+def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
+    import gmcoreset.memory
+
+    rng = np.random.default_rng(5)
+    first, second = rng.standard_normal((10, 3)), rng.standard_normal((30, 3))
+    labels = np.zeros(40, dtype=np.int64)
+    state, n = SieveState(), 50  # room in every set, so every set stays open
+    memory = facility_location_update(RehearsalMemory.empty(n), first, labels[:10], n, state)
+    stored = state.count
+    counting = _CountsPasses()
+    monkeypatch.setattr(gmcoreset.memory, "np", counting)
+    facility_location_update(memory, second, labels[10:], n, state)
+    assert len(counting.passes) == len(second)
+    # every pass covers the whole store, which grows by at most the one item offered
+    rows = counting.passes + [state.count]
+    assert rows[0] == stored and set(np.diff(rows)) <= {0, 1}
+    # each admitted item is stored once
+    assert state.count <= len(first) + len(second)
+    assert len(np.unique(state.points[: state.count], axis=0)) == state.count
 
 
 # --- shared properties ---------------------------------------------------------------
