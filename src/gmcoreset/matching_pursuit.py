@@ -4,7 +4,9 @@ Greedily selects dictionary columns to approximate a target vector,
 re-fitting the weights of the whole selection by least squares after
 every pick.  The Gram matrix of the selected columns is factorized
 incrementally (one Cholesky row per pick), so selecting n columns from
-a D x N dictionary costs O(DNn + Dn^2 + n^3) time.
+a D x N dictionary costs O(DNn + Dn^2 + n^3) time.  The triangular
+solves call LAPACK directly; scipy, which provides it, is imported by the
+first selection, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 # Schur complements at or below this fraction of the candidate's squared
 # norm are treated as linear dependence on the current selection.
@@ -81,6 +82,27 @@ class CoresetSelection:
         return int(self.indices.size)
 
 
+def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """Solve ``lower @ x = rhs``, or ``lower.T @ x = rhs`` when ``transposed``.
+
+    ``lower`` is a C-ordered lower-triangular factor, so ``lower.T`` is the
+    Fortran-ordered upper triangle that LAPACK ``dtrtrs`` reads in place.
+    These are the operands ``scipy.linalg.solve_triangular`` passes for such
+    a factor, so the solution has the same bits, without that wrapper's
+    per-call validation.  scipy is imported at the first call.  A zero on
+    the diagonal raises ``SingularGramError``; a non-finite solution, which
+    overflow or a non-finite ``rhs`` gives, raises ``ValueError``.
+    """
+    from scipy.linalg.lapack import dtrtrs
+
+    x, info = dtrtrs(lower.T, rhs, lower=0, trans=0 if transposed else 1)
+    if info != 0:
+        raise SingularGramError(f"triangular solve failed (LAPACK dtrtrs info {info})")
+    if not np.isfinite(x).all():
+        raise ValueError("triangular solve produced non-finite values")
+    return x
+
+
 def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.ndarray:
     """Extend a Cholesky factor by one column of the underlying Gram matrix.
 
@@ -109,7 +131,7 @@ def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.nda
     if m == 0:
         w = np.zeros(0)
     else:
-        w = solve_triangular(lower, cross, lower=True)
+        w = _solve_lower(lower, cross)
     schur = diag - float(w @ w)
     if schur <= DEPENDENT_RTOL * diag:
         raise SingularGramError(
@@ -140,8 +162,7 @@ def refit_weights(selected: np.ndarray, target: np.ndarray, lower: np.ndarray) -
     if np.any(np.diag(lower) <= 0.0):
         raise SingularGramError("non-positive diagonal in the Cholesky factor")
     rhs = selected.T @ target
-    half = solve_triangular(lower, rhs, lower=True)
-    return solve_triangular(lower.T, half, lower=False)
+    return _solve_lower(lower, _solve_lower(lower, rhs), transposed=True)
 
 
 def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelection:
@@ -153,7 +174,9 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     residual norm never increases.  Each picked column is copied once
     into a column-major D x n buffer; the cross terms, the refit and the
     residual read the contiguous block of the picks so far instead of
-    gathering the selected columns from ``G`` again on every pick.
+    gathering the selected columns from ``G`` again on every pick.  The
+    correlations and the residual are rewritten in place, in one
+    length-N and one length-D buffer.
 
     Args:
       G: column dictionary.
@@ -184,8 +207,9 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         )
 
     norms = G.column_norms
-    admissible = norms > 0.0
-    safe_norms = np.where(admissible, norms, 1.0)
+    excluded = norms <= 0.0
+    safe_norms = np.where(excluded, 1.0, norms)
+    ratios = np.empty(N)
     indices: list[int] = []
     picked = np.empty((D, n), order="F")
     weights = np.zeros(0)
@@ -194,8 +218,10 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     truncated = False
 
     while len(indices) < n:
-        ratios = np.abs((residual @ G.data) / safe_norms)
-        ratios[~admissible] = -np.inf
+        np.matmul(residual, G.data, out=ratios)
+        np.divide(ratios, safe_norms, out=ratios)
+        np.abs(ratios, out=ratios)
+        ratios[excluded] = -np.inf
         k = int(np.argmax(ratios))
         if not np.isfinite(ratios[k]):
             truncated = True  # no admissible column left
@@ -210,10 +236,10 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
             break
         picked[:, m] = column
         indices.append(k)
-        admissible[k] = False
+        excluded[k] = True
         selected = picked[:, : m + 1]
         weights = refit_weights(selected, target, chol)
-        residual = target - selected @ weights
+        np.subtract(target, selected @ weights, out=residual)
 
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from gmcoreset.matching_pursuit import (
     GradientMatrix,
     SingularGramError,
+    _solve_lower,
     cholesky_append,
     omp_select,
     refit_weights,
@@ -35,6 +37,53 @@ def test_gradient_matrix_rejects_non_finite():
 def test_gradient_matrix_rejects_empty():
     with pytest.raises(ValueError):
         GradientMatrix(np.zeros((0, 3)))
+
+
+# --- triangular solves ---------------------------------------------------------
+
+
+def gram_factor(rng, m, log10_cond):
+    """C-ordered Cholesky factor of an m x m Gram matrix of condition 10**log10_cond."""
+    basis, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    spectrum = np.logspace(0, -log10_cond, m)
+    return np.linalg.cholesky((basis * spectrum) @ basis.T)
+
+
+@pytest.mark.parametrize("log10_cond", [1, 12], ids=["well", "ill"])
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 128, 129, 255, 256, 257, 300])
+def test_solve_lower_equals_solve_triangular_bit_for_bit(m, log10_cond):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        lower = gram_factor(rng, m, log10_cond)
+        rhs = rng.standard_normal(m) * 10.0 ** rng.integers(-6, 7)
+        forward = solve_triangular(lower, rhs, lower=True)
+        backward = solve_triangular(lower.T, rhs, lower=False)
+        assert np.isfinite(forward).all() and np.isfinite(backward).all()
+        assert np.array_equal(_solve_lower(lower, rhs), forward)
+        assert np.array_equal(_solve_lower(lower, rhs, transposed=True), backward)
+
+
+def test_solve_lower_raises_on_a_zero_diagonal():
+    with pytest.raises(SingularGramError):
+        _solve_lower(np.array([[1.0, 0.0], [1.0, 0.0]]), np.ones(2))
+
+
+def test_overflowing_solves_raise_instead_of_returning_inf():
+    tiny = np.array([[1e-160]])
+    with pytest.raises(ValueError, match="non-finite"):
+        _solve_lower(tiny, np.array([1e200]))
+    with pytest.raises(ValueError, match="non-finite"):
+        cholesky_append(tiny, np.array([1e200]), 1.0)
+    # The forward solve gives 1e160; only the back substitution overflows.
+    with pytest.raises(ValueError, match="non-finite"):
+        refit_weights(np.ones((1, 1)), np.ones(1), tiny)
+
+
+@pytest.mark.parametrize("diagonal", [0.0, -1.0])
+def test_refit_rejects_a_nonpositive_factor_diagonal(diagonal):
+    lower = np.array([[1.0, 0.0], [0.5, diagonal]])
+    with pytest.raises(SingularGramError):
+        refit_weights(np.eye(2), np.ones(2), lower)
 
 
 # --- cholesky append ---------------------------------------------------------
@@ -217,6 +266,33 @@ def test_selection_equals_the_gather_loop_bit_for_bit(name, data, target, n):
     assert sel.truncated == oracle.truncated
     if name == "low-rank":
         assert sel.truncated and sel.size == 4
+
+
+@st.composite
+def degenerate_instances(draw):
+    """(dictionary, target, n) with zero-norm and duplicate columns, rank below n, n = min(D, N)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D, N = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    rank = draw(st.integers(1, min(D, N)))
+    data = rng.standard_normal((D, rank)) @ rng.standard_normal((rank, N))
+    data[:, draw(st.lists(st.integers(0, N - 1), max_size=3))] = 0.0
+    for copy, source in draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(0, N - 1)), max_size=3)):
+        data[:, copy] = data[:, source]
+    target = data.sum(axis=1) if draw(st.booleans()) else rng.standard_normal(D)
+    n = min(D, N) if draw(st.booleans()) else draw(st.integers(1, min(D, N)))
+    return data, target, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=degenerate_instances())
+def test_selection_equals_the_gather_loop_on_degenerate_dictionaries(instance):
+    data, target, n = instance
+    G = GradientMatrix(data)
+    sel = omp_select(G, target, n)
+    oracle = omp_select_by_gathers(G, target, n)
+    assert np.array_equal(sel.indices, oracle.indices)
+    assert np.array_equal(sel.weights, oracle.weights)
+    assert sel.truncated == oracle.truncated
 
 
 class _CountsGathers(np.ndarray):
