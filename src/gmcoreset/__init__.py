@@ -1,7 +1,7 @@
 """Gradient-matching coresets and rehearsal-memory baselines for continual learning."""
 
 from .grad_embed import EmbeddingConfig, embed_batch
-from .harness import ExperimentConfig, ResultRow, run_gdumb, run_replay, sweep
+from .harness import ExperimentConfig, ResultRow, run_cell, sweep
 from .matching_pursuit import (
     CoresetSelection,
     GradientMatrix,

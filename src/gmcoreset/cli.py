@@ -391,16 +391,22 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     raw_path = os.path.join(args.results_dir, "raw.csv")
-    freq_path = os.path.join(args.results_dir, "class_frequencies.csv")
     try:
         rows = read_raw_csv(raw_path)
         if not rows:
             raise ValueError(f"{raw_path}: no result rows")
-        with open(freq_path) as fh:
-            freq_text = fh.read()
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    sizes = sorted({r.memory_size for r in rows})
+    size = sizes[-1] if args.memory_size is None else args.memory_size
+    if size not in sizes:
+        print(
+            f"error: memory size {size} is not in {raw_path}, "
+            f"which holds sizes {','.join(map(str, sizes))}",
+            file=sys.stderr,
+        )
+        return 2
     out_dir = args.out or args.results_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -409,7 +415,6 @@ def cmd_report(args) -> int:
     write_aggregate_csv(os.path.join(out_dir, "report_final_accuracy.csv"), aggregates)
     print(final_accuracy_table(rows, aggregates))
 
-    size = args.memory_size or max(r.memory_size for r in rows)
     grouped: dict[tuple, list[float]] = {}
     for r in rows:
         if r.memory_size == size:
@@ -424,8 +429,6 @@ def cmd_report(args) -> int:
                 f"{key[0]},{key[1]},{key[2]},{size},{key[3]},"
                 f"{float(accs.mean())!r},{std!r},{len(accs)}\n"
             )
-    with open(os.path.join(out_dir, "report_class_frequencies.csv"), "w") as fh:
-        fh.write(freq_text)
     return 0
 
 

@@ -140,7 +140,12 @@ def method_embedding(config: ExperimentConfig, method: str, seed: int) -> Embedd
 
 
 def max_memory_size(config: ExperimentConfig, method: str, arch: nn.MlpArch) -> int | None:
-    """Largest feasible memory: gradient matching needs an embedding dimension D >= n."""
+    """Largest feasible memory: gradient matching needs an embedding dimension D >= n.
+
+    ``gmc_last_layer``'s output delta sums to zero over the k classes, so
+    each draw, k(h + 1) rows for a last hidden width h, spans at most
+    (k - 1)(h + 1) dimensions; a memory above that rank truncates.
+    """
     if method not in GMC_METHODS:
         return None
     return embedding_dim(method_embedding(config, method, 0), arch)
@@ -195,39 +200,6 @@ class Rehearsal:
         return self.memory
 
 
-def run_gdumb(
-    scenario: ContinualScenario,
-    method: str,
-    memory_size: int,
-    config: ExperimentConfig,
-    seed: int,
-) -> list[ResultRow]:
-    """Update memory, reinitialize, retrain from scratch, evaluate - per task."""
-    arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    rehearsal = Rehearsal(config, method, memory_size, arch, seed)
-    current_params = nn.init_sample(arch, seed ^ 0)
-    rows: list[ResultRow] = []
-    for t, batch in enumerate(scenario.batches):
-        started = time.perf_counter()
-        try:
-            memory = rehearsal.update(batch, current_params)
-            params = nn.init_sample(arch, seed ^ t)
-            if memory.size:
-                params = nn.train(
-                    params, memory.features, memory.labels, memory.weights,
-                    replace(config.train, seed=_train_seed(seed, t)),
-                )
-            accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
-            current_params = params
-        except Exception as exc:
-            raise PartialRunError(rows, t, exc) from exc
-        rows.append(ResultRow(
-            scenario.kind, "gdumb", method, memory_size, seed, t,
-            accuracy, time.perf_counter() - started,
-        ))
-    return rows
-
-
 def _replay_task(params, state, batch, memory, train_cfg, epochs):
     """``nn.train_steps`` on minibatches mixed half from the batch, half from memory.
 
@@ -261,40 +233,6 @@ def _replay_task(params, state, batch, memory, train_cfg, epochs):
     )
 
 
-def run_replay(
-    scenario: ContinualScenario,
-    method: str,
-    memory_size: int,
-    config: ExperimentConfig,
-    seed: int,
-) -> list[ResultRow]:
-    """One model trained through the stream; memory updated after each task."""
-    arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    rehearsal = Rehearsal(config, method, memory_size, arch, seed)
-    epochs = config.replay_epochs
-    if epochs is None:
-        epochs = max(1, config.train.epochs // scenario.num_tasks)
-    params = nn.init_sample(arch, seed)
-    adam = nn.AdamState.zeros(params)
-    rows: list[ResultRow] = []
-    for t, batch in enumerate(scenario.batches):
-        started = time.perf_counter()
-        try:
-            params, adam = _replay_task(
-                params, adam, batch, rehearsal.memory,
-                replace(config.train, seed=_train_seed(seed, t)), epochs,
-            )
-            rehearsal.update(batch, params)
-            accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
-        except Exception as exc:
-            raise PartialRunError(rows, t, exc) from exc
-        rows.append(ResultRow(
-            scenario.kind, "replay", method, memory_size, seed, t,
-            accuracy, time.perf_counter() - started,
-        ))
-    return rows
-
-
 def run_cell(
     scenario: ContinualScenario,
     method: str,
@@ -302,8 +240,37 @@ def run_cell(
     config: ExperimentConfig,
     seed: int,
 ) -> list[ResultRow]:
-    runner = run_gdumb if config.paradigm == "gdumb" else run_replay
-    return runner(scenario, method, memory_size, config, seed)
+    """One (method, memory size, seed) cell of ``config.paradigm``, one row per task."""
+    arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
+    rehearsal = Rehearsal(config, method, memory_size, arch, seed)
+    epochs = config.replay_epochs or max(1, config.train.epochs // scenario.num_tasks)
+    params = nn.init_sample(arch, seed)  # gdumb's first draw, seed ^ 0, is replay's only one
+    adam = nn.AdamState.zeros(params)
+    rows: list[ResultRow] = []
+    for t, batch in enumerate(scenario.batches):
+        started = time.perf_counter()
+        train_cfg = replace(config.train, seed=_train_seed(seed, t))
+        try:
+            if config.paradigm == "gdumb":
+                memory = rehearsal.update(batch, params)
+                params = nn.init_sample(arch, seed ^ t)
+                if memory.size:
+                    params = nn.train(
+                        params, memory.features, memory.labels, memory.weights, train_cfg
+                    )
+            else:
+                params, adam = _replay_task(
+                    params, adam, batch, rehearsal.memory, train_cfg, epochs
+                )
+                rehearsal.update(batch, params)
+            accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
+        except Exception as exc:
+            raise PartialRunError(rows, t, exc) from exc
+        rows.append(ResultRow(
+            scenario.kind, config.paradigm, method, memory_size, seed, t,
+            accuracy, time.perf_counter() - started,
+        ))
+    return rows
 
 
 def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) -> SweepResult:
@@ -351,12 +318,10 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
 def aggregate_rows(rows: list[ResultRow], num_tasks: int) -> list[AggregateRow]:
     """Mean/std of the final-task accuracy per (method, memory size)."""
     final: dict[tuple, list[float]] = {}
-    meta: dict[tuple, ResultRow] = {}
     for row in rows:
         if row.task_index == num_tasks - 1:
             key = (row.scenario, row.paradigm, row.method, row.memory_size)
             final.setdefault(key, []).append(row.test_accuracy)
-            meta[key] = row
     out = []
     for key in sorted(final):
         accs = np.asarray(final[key])

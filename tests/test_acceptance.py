@@ -19,7 +19,7 @@ from gmcoreset.grad_embed import (
     last_layer_size,
     sign_projection,
 )
-from gmcoreset.harness import ExperimentConfig, run_gdumb
+from gmcoreset.harness import ExperimentConfig, run_cell
 from gmcoreset.matching_pursuit import (
     GradientMatrix,
     cholesky_append,
@@ -191,7 +191,7 @@ def _trend_config():
 
 def _final_accuracies(scenario, method, config):
     return np.array([
-        run_gdumb(scenario, method, 100, config, seed)[-1].test_accuracy
+        run_cell(scenario, method, 100, config, seed)[-1].test_accuracy
         for seed in config.seeds
     ])
 
@@ -252,7 +252,7 @@ def test_criterion_10_class_incremental_bookkeeping():
         train=nn.TrainConfig(batch_size=8, epochs=3, seed=0), hidden=(8,),
         embedding=EmbeddingConfig(draws=1, proj_dim=16),
     )
-    rows = run_gdumb(scenario, "class_balance", 8, config, seed=0)
+    rows = run_cell(scenario, "class_balance", 8, config, seed=0)
     assert [r.task_index for r in rows] == [0, 1]
     report(10, "greedy balancing is exact and one row is emitted per task")
 

@@ -7,7 +7,7 @@ import pytest
 from gmcoreset import cli, nn
 from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
-from gmcoreset.harness import _train_seed, method_embedding, run_gdumb
+from gmcoreset.harness import _train_seed, method_embedding, run_cell
 from gmcoreset.scenarios import save_csv, synth_blobs
 
 
@@ -130,7 +130,7 @@ def test_select_rejects_negative_seed(tmp_path, capsys, flag):
 def test_select_output_reproduces_first_task_accuracy(tmp_path):
     # feed the select output into a weighted training run and compare with the
     # retrain-from-scratch harness on the same single batch and seeds
-    from gmcoreset.harness import ExperimentConfig, run_gdumb
+    from gmcoreset.harness import ExperimentConfig, run_cell
     from gmcoreset.scenarios import make_sorted_scenario
 
     data = synth_blobs(seed=3, n_per_class=25, num_classes=2, dims=4)
@@ -142,7 +142,7 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
         train=nn.TrainConfig(batch_size=10, epochs=3, seed=0),
         embedding=EmbeddingConfig(draws=2, proj_dim=16), hidden=(8,),
     )
-    rows = run_gdumb(scen, "gmc", 10, config, seed)
+    rows = run_cell(scen, "gmc", 10, config, seed)
 
     csv_path = tmp_path / "batch.csv"
     save_csv(cli.scenarios.Dataset(batch.features, batch.labels), str(csv_path))
@@ -288,7 +288,7 @@ def test_memory_size_beyond_embedding_dim_is_rejected_at_both_entry_points(
 
     cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), {"methods": method})
     with pytest.raises(ValueError, match=f"embedding dimension {dim} "):
-        run_gdumb(cli.build_scenario(cfg), method, dim + 1, cli.experiment_config(cfg), seed=0)
+        run_cell(cli.build_scenario(cfg), method, dim + 1, cli.experiment_config(cfg), seed=0)
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -350,11 +350,23 @@ def test_report_per_task_table(finished_run):
     assert lines[1].split(",")[4] == "0"
 
 
-def test_report_copies_class_frequencies(finished_run):
-    assert main(["report", finished_run]) == 0
-    source = open(os.path.join(finished_run, "class_frequencies.csv")).read()
-    copy = open(os.path.join(finished_run, "report_class_frequencies.csv")).read()
-    assert copy == source
+def test_report_unknown_memory_size_exits_two(finished_run, capsys):
+    assert main(["report", finished_run, "--memory-size", "16"]) == 2
+    err = capsys.readouterr().err
+    assert "memory size 16 is not in" in err and err.rstrip().endswith("holds sizes 15")
+    assert not os.path.exists(os.path.join(finished_run, "report_per_task.csv"))
+
+
+def test_report_needs_only_raw_csv(tmp_path):
+    out = str(tmp_path / "fake")
+    os.makedirs(out)
+    with open(os.path.join(out, "raw.csv"), "w") as fh:
+        fh.write(cli.RAW_HEADER + "\n")
+        fh.write("sorted,gdumb,reservoir,10,0,0,0.75,\n")
+    assert main(["report", out]) == 0
+    assert sorted(os.listdir(out)) == [
+        "raw.csv", "report_final_accuracy.csv", "report_per_task.csv"
+    ]
 
 
 def test_report_std_of_identical_accuracies_is_zero(tmp_path):
@@ -364,8 +376,6 @@ def test_report_std_of_identical_accuracies_is_zero(tmp_path):
         fh.write(cli.RAW_HEADER + "\n")
         for seed in range(3):
             fh.write(f"sorted,gdumb,reservoir,10,{seed},0,0.75,\n")
-    with open(os.path.join(out, "class_frequencies.csv"), "w") as fh:
-        fh.write("task_index,class_0\n0,1.0\n")
     assert main(["report", out]) == 0
     line = open(os.path.join(out, "report_final_accuracy.csv")).read().splitlines()[1]
     assert line.split(",")[4] == "0.75" and line.split(",")[5] == "0.0"
@@ -380,8 +390,6 @@ def test_report_table_marks_a_cell_without_a_final_row(tmp_path, capsys):
             fh.write(f"sorted,gdumb,gmc,10,{seed},0,0.5,\n")
             fh.write(f"sorted,gdumb,gmc,10,{seed},1,0.75,\n")
             fh.write(f"sorted,gdumb,gmc,20,{seed},0,0.5,\n")  # failed at task 1
-    with open(os.path.join(out, "class_frequencies.csv"), "w") as fh:
-        fh.write("task_index,class_0\n0,1.0\n1,1.0\n")
     assert main(["report", out]) == 0
     table = capsys.readouterr().out.splitlines()
     assert table[0] == "final accuracy, sorted scenario, gdumb (2 seeds)"

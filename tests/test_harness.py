@@ -10,8 +10,7 @@ from gmcoreset.harness import (
     ExperimentConfig,
     aggregate_rows,
     method_embedding,
-    run_gdumb,
-    run_replay,
+    run_cell,
     sweep,
 )
 from gmcoreset.harness import _train_seed
@@ -58,7 +57,7 @@ def test_full_capacity_single_batch_matches_plain_training(single_batch_scenario
     batch = scen.batches[0]
     config = tiny_config(methods=(method,), memory_sizes=(batch.num_examples,))
     seed = 3
-    rows = run_gdumb(scen, method, batch.num_examples, config, seed)
+    rows = run_cell(scen, method, batch.num_examples, config, seed)
     assert len(rows) == 1
 
     arch = nn.MlpArch(scen.num_features, config.hidden, scen.num_classes)
@@ -77,7 +76,7 @@ def test_gdumb_emits_one_row_per_task():
     data = synth_blobs(seed=2, n_per_class=40, num_classes=10, dims=6)
     scen = make_class_incremental(data, classes_per_task=2, seed=0)
     config = tiny_config()
-    rows = run_gdumb(scen, "reservoir", 20, config, seed=1)
+    rows = run_cell(scen, "reservoir", 20, config, seed=1)
     assert [r.task_index for r in rows] == [0, 1, 2, 3, 4]
     assert all(r.paradigm == "gdumb" and r.method == "reservoir" for r in rows)
     assert all(r.wall_time > 0 for r in rows)
@@ -93,14 +92,14 @@ def test_gdumb_memory_never_exceeds_capacity(tiny_scenario, monkeypatch):
         return out
 
     monkeypatch.setattr(mem, "reservoir_update", spy)
-    run_gdumb(tiny_scenario, "reservoir", 7, tiny_config(memory_sizes=(7,)), seed=0)
+    run_cell(tiny_scenario, "reservoir", 7, tiny_config(memory_sizes=(7,)), seed=0)
     assert observed and all(size <= 7 for size in observed)
 
 
 def test_gdumb_accuracy_is_a_function_of_memory_and_seed(tiny_scenario):
     config = tiny_config()
     seed = 5
-    rows = run_gdumb(tiny_scenario, "reservoir", 20, config, seed)
+    rows = run_cell(tiny_scenario, "reservoir", 20, config, seed)
 
     # rebuild the memory stream independently, retrain from it and compare
     # against the recorded accuracy of the middle task
@@ -129,7 +128,7 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
-    rows = run_gdumb(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
+    rows = run_cell(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
     assert len(rows) == tiny_scenario.num_tasks
     assert len(seen_params) == tiny_scenario.num_tasks
     # the first update sees the fresh draw; later ones see trained iterates
@@ -138,10 +137,28 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     assert np.abs(seen_params[1] - seen_params[0]).max() > 0
 
 
+def test_gdumb_empty_memory_evaluates_the_fresh_draw(tiny_scenario, monkeypatch):
+    trained = []
+    monkeypatch.setattr(
+        harness.Rehearsal, "update",
+        lambda self, batch, params: mem.RehearsalMemory.empty(self.memory_size),
+    )
+    monkeypatch.setattr(nn, "train", lambda *args: trained.append(args))
+    seed = 5
+    rows = run_cell(tiny_scenario, "reservoir", 10, tiny_config(), seed)
+    assert trained == []
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    test = tiny_scenario.test
+    assert [r.test_accuracy for r in rows] == [
+        nn.evaluate(nn.init_sample(arch, seed ^ t), test.features, test.labels)
+        for t in range(tiny_scenario.num_tasks)
+    ]
+
+
 def test_gdumb_infeasible_memory_size_raises(tiny_scenario):
     config = tiny_config(methods=("gmc",), memory_sizes=(1000,))
     with pytest.raises(ValueError, match="embedding dimension"):
-        run_gdumb(tiny_scenario, "gmc", 1000, config, seed=0)
+        run_cell(tiny_scenario, "gmc", 1000, config, seed=0)
 
 
 # --- experience replay ------------------------------------------------------------
@@ -151,7 +168,7 @@ def test_replay_single_batch_equals_plain_training(single_batch_scenario):
     scen = single_batch_scenario
     config = tiny_config(paradigm="replay")
     seed = 4
-    rows = run_replay(scen, "reservoir", 20, config, seed)
+    rows = run_cell(scen, "reservoir", 20, config, seed)
     assert len(rows) == 1
 
     arch = nn.MlpArch(scen.num_features, config.hidden, scen.num_classes)
@@ -172,8 +189,8 @@ def test_replay_repeated_batch_does_not_hurt():
         [single.batches[0], single.batches[0]], single.test, "sorted"
     )
     config = tiny_config(paradigm="replay", train=nn.TrainConfig(batch_size=10, epochs=6, seed=0))
-    one = run_replay(single, "reservoir", 100, config, seed=0)
-    two = run_replay(doubled, "reservoir", 100, config, seed=0)
+    one = run_cell(single, "reservoir", 100, config, seed=0)
+    two = run_cell(doubled, "reservoir", 100, config, seed=0)
     assert two[-1].test_accuracy >= one[-1].test_accuracy - 1e-12
 
 
@@ -186,7 +203,7 @@ def test_replay_never_reinitializes_the_model(tiny_scenario, monkeypatch):
         return original(arch, seed)
 
     monkeypatch.setattr(nn, "init_sample", spy)
-    run_replay(tiny_scenario, "sliding_window", 10, tiny_config(paradigm="replay"), seed=2)
+    run_cell(tiny_scenario, "sliding_window", 10, tiny_config(paradigm="replay"), seed=2)
     assert len(calls) == 1  # one draw for the whole stream
 
 
@@ -199,7 +216,7 @@ def test_gdumb_reinitializes_every_task(tiny_scenario, monkeypatch):
         return original(arch, seed)
 
     monkeypatch.setattr(nn, "init_sample", spy)
-    run_gdumb(tiny_scenario, "sliding_window", 10, tiny_config(), seed=2)
+    run_cell(tiny_scenario, "sliding_window", 10, tiny_config(), seed=2)
     # one warm-up draw plus one fresh draw per task, seeded seed xor task
     assert calls[1:] == [2 ^ 0, 2 ^ 1, 2 ^ 2]
 
@@ -213,7 +230,7 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
         return original(memory, feats, labels, params, n, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
-    run_replay(tiny_scenario, "gmc_local", 10, tiny_config(paradigm="replay"), seed=0)
+    run_cell(tiny_scenario, "gmc_local", 10, tiny_config(paradigm="replay"), seed=0)
     assert len(seen_params) == tiny_scenario.num_tasks
     for earlier, later in zip(seen_params, seen_params[1:]):
         assert np.abs(earlier - later).max() > 0  # training moved the iterate
@@ -308,7 +325,7 @@ def count_steps(monkeypatch, module, name):
 def test_gdumb_trains_once_per_task_for_epochs_times_batches_steps(tiny_scenario, monkeypatch):
     steps = count_steps(monkeypatch, nn, "train")
     n, config = 15, tiny_config(memory_sizes=(15,))
-    run_gdumb(tiny_scenario, "reservoir", n, config, seed=0)
+    run_cell(tiny_scenario, "reservoir", n, config, seed=0)
     seen = np.cumsum([b.num_examples for b in tiny_scenario.batches])
     batch, epochs = config.train.batch_size, config.train.epochs
     assert steps == [epochs * -(-min(n, s) // batch) for s in seen]
@@ -318,7 +335,7 @@ def test_replay_steps_epochs_times_minibatches_per_task(tiny_scenario, monkeypat
     steps = count_steps(monkeypatch, harness, "_replay_task")
     monkeypatch.setattr(nn, "train", None)  # replay never calls it
     config = tiny_config(paradigm="replay", replay_epochs=2)
-    run_replay(tiny_scenario, "reservoir", 15, config, seed=0)
+    run_cell(tiny_scenario, "reservoir", 15, config, seed=0)
     sizes = [b.num_examples for b in tiny_scenario.batches]
     batch = config.train.batch_size
     # the first task trains on the batch alone, later ones on half batch, half memory
@@ -496,7 +513,7 @@ def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
 
 
 def test_aggregate_rows_skip_partial_runs(tiny_scenario):
-    rows = run_gdumb(tiny_scenario, "reservoir", 10, tiny_config(memory_sizes=(10,)), 0)
+    rows = run_cell(tiny_scenario, "reservoir", 10, tiny_config(memory_sizes=(10,)), 0)
     partial = rows[:-1]
     assert aggregate_rows(partial, tiny_scenario.num_tasks) == []
 
