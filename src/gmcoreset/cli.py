@@ -20,8 +20,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import harness, nn, scenarios
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim
 from .matching_pursuit import omp_select
@@ -193,34 +191,11 @@ def experiment_config(cfg: dict) -> harness.ExperimentConfig:
     )
 
 
-def _feasible_sizes(cfg: dict, config: harness.ExperimentConfig, scenario) -> tuple[int, ...]:
-    """Resolve memory sizes; defaults are intersected with feasibility."""
-    arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-    limits = [harness.max_memory_size(config, method, arch) for method in config.methods]
-    limit = min((dim for dim in limits if dim is not None), default=None)
-    if cfg["memory_sizes"]:
-        if limit is not None:
-            bad = [s for s in cfg["memory_sizes"] if s > limit]
-            if bad:
-                raise ConfigError(
-                    f"memory sizes {bad} exceed the embedding dimension {limit}; "
-                    f"gradient matching requires D >= n"
-                )
-        return tuple(cfg["memory_sizes"])
-    sizes = harness.DEFAULT_MEMORY_SIZES
-    if limit is not None:
-        sizes = tuple(s for s in sizes if s <= limit)
-    if not sizes:
-        raise ConfigError(
-            f"no default memory size is feasible for embedding dimension {limit}"
-        )
-    return sizes
-
-
 # --- output files -----------------------------------------------------------
 
 RAW_HEADER = "scenario,paradigm,method,memory_size,seed,task_index,test_accuracy,wall_time_s"
 AGG_HEADER = "scenario,paradigm,method,memory_size,mean_final_acc,std_final_acc,num_seeds"
+PER_TASK_HEADER = "scenario,paradigm,method,memory_size,task_index,mean_acc,std_acc,num_seeds"
 
 
 def write_raw_csv(path: str, rows, with_timings: bool = False) -> None:
@@ -240,13 +215,15 @@ def write_raw_csv(path: str, rows, with_timings: bool = False) -> None:
             )
 
 
-def write_aggregate_csv(path: str, aggregates) -> None:
+def write_aggregate_csv(path: str, aggregates, per_task: bool = False) -> None:
+    """Final-task rows, or with ``per_task`` every task's row with its index."""
     with open(path, "w", newline="") as fh:
-        fh.write(AGG_HEADER + "\n")
+        fh.write((PER_TASK_HEADER if per_task else AGG_HEADER) + "\n")
         for a in aggregates:
+            task = f"{a.task_index}," if per_task else ""
             fh.write(
-                f"{a.scenario},{a.paradigm},{a.method},{a.memory_size},"
-                f"{a.mean_final_acc!r},{a.std_final_acc!r},{a.num_seeds}\n"
+                f"{a.scenario},{a.paradigm},{a.method},{a.memory_size},{task}"
+                f"{a.mean_acc!r},{a.std_acc!r},{a.num_seeds}\n"
             )
 
 
@@ -282,7 +259,7 @@ def final_accuracy_table(rows, aggregates) -> str:
     for scenario, paradigm in sorted({(r.scenario, r.paradigm) for r in rows}):
         own = [r for r in rows if (r.scenario, r.paradigm) == (scenario, paradigm)]
         cells = {
-            (a.method, a.memory_size): f"{a.mean_final_acc:.3f}±{a.std_final_acc:.3f}"
+            (a.method, a.memory_size): f"{a.mean_acc:.3f}±{a.std_acc:.3f}"
             for a in aggregates if (a.scenario, a.paradigm) == (scenario, paradigm)
         }
         sizes = sorted({r.memory_size for r in own})
@@ -359,9 +336,9 @@ def cmd_run(args) -> int:
             raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
         config = experiment_config(cfg)
-        sizes = _feasible_sizes(cfg, config, scenario)
-        config = replace(config, memory_sizes=sizes)
-        cfg["memory_sizes"] = sizes
+        arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
+        cfg["memory_sizes"] = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
+        config = replace(config, memory_sizes=cfg["memory_sizes"])
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -371,7 +348,11 @@ def cmd_run(args) -> int:
     result = harness.sweep(config, scenario, jobs=cfg["jobs"])
     write_raw_csv(os.path.join(out_dir, "raw.csv"), result.rows)
     write_raw_csv(os.path.join(out_dir, "timings.csv"), result.rows, with_timings=True)
-    write_aggregate_csv(os.path.join(out_dir, "aggregate.csv"), result.aggregates)
+    final = scenario.num_tasks - 1
+    write_aggregate_csv(
+        os.path.join(out_dir, "aggregate.csv"),
+        [a for a in harness.aggregate_rows(result.rows) if a.task_index == final],
+    )
     write_frequency_csv(os.path.join(out_dir, "class_frequencies.csv"), scenario)
     scenarios.write_scenario_manifest(
         scenario, os.path.join(out_dir, "scenario.txt"), seed=cfg["data_seed"]
@@ -391,10 +372,13 @@ def cmd_run(args) -> int:
 
 def cmd_report(args) -> int:
     raw_path = os.path.join(args.results_dir, "raw.csv")
+    scenario_path = os.path.join(args.results_dir, "scenario.txt")
     try:
         rows = read_raw_csv(raw_path)
         if not rows:
             raise ValueError(f"{raw_path}: no result rows")
+        with open(scenario_path) as fh:
+            final = int(parse_config_text(fh.read(), scenario_path)["num_batches"]) - 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -410,25 +394,14 @@ def cmd_report(args) -> int:
     out_dir = args.out or args.results_dir
     os.makedirs(out_dir, exist_ok=True)
 
-    num_tasks = max(r.task_index for r in rows) + 1
-    aggregates = harness.aggregate_rows(rows, num_tasks)
-    write_aggregate_csv(os.path.join(out_dir, "report_final_accuracy.csv"), aggregates)
-    print(final_accuracy_table(rows, aggregates))
-
-    grouped: dict[tuple, list[float]] = {}
-    for r in rows:
-        if r.memory_size == size:
-            key = (r.scenario, r.paradigm, r.method, r.task_index)
-            grouped.setdefault(key, []).append(r.test_accuracy)
-    with open(os.path.join(out_dir, "report_per_task.csv"), "w", newline="") as fh:
-        fh.write("scenario,paradigm,method,memory_size,task_index,mean_acc,std_acc,num_seeds\n")
-        for key in sorted(grouped):
-            accs = np.asarray(grouped[key])
-            std = float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
-            fh.write(
-                f"{key[0]},{key[1]},{key[2]},{size},{key[3]},"
-                f"{float(accs.mean())!r},{std!r},{len(accs)}\n"
-            )
+    aggregates = harness.aggregate_rows(rows)
+    finals = [a for a in aggregates if a.task_index == final]
+    write_aggregate_csv(os.path.join(out_dir, "report_final_accuracy.csv"), finals)
+    print(final_accuracy_table(rows, finals))
+    write_aggregate_csv(
+        os.path.join(out_dir, "report_per_task.csv"),
+        [a for a in aggregates if a.memory_size == size], per_task=True,
+    )
     return 0
 
 

@@ -89,8 +89,9 @@ class AggregateRow:
     paradigm: str
     method: str
     memory_size: int
-    mean_final_acc: float
-    std_final_acc: float
+    task_index: int
+    mean_acc: float
+    std_acc: float
     num_seeds: int
 
 
@@ -106,7 +107,6 @@ class CellFailure:
 @dataclass
 class SweepResult:
     rows: list[ResultRow]
-    aggregates: list[AggregateRow]
     failures: list[CellFailure]
 
 
@@ -139,16 +139,32 @@ def method_embedding(config: ExperimentConfig, method: str, seed: int) -> Embedd
     return replace(emb, init_seed=emb.init_seed + seed, projection_seed=emb.projection_seed + seed)
 
 
-def max_memory_size(config: ExperimentConfig, method: str, arch: nn.MlpArch) -> int | None:
-    """Largest feasible memory: gradient matching needs an embedding dimension D >= n.
+def feasible_memory_sizes(
+    config: ExperimentConfig, arch: nn.MlpArch, requested: tuple[int, ...] = ()
+) -> tuple[int, ...]:
+    """Memory sizes every method can hold: gradient matching needs an embedding dimension D >= n.
 
+    Returns ``requested``, or when it is empty the defaults up to the smallest D
+    of the gradient-matching methods; a requested size above that D raises.
     ``gmc_last_layer``'s output delta sums to zero over the k classes, so
     each draw, k(h + 1) rows for a last hidden width h, spans at most
     (k - 1)(h + 1) dimensions; a memory above that rank truncates.
     """
-    if method not in GMC_METHODS:
-        return None
-    return embedding_dim(method_embedding(config, method, 0), arch)
+    limit = min(
+        (embedding_dim(method_embedding(config, m, 0), arch)
+         for m in config.methods if m in GMC_METHODS),
+        default=float("inf"),
+    )
+    bad = [size for size in requested if size > limit]
+    if bad:
+        raise ValueError(
+            f"memory sizes {bad} exceed the embedding dimension {limit}; "
+            f"gradient matching requires D >= n"
+        )
+    sizes = tuple(requested) or tuple(s for s in DEFAULT_MEMORY_SIZES if s <= limit)
+    if not sizes:
+        raise ValueError(f"no default memory size is feasible for embedding dimension {limit}")
+    return sizes
 
 
 def _train_seed(seed: int, task: int) -> int:
@@ -165,14 +181,7 @@ class Rehearsal:
     def __init__(
         self, config: ExperimentConfig, method: str, memory_size: int, arch: nn.MlpArch, seed: int
     ):
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-        limit = max_memory_size(config, method, arch)
-        if limit is not None and memory_size > limit:
-            raise ValueError(
-                f"memory size {memory_size} exceeds the embedding dimension {limit} "
-                f"for method {method}; a valid selection requires D >= n"
-            )
+        feasible_memory_sizes(replace(config, methods=(method,)), arch, (memory_size,))
         self.method = method
         self.memory_size = memory_size
         self.arch = arch
@@ -312,19 +321,22 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
             collect(cell, lambda: run_cell(*cell))
 
     rows.sort(key=lambda r: (r.scenario, r.paradigm, r.method, r.memory_size, r.seed, r.task_index))
-    return SweepResult(rows, aggregate_rows(rows, scenario.num_tasks), failures)
+    return SweepResult(rows, failures)
 
 
-def aggregate_rows(rows: list[ResultRow], num_tasks: int) -> list[AggregateRow]:
-    """Mean/std of the final-task accuracy per (method, memory size)."""
-    final: dict[tuple, list[float]] = {}
-    for row in rows:
-        if row.task_index == num_tasks - 1:
-            key = (row.scenario, row.paradigm, row.method, row.memory_size)
-            final.setdefault(key, []).append(row.test_accuracy)
+def aggregate_rows(rows: list[ResultRow]) -> list[AggregateRow]:
+    """Accuracy over seeds per (scenario, paradigm, method, memory size, task).
+
+    The mean, the ddof-1 standard deviation (0.0 for a single seed) and
+    the seed count, sorted by key.
+    """
+    grouped: dict[tuple, list[float]] = {}
+    for r in rows:
+        key = (r.scenario, r.paradigm, r.method, r.memory_size, r.task_index)
+        grouped.setdefault(key, []).append(r.test_accuracy)
     out = []
-    for key in sorted(final):
-        accs = np.asarray(final[key])
+    for key in sorted(grouped):
+        accs = np.asarray(grouped[key])
         std = float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
         out.append(AggregateRow(*key, float(accs.mean()), std, len(accs)))
     return out

@@ -165,6 +165,8 @@ def train_test_split(
     dataset: Dataset, test_fraction: float = 0.2, seed: int = 0
 ) -> tuple[Dataset, Dataset]:
     """Seeded uniform split; the test part gets round(N * test_fraction) rows."""
+    if not 0 < test_fraction < 1:
+        raise ValueError(f"test fraction must lie in (0, 1), got {test_fraction}")
     n = dataset.num_examples
     n_test = int(round(n * test_fraction))
     if not 0 < n_test < n:
@@ -198,6 +200,8 @@ def _resolve_split(
 
 
 def _contiguous_batches(data: Dataset, order: np.ndarray, num_batches: int) -> list[Dataset]:
+    if num_batches < 1:
+        raise ValueError(f"num_batches must be >= 1, got {num_batches}")
     if num_batches > len(order):
         raise ValueError(f"cannot split {len(order)} rows into {num_batches} batches")
     return [data.subset(chunk) for chunk in np.array_split(order, num_batches)]
@@ -218,7 +222,7 @@ def make_sorted_scenario(
     sizes differ by at most one.  When no explicit test set is given, a
     seeded uniform split carves one out first.
     """
-    if feature_index >= data.num_features:
+    if not -data.num_features <= feature_index < data.num_features:
         raise ValueError(f"feature index {feature_index} out of range")
     train, test = _resolve_split(data, test, test_fraction, seed)
     order = np.argsort(train.features[:, feature_index], kind="stable")
@@ -239,6 +243,8 @@ def make_class_incremental(
     {t*c, ..., t*c + c - 1}, keeping their relative order; the test set
     spans all classes.
     """
+    if classes_per_task < 1:
+        raise ValueError(f"classes_per_task must be >= 1, got {classes_per_task}")
     train, test = _resolve_split(data, test, test_fraction, seed)
     k = max(train.num_classes, test.num_classes)
     if k % classes_per_task != 0:

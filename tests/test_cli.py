@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from gmcoreset import cli, nn
+from gmcoreset import cli, harness, memory as mem, nn
 from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
 from gmcoreset.harness import _train_seed, method_embedding, run_cell
@@ -251,10 +251,16 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
     ("step_size = -1\n", [], "step_size must be positive and finite"),
     ("", ["--method", "reservoir,reservoir"], "methods must be distinct"),
     ("", ["--memory-sizes", "10,10"], "memory_sizes must be distinct"),
+    ("scenario = class_incremental\nclasses_per_task = 0\n", [],
+     "classes_per_task must be >= 1"),
+    ("test_fraction = inf\n", [], "test fraction must lie in (0, 1)"),
+    ("sort_feature = -99\n", [], "feature index -99 out of range"),
+    ("num_batches = 0\n", [], "num_batches must be >= 1"),
 ], ids=["memory-size-0", "seed-minus-1", "init-seed-minus-1", "proj-seed-minus-1",
         "jobs-0", "jobs-minus-2", "replay-epochs-0", "replay-epochs-minus-1",
         "step-size-nan", "step-size-inf", "step-size-minus-1",
-        "duplicate-methods", "duplicate-memory-sizes"])
+        "duplicate-methods", "duplicate-memory-sizes", "classes-per-task-0",
+        "test-fraction-inf", "sort-feature-minus-99", "num-batches-0"])
 def test_run_rejects_out_of_range_values_up_front(tmp_path, capsys, line, flags, message):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + line)
     out = tmp_path / "o"
@@ -287,7 +293,7 @@ def test_memory_size_beyond_embedding_dim_is_rejected_at_both_entry_points(
     assert f"embedding dimension {dim};" in capsys.readouterr().err
 
     cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), {"methods": method})
-    with pytest.raises(ValueError, match=f"embedding dimension {dim} "):
+    with pytest.raises(ValueError, match=f"embedding dimension {dim};"):
         run_cell(cli.build_scenario(cfg), method, dim + 1, cli.experiment_config(cfg), seed=0)
 
 
@@ -301,7 +307,9 @@ def test_shipped_config_resolves_and_is_feasible(path):
         cfg = resolve_config(parse_config_text(fh.read(), path), {})
     scenario = cli.build_scenario(cfg)
     config = cli.experiment_config(cfg)
-    assert cli._feasible_sizes(cfg, config, scenario) == cfg["memory_sizes"]
+    arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
+    sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
+    assert sizes == cfg["memory_sizes"]
 
 
 def test_run_default_memory_sizes_are_restricted_to_feasible(tmp_path):
@@ -357,25 +365,33 @@ def test_report_unknown_memory_size_exits_two(finished_run, capsys):
     assert not os.path.exists(os.path.join(finished_run, "report_per_task.csv"))
 
 
-def test_report_needs_only_raw_csv(tmp_path):
-    out = str(tmp_path / "fake")
+def write_results(out, raw_lines, num_batches):
+    """A results directory holding only raw.csv and the scenario.txt ``report`` reads."""
     os.makedirs(out)
     with open(os.path.join(out, "raw.csv"), "w") as fh:
-        fh.write(cli.RAW_HEADER + "\n")
-        fh.write("sorted,gdumb,reservoir,10,0,0,0.75,\n")
+        fh.write(cli.RAW_HEADER + "\n" + "".join(line + "\n" for line in raw_lines))
+    with open(os.path.join(out, "scenario.txt"), "w") as fh:
+        fh.write(f"kind = sorted\nnum_batches = {num_batches}\n")
+
+
+def test_report_needs_raw_csv_and_scenario_txt(tmp_path, capsys):
+    out = str(tmp_path / "fake")
+    write_results(out, ["sorted,gdumb,reservoir,10,0,0,0.75,"], num_batches=1)
     assert main(["report", out]) == 0
     assert sorted(os.listdir(out)) == [
-        "raw.csv", "report_final_accuracy.csv", "report_per_task.csv"
+        "raw.csv", "report_final_accuracy.csv", "report_per_task.csv", "scenario.txt"
     ]
+    for name in ("report_final_accuracy.csv", "report_per_task.csv"):
+        os.remove(os.path.join(out, name))
+    os.remove(os.path.join(out, "scenario.txt"))
+    assert main(["report", out]) == 1
+    assert "scenario.txt" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["raw.csv"]
 
 
 def test_report_std_of_identical_accuracies_is_zero(tmp_path):
     out = str(tmp_path / "fake")
-    os.makedirs(out)
-    with open(os.path.join(out, "raw.csv"), "w") as fh:
-        fh.write(cli.RAW_HEADER + "\n")
-        for seed in range(3):
-            fh.write(f"sorted,gdumb,reservoir,10,{seed},0,0.75,\n")
+    write_results(out, [f"sorted,gdumb,reservoir,10,{seed},0,0.75," for seed in range(3)], 1)
     assert main(["report", out]) == 0
     line = open(os.path.join(out, "report_final_accuracy.csv")).read().splitlines()[1]
     assert line.split(",")[4] == "0.75" and line.split(",")[5] == "0.0"
@@ -383,18 +399,54 @@ def test_report_std_of_identical_accuracies_is_zero(tmp_path):
 
 def test_report_table_marks_a_cell_without_a_final_row(tmp_path, capsys):
     out = str(tmp_path / "fake")
-    os.makedirs(out)
-    with open(os.path.join(out, "raw.csv"), "w") as fh:
-        fh.write(cli.RAW_HEADER + "\n")
-        for seed in range(2):
-            fh.write(f"sorted,gdumb,gmc,10,{seed},0,0.5,\n")
-            fh.write(f"sorted,gdumb,gmc,10,{seed},1,0.75,\n")
-            fh.write(f"sorted,gdumb,gmc,20,{seed},0,0.5,\n")  # failed at task 1
+    lines = []
+    for seed in range(2):
+        lines.append(f"sorted,gdumb,gmc,10,{seed},0,0.5,")
+        lines.append(f"sorted,gdumb,gmc,10,{seed},1,0.75,")
+        lines.append(f"sorted,gdumb,gmc,20,{seed},0,0.5,")  # failed at task 1
+    write_results(out, lines, num_batches=2)
     assert main(["report", out]) == 0
     table = capsys.readouterr().out.splitlines()
     assert table[0] == "final accuracy, sorted scenario, gdumb (2 seeds)"
     assert table[1].split() == ["method", "10", "20"]
     assert table[2].split() == ["gmc", "0.750±0.000", "failed"]
+
+
+def test_report_marks_failed_when_every_cell_stops_before_the_final_task(tmp_path, capsys):
+    # raw.csv alone reads like a finished 2-task run; scenario.txt says there were 3
+    out = str(tmp_path / "fake")
+    write_results(out, [
+        f"sorted,gdumb,gmc,10,{seed},{task},0.75," for seed in range(2) for task in range(2)
+    ], num_batches=3)
+    assert main(["report", out]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[2].split() == ["gmc", "failed"]
+    final = open(os.path.join(out, "report_final_accuracy.csv")).read()
+    assert final == cli.AGG_HEADER + "\n"
+    assert len(open(os.path.join(out, "report_per_task.csv")).read().splitlines()) == 1 + 2
+
+
+def test_report_final_accuracy_matches_the_runs_aggregate(tmp_path, monkeypatch):
+    original = mem.reservoir_update
+    calls = {"count": 0}
+
+    def flaky(memory, feats, labels, n, rng):
+        calls["count"] += 1
+        if calls["count"] == 2:  # the first cell, reservoir at seed 0, fails at task 1
+            raise RuntimeError("synthetic fault")
+        return original(memory, feats, labels, n, rng)
+
+    monkeypatch.setattr(mem, "reservoir_update", flaky)
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace(
+        "methods = reservoir", "methods = reservoir,sliding_window"
+    ).replace("seeds = 0", "seeds = 0,1"))
+    out = str(tmp_path / "results")
+    assert main(["run", "--config", cfg, "--out", out]) == 1
+    assert main(["report", out]) == 0
+    aggregate = open(os.path.join(out, "aggregate.csv")).read()
+    assert aggregate == open(os.path.join(out, "report_final_accuracy.csv")).read()
+    assert aggregate.splitlines()[1].startswith("sorted,gdumb,reservoir,15,")
+    assert aggregate.splitlines()[1].endswith(",0.0,1")  # seed 1 only
 
 
 def test_report_missing_input_exits_one(tmp_path, capsys):

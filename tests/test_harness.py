@@ -395,7 +395,8 @@ def test_sweep_row_and_aggregate_counts(tiny_scenario):
     )
     result = sweep(config, tiny_scenario)
     assert len(result.rows) == 2 * 2 * 2 * 3
-    assert len(result.aggregates) == 4
+    assert len(aggregate_rows(result.rows)) == 4 * 3
+    assert len([a for a in aggregate_rows(result.rows) if a.task_index == 2]) == 4
     assert not result.failures
 
 
@@ -403,9 +404,9 @@ def test_sweep_aggregates_match_recomputation(tiny_scenario):
     config = tiny_config(methods=("reservoir",), memory_sizes=(10,), seeds=(0, 1, 2))
     result = sweep(config, tiny_scenario)
     finals = [r.test_accuracy for r in result.rows if r.task_index == 2]
-    agg = result.aggregates[0]
-    assert agg.mean_final_acc == pytest.approx(np.mean(finals), abs=1e-12)
-    assert agg.std_final_acc == pytest.approx(np.std(finals, ddof=1), abs=1e-12)
+    [agg] = [a for a in aggregate_rows(result.rows) if a.task_index == 2]
+    assert agg.mean_acc == pytest.approx(np.mean(finals), abs=1e-12)
+    assert agg.std_acc == pytest.approx(np.std(finals, ddof=1), abs=1e-12)
     assert agg.num_seeds == 3
 
 
@@ -515,7 +516,8 @@ def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
 def test_aggregate_rows_skip_partial_runs(tiny_scenario):
     rows = run_cell(tiny_scenario, "reservoir", 10, tiny_config(memory_sizes=(10,)), 0)
     partial = rows[:-1]
-    assert aggregate_rows(partial, tiny_scenario.num_tasks) == []
+    final = tiny_scenario.num_tasks - 1
+    assert [a for a in aggregate_rows(partial) if a.task_index == final] == []
 
 
 def test_config_validation():
