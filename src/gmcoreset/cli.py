@@ -161,14 +161,12 @@ def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
         train, test = scenarios.standardize_features(train, test)
     kind = cfg["scenario"]
     if kind == "sorted":
-        return scenarios.make_sorted_scenario(
-            train, cfg["sort_feature"], cfg["num_batches"], test=test
-        )
+        return scenarios.make_sorted_scenario(train, test, cfg["sort_feature"], cfg["num_batches"])
     if kind == "class_incremental":
-        return scenarios.make_class_incremental(train, cfg["classes_per_task"], test=test)
+        return scenarios.make_class_incremental(train, test, cfg["classes_per_task"])
     if kind == "iid_incremental":
         return scenarios.make_iid_incremental(
-            train, cfg["num_batches"], test=test, seed=cfg["data_seed"]
+            train, test, cfg["num_batches"], seed=cfg["data_seed"]
         )
     raise ConfigError(f"unknown scenario kind {cfg['scenario']!r}")
 
@@ -312,6 +310,12 @@ def cmd_select(args) -> int:
             fh.write("row_index,weight\n")
             for ix, w in zip(selection.indices, selection.weights):
                 fh.write(f"{int(ix)},{float(w)!r}\n")
+        if selection.truncated:
+            print(
+                f"note: wrote {len(selection.indices)} of the {args.size} rows asked for; "
+                f"the gradient embeddings of the other rows depend linearly on them",
+                file=sys.stderr,
+            )
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

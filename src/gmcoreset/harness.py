@@ -307,8 +307,8 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
             partial = isinstance(error, PartialRunError)
             rows.extend(error.rows if partial else [])
             _, method, size, _, seed = cell
-            task = error.task_index if partial else -1
-            failures.append(CellFailure(method, size, seed, task, str(error)))
+            task, cause = (error.task_index, error.cause) if partial else (-1, error)
+            failures.append(CellFailure(method, size, seed, task, str(cause)))
 
     workers = min(jobs, len(cells))
     if workers > 1:

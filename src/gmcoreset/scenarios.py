@@ -1,10 +1,12 @@
 """Dataset ingestion and continual-learning scenario construction.
 
 A scenario is an ordered list of training batches plus a held-out test
-set.  Batches can be formed by sorting on a feature (smooth non-iid
-drift), by disjoint label groups (class-incremental), or by uniform
-subsampling (iid-incremental).  A synthetic drifting-blob generator
-provides desk-scale data.
+set.  ``train_test_split`` makes the one split (``cli.build_scenario``
+then standardizes both parts by the train statistics), and each builder
+cuts the train part into batches and keeps the test part as it is:
+sorted on a feature (smooth non-iid drift), by disjoint label groups
+(class-incremental), or by a uniform shuffle (iid-incremental).  A
+synthetic drifting-blob generator provides desk-scale data.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    feature_names: list[str] | None = None
-    label_names: list[str] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -49,9 +49,7 @@ class Dataset:
         return int(self.labels.max()) + 1
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.features[idx], self.labels[idx], self.feature_names, self.label_names
-        )
+        return Dataset(self.features[idx], self.labels[idx])
 
 
 @dataclass
@@ -82,18 +80,12 @@ class ContinualScenario:
         return self.test.num_features
 
 
-def load_csv(
-    path: str,
-    label_column: int | str = -1,
-    has_header: bool = True,
-    label_mapping: dict[str, int] | None = None,
-) -> Dataset:
+def load_csv(path: str, label_column: int | str = -1, has_header: bool = True) -> Dataset:
     """Parse a comma-separated file into a Dataset.
 
     Features are parsed as 64-bit reals (non-numeric cells are an
-    error); labels are mapped to dense indices by first appearance, with
-    the original strings recorded in ``label_names``.  Row order is
-    preserved.  When ``label_mapping`` is given, unseen labels raise.
+    error); label strings are mapped to dense indices by first
+    appearance.  Row order is preserved.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -119,18 +111,12 @@ def load_csv(
             raise ValueError(f"label column {label_column} out of range for {ncols} columns")
         label_idx = label_column % ncols
 
-    mapping = dict(label_mapping) if label_mapping is not None else {}
-    strict = label_mapping is not None
+    mapping: dict[str, int] = {}
     features, labels = [], []
     for r, row in enumerate(rows):
         if len(row) != ncols:
             raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {ncols}")
-        raw_label = row[label_idx].strip()
-        if raw_label not in mapping:
-            if strict:
-                raise ValueError(f"{path}: row {r} has unseen label {raw_label!r}")
-            mapping[raw_label] = len(mapping)
-        labels.append(mapping[raw_label])
+        labels.append(mapping.setdefault(row[label_idx].strip(), len(mapping)))
         feat = []
         for c, cell in enumerate(row):
             if c == label_idx:
@@ -140,25 +126,16 @@ def load_csv(
             except ValueError:
                 raise ValueError(f"{path}: non-numeric feature cell {cell!r} at row {r}, column {c}")
         features.append(feat)
-
-    names = None
-    if header is not None:
-        names = [h for i, h in enumerate(header) if i != label_idx]
-    label_names = [None] * len(mapping)
-    for text, ix in mapping.items():
-        label_names[ix] = text
-    return Dataset(np.asarray(features), np.asarray(labels), names, label_names)
+    return Dataset(np.asarray(features), np.asarray(labels))
 
 
 def save_csv(dataset: Dataset, path: str) -> None:
-    """Write a Dataset with a header and the label as the last column."""
-    names = dataset.feature_names or [f"f{i}" for i in range(dataset.num_features)]
+    """Write a Dataset under the header ``f0, ..., label``, integer labels last."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*names, "label"])
+        writer.writerow([*(f"f{i}" for i in range(dataset.num_features)), "label"])
         for x, y in zip(dataset.features, dataset.labels):
-            text = dataset.label_names[y] if dataset.label_names else str(int(y))
-            writer.writerow([*(repr(float(v)) for v in x), text])
+            writer.writerow([*(repr(float(v)) for v in x), str(int(y))])
 
 
 def train_test_split(
@@ -186,17 +163,9 @@ def standardize_features(train: Dataset, test: Dataset) -> tuple[Dataset, Datase
     std = np.where(std > 0.0, std, 1.0)
 
     def apply(ds: Dataset) -> Dataset:
-        return Dataset((ds.features - mean) / std, ds.labels, ds.feature_names, ds.label_names)
+        return Dataset((ds.features - mean) / std, ds.labels)
 
     return apply(train), apply(test)
-
-
-def _resolve_split(
-    data: Dataset, test: Dataset | None, test_fraction: float, seed: int
-) -> tuple[Dataset, Dataset]:
-    if test is not None:
-        return data, test
-    return train_test_split(data, test_fraction, seed)
 
 
 def _contiguous_batches(data: Dataset, order: np.ndarray, num_batches: int) -> list[Dataset]:
@@ -208,34 +177,21 @@ def _contiguous_batches(data: Dataset, order: np.ndarray, num_batches: int) -> l
 
 
 def make_sorted_scenario(
-    data: Dataset,
-    feature_index: int = 0,
-    num_batches: int = 10,
-    *,
-    test: Dataset | None = None,
-    test_fraction: float = 0.2,
-    seed: int = 0,
+    train: Dataset, test: Dataset, feature_index: int = 0, num_batches: int = 10
 ) -> ContinualScenario:
     """Sort the train split by one feature and chunk it into batches.
 
     The sort is stable (ties keep the original row order) and batch
-    sizes differ by at most one.  When no explicit test set is given, a
-    seeded uniform split carves one out first.
+    sizes differ by at most one.
     """
-    if not -data.num_features <= feature_index < data.num_features:
+    if not -train.num_features <= feature_index < train.num_features:
         raise ValueError(f"feature index {feature_index} out of range")
-    train, test = _resolve_split(data, test, test_fraction, seed)
     order = np.argsort(train.features[:, feature_index], kind="stable")
     return ContinualScenario(_contiguous_batches(train, order, num_batches), test, "sorted")
 
 
 def make_class_incremental(
-    data: Dataset,
-    classes_per_task: int = 2,
-    *,
-    test: Dataset | None = None,
-    test_fraction: float = 0.2,
-    seed: int = 0,
+    train: Dataset, test: Dataset, classes_per_task: int = 2
 ) -> ContinualScenario:
     """Group the train split into tasks of ``classes_per_task`` consecutive labels.
 
@@ -245,7 +201,6 @@ def make_class_incremental(
     """
     if classes_per_task < 1:
         raise ValueError(f"classes_per_task must be >= 1, got {classes_per_task}")
-    train, test = _resolve_split(data, test, test_fraction, seed)
     k = max(train.num_classes, test.num_classes)
     if k % classes_per_task != 0:
         raise ValueError(f"{k} classes are not divisible into tasks of {classes_per_task}")
@@ -260,15 +215,9 @@ def make_class_incremental(
 
 
 def make_iid_incremental(
-    data: Dataset,
-    num_batches: int = 10,
-    *,
-    test: Dataset | None = None,
-    test_fraction: float = 0.2,
-    seed: int = 0,
+    train: Dataset, test: Dataset, num_batches: int = 10, *, seed: int = 0
 ) -> ContinualScenario:
-    """Shuffle the train split uniformly and chunk it into equal batches."""
-    train, test = _resolve_split(data, test, test_fraction, seed)
+    """Shuffle the train split by ``seed + 1`` and chunk it into equal batches."""
     order = np.random.default_rng(seed + 1).permutation(train.num_examples)
     return ContinualScenario(_contiguous_batches(train, order, num_batches), test, "iid_incremental")
 
@@ -312,17 +261,16 @@ def class_frequencies(scenario: ContinualScenario) -> np.ndarray:
     return table
 
 
-def write_scenario_manifest(scenario: ContinualScenario, path: str, seed: int | None = None) -> None:
+def write_scenario_manifest(scenario: ContinualScenario, path: str, seed: int) -> None:
     """Record kind, seed and sizes as flat ``key = value`` lines."""
     lines = [
         f"kind = {scenario.kind}",
+        f"seed = {seed}",
         f"num_batches = {scenario.num_tasks}",
         f"batch_sizes = {','.join(str(b.num_examples) for b in scenario.batches)}",
         f"test_size = {scenario.test.num_examples}",
         f"num_classes = {scenario.num_classes}",
         f"num_features = {scenario.num_features}",
     ]
-    if seed is not None:
-        lines.insert(1, f"seed = {seed}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

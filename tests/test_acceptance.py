@@ -37,6 +37,7 @@ from gmcoreset.scenarios import (
     make_iid_incremental,
     make_sorted_scenario,
     synth_blobs,
+    train_test_split,
 )
 
 from oracles import per_example_gradient, project
@@ -199,7 +200,7 @@ def _final_accuracies(scenario, method, config):
 def test_criterion_08_sorted_scenario_trend():
     started = time.perf_counter()
     data = synth_blobs(seed=0, n_per_class=625, num_classes=4, dims=8, drift=2.0)
-    scenario = make_sorted_scenario(data, num_batches=10, seed=0)
+    scenario = make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=10)
     assert sum(b.num_examples for b in scenario.batches) == 2000
     config = _trend_config()
     means = {
@@ -222,7 +223,7 @@ def test_criterion_08_sorted_scenario_trend():
 def test_criterion_09_iid_scenario_sanity():
     started = time.perf_counter()
     data = synth_blobs(seed=0, n_per_class=625, num_classes=4, dims=8, drift=2.0)
-    scenario = make_iid_incremental(data, num_batches=10, seed=0)
+    scenario = make_iid_incremental(*train_test_split(data, 0.2, 0), num_batches=10, seed=0)
     config = _trend_config()
     fl = _final_accuracies(scenario, "facility_location", config)
     res = _final_accuracies(scenario, "reservoir", config)
@@ -237,7 +238,7 @@ def test_criterion_09_iid_scenario_sanity():
 
 def test_criterion_10_class_incremental_bookkeeping():
     data = synth_blobs(seed=4, n_per_class=60, num_classes=4, dims=5)
-    scenario = make_class_incremental(data, classes_per_task=2, seed=0)
+    scenario = make_class_incremental(*train_test_split(data, 0.2, 0), classes_per_task=2)
     assert scenario.num_tasks == 2
 
     # capacity 8 divides into 4 classes: the greedy sampler ends exactly balanced

@@ -8,7 +8,9 @@ from gmcoreset import cli, harness, memory as mem, nn
 from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
 from gmcoreset.harness import _train_seed, method_embedding, run_cell
-from gmcoreset.scenarios import save_csv, synth_blobs
+from gmcoreset.scenarios import (
+    Dataset, make_sorted_scenario, save_csv, standardize_features, synth_blobs, train_test_split,
+)
 
 
 MINIMAL_CONFIG = """
@@ -131,10 +133,9 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
     # feed the select output into a weighted training run and compare with the
     # retrain-from-scratch harness on the same single batch and seeds
     from gmcoreset.harness import ExperimentConfig, run_cell
-    from gmcoreset.scenarios import make_sorted_scenario
 
     data = synth_blobs(seed=3, n_per_class=25, num_classes=2, dims=4)
-    scen = make_sorted_scenario(data, num_batches=1, seed=0)
+    scen = make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=1)
     batch = scen.batches[0]
     seed = 2
     config = ExperimentConfig(
@@ -145,7 +146,7 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
     rows = run_cell(scen, "gmc", 10, config, seed)
 
     csv_path = tmp_path / "batch.csv"
-    save_csv(cli.scenarios.Dataset(batch.features, batch.labels), str(csv_path))
+    save_csv(Dataset(batch.features, batch.labels), str(csv_path))
     emb = method_embedding(config, "gmc", seed)
     out = str(tmp_path / "sel.csv")
     code = main([
@@ -166,6 +167,21 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
     )
     accuracy = nn.evaluate(trained, scen.test.features, scen.test.labels)
     assert accuracy == rows[0].test_accuracy
+
+
+def test_select_notes_a_coreset_smaller_than_asked(tmp_path, capsys):
+    # three distinct rows, each repeated ten times: no fourth independent gradient
+    distinct = synth_blobs(seed=0, n_per_class=1, num_classes=3, dims=4)
+    path = tmp_path / "repeated.csv"
+    save_csv(Dataset(np.tile(distinct.features, (10, 1)), np.tile(distinct.labels, 10)), str(path))
+    out = str(tmp_path / "coreset.csv")
+    code = main([
+        "select", str(path), "-n", "5", "--out", out,
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 0
+    assert len(open(out).read().strip().splitlines()) == 1 + 3
+    assert "wrote 3 of the 5 rows asked for" in capsys.readouterr().err
 
 
 def test_select_missing_file_is_a_usage_error(tmp_path, capsys):
@@ -310,6 +326,27 @@ def test_shipped_config_resolves_and_is_feasible(path):
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
     sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
     assert sizes == cfg["memory_sizes"]
+
+
+@pytest.mark.parametrize("kind", ["sorted", "class_incremental", "iid_incremental"])
+def test_build_scenario_splits_once(tmp_path, kind):
+    path, _ = write_blob_csv(tmp_path)
+    overrides = {"scenario": kind, "dataset": path, "classes_per_task": "1", "data_seed": "3"}
+    cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), overrides)
+    scenario = cli.build_scenario(cfg)
+    train, test = standardize_features(
+        *train_test_split(cli.load_dataset(cfg), cfg["test_fraction"], cfg["data_seed"])
+    )
+    assert np.array_equal(scenario.test.features, test.features)
+    assert np.array_equal(scenario.test.labels, test.labels)
+
+    def sorted_rows(parts):
+        rows = np.vstack([np.column_stack([p.features, p.labels]) for p in parts])
+        return rows[np.lexsort(rows.T)]
+
+    assert np.array_equal(sorted_rows(scenario.batches), sorted_rows([train]))
+    other = cli.build_scenario({**cfg, "data_seed": 4})
+    assert not np.array_equal(other.test.features, scenario.test.features)
 
 
 def test_run_default_memory_sizes_are_restricted_to_feasible(tmp_path):

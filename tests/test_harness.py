@@ -17,7 +17,9 @@ from gmcoreset.harness import _train_seed
 from gmcoreset.memory import (
     RehearsalMemory, SieveState, facility_location_update, reservoir_update,
 )
-from gmcoreset.scenarios import Dataset, make_class_incremental, make_sorted_scenario, synth_blobs
+from gmcoreset.scenarios import (
+    Dataset, make_class_incremental, make_sorted_scenario, synth_blobs, train_test_split,
+)
 
 from oracles import replay_task_by_stacking
 
@@ -39,13 +41,13 @@ def tiny_config(**kwargs):
 @pytest.fixture
 def tiny_scenario():
     data = synth_blobs(seed=0, n_per_class=30, num_classes=3, dims=4, drift=1.5)
-    return make_sorted_scenario(data, num_batches=3, seed=0)
+    return make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=3)
 
 
 @pytest.fixture
 def single_batch_scenario():
     data = synth_blobs(seed=1, n_per_class=20, num_classes=2, dims=4)
-    return make_sorted_scenario(data, num_batches=1, seed=0)
+    return make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=1)
 
 
 # --- retrain-from-scratch paradigm ----------------------------------------------
@@ -74,7 +76,7 @@ def test_full_capacity_single_batch_matches_plain_training(single_batch_scenario
 
 def test_gdumb_emits_one_row_per_task():
     data = synth_blobs(seed=2, n_per_class=40, num_classes=10, dims=6)
-    scen = make_class_incremental(data, classes_per_task=2, seed=0)
+    scen = make_class_incremental(*train_test_split(data, 0.2, 0), classes_per_task=2)
     config = tiny_config()
     rows = run_cell(scen, "reservoir", 20, config, seed=1)
     assert [r.task_index for r in rows] == [0, 1, 2, 3, 4]
@@ -184,7 +186,7 @@ def test_replay_single_batch_equals_plain_training(single_batch_scenario):
 
 def test_replay_repeated_batch_does_not_hurt():
     data = synth_blobs(seed=6, n_per_class=40, num_classes=2, dims=4)
-    single = make_sorted_scenario(data, num_batches=1, seed=0)
+    single = make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=1)
     doubled = harness.ContinualScenario(
         [single.batches[0], single.batches[0]], single.test, "sorted"
     )
@@ -476,6 +478,7 @@ def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch
     assert len(result.failures) == 1
     failure = result.failures[0]
     assert failure.method == "reservoir" and failure.task_index == 1
+    assert failure.message == "synthetic fault"
     # the failing cell kept its first row; the healthy cell has all three
     reservoir_rows = [r for r in result.rows if r.method == "reservoir"]
     window_rows = [r for r in result.rows if r.method == "sliding_window"]

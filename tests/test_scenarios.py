@@ -31,8 +31,6 @@ def test_load_csv_maps_labels_by_first_appearance(tmp_path):
     path.write_text("x1,x2,target\n1.0,2.0,a\n3.0,4.0,b\n5.0,6.0,a\n")
     data = load_csv(str(path), label_column="target")
     assert data.labels.tolist() == [0, 1, 0]
-    assert data.label_names == ["a", "b"]
-    assert data.feature_names == ["x1", "x2"]
     assert np.allclose(data.features, [[1, 2], [3, 4], [5, 6]])
 
 
@@ -50,21 +48,14 @@ def test_load_csv_rejects_non_numeric_feature(tmp_path):
         load_csv(str(path))
 
 
-def test_load_csv_rejects_unseen_label_with_fixed_mapping(tmp_path):
-    path = tmp_path / "toy.csv"
-    path.write_text("x,label\n1.0,a\n2.0,c\n")
-    with pytest.raises(ValueError, match="unseen label"):
-        load_csv(str(path), label_mapping={"a": 0, "b": 1})
-
-
 def test_csv_round_trip(tmp_path, blob_data):
     path = tmp_path / "round.csv"
     save_csv(blob_data, str(path))
-    # the recorded mapping pins label indices across the round trip
-    mapping = {str(c): c for c in range(blob_data.num_classes)}
-    back = load_csv(str(path), label_column="label", label_mapping=mapping)
+    back = load_csv(str(path), label_column="label")
     assert np.abs(back.features - blob_data.features).max() <= 1e-12
-    assert np.array_equal(back.labels, blob_data.labels)
+    # labels come back renumbered by first appearance of the saved ones
+    first_seen = {c: i for i, c in enumerate(dict.fromkeys(blob_data.labels.tolist()))}
+    assert back.labels.tolist() == [first_seen[c] for c in blob_data.labels.tolist()]
 
 
 def test_csv_round_trip_from_csv_origin(tmp_path):
@@ -76,7 +67,6 @@ def test_csv_round_trip_from_csv_origin(tmp_path):
     back = load_csv(str(again), label_column="label")
     assert np.abs(back.features - first.features).max() <= 1e-12
     assert np.array_equal(back.labels, first.labels)
-    assert back.label_names == first.label_names
 
 
 def test_load_csv_missing_file():
@@ -90,14 +80,14 @@ def test_load_csv_missing_file():
 def test_sorted_scenario_orders_rows():
     data = Dataset(np.array([[5.0], [1.0], [3.0]]), np.array([0, 0, 1]))
     test = Dataset(np.array([[0.0]]), np.array([0]))
-    scen = make_sorted_scenario(data, feature_index=0, num_batches=3, test=test)
+    scen = make_sorted_scenario(data, test, feature_index=0, num_batches=3)
     values = [b.features[0, 0] for b in scen.batches]
     assert values == [1.0, 3.0, 5.0]
     assert scen.kind == "sorted"
 
 
 def test_sorted_scenario_single_batch(blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=1)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 0), num_batches=1)
     assert scen.num_tasks == 1
     assert scen.batches[0].num_examples == 160  # 80% of 200
 
@@ -105,7 +95,7 @@ def test_sorted_scenario_single_batch(blob_data):
 def test_sorted_scenario_batch_sizes():
     data = Dataset(np.arange(10, dtype=float)[:, None], np.zeros(10, dtype=int))
     test = Dataset(np.array([[0.0]]), np.array([0]))
-    scen = make_sorted_scenario(data, num_batches=3, test=test)
+    scen = make_sorted_scenario(data, test, num_batches=3)
     assert [b.num_examples for b in scen.batches] == [4, 3, 3]
 
 
@@ -114,12 +104,12 @@ def test_sorted_scenario_is_stable_on_ties():
         np.array([[1.0, 10.0], [1.0, 20.0], [0.0, 30.0]]), np.array([0, 1, 2])
     )
     test = Dataset(np.array([[0.0, 0.0]]), np.array([0]))
-    scen = make_sorted_scenario(data, num_batches=3, test=test)
+    scen = make_sorted_scenario(data, test, num_batches=3)
     assert [b.features[0, 1] for b in scen.batches] == [30.0, 10.0, 20.0]
 
 
 def test_sorted_feature_non_decreasing_across_batches(blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=5)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 0), num_batches=5)
     joined = np.concatenate([b.features[:, 0] for b in scen.batches])
     assert np.all(np.diff(joined) >= 0)
 
@@ -128,14 +118,14 @@ def test_sorted_scenario_too_many_batches():
     data = Dataset(np.ones((3, 1)), np.zeros(3, dtype=int))
     test = Dataset(np.array([[0.0]]), np.array([0]))
     with pytest.raises(ValueError):
-        make_sorted_scenario(data, num_batches=5, test=test)
+        make_sorted_scenario(data, test, num_batches=5)
 
 
 # --- class incremental ------------------------------------------------------------
 
 
 def test_class_incremental_pairs(blob_data):
-    scen = make_class_incremental(blob_data, classes_per_task=2)
+    scen = make_class_incremental(*train_test_split(blob_data, 0.2, 0), classes_per_task=2)
     assert scen.num_tasks == 2
     assert set(scen.batches[0].labels.tolist()) == {0, 1}
     assert set(scen.batches[1].labels.tolist()) == {2, 3}
@@ -144,12 +134,12 @@ def test_class_incremental_pairs(blob_data):
 
 def test_class_incremental_single_task():
     data = synth_blobs(seed=1, n_per_class=20, num_classes=2, dims=3)
-    scen = make_class_incremental(data, classes_per_task=2)
+    scen = make_class_incremental(*train_test_split(data, 0.2, 0), classes_per_task=2)
     assert scen.num_tasks == 1
 
 
 def test_class_incremental_partition(blob_data):
-    scen = make_class_incremental(blob_data, classes_per_task=2)
+    scen = make_class_incremental(*train_test_split(blob_data, 0.2, 0), classes_per_task=2)
     sizes = sum(b.num_examples for b in scen.batches)
     assert sizes == 160
     seen = [set(b.labels.tolist()) for b in scen.batches]
@@ -159,21 +149,21 @@ def test_class_incremental_partition(blob_data):
 
 def test_class_incremental_rejects_indivisible(blob_data):
     with pytest.raises(ValueError, match="divisible"):
-        make_class_incremental(blob_data, classes_per_task=3)
+        make_class_incremental(*train_test_split(blob_data, 0.2, 0), classes_per_task=3)
 
 
 # --- iid incremental ---------------------------------------------------------------
 
 
 def test_iid_incremental_is_seeded(blob_data):
-    a = make_iid_incremental(blob_data, num_batches=4, seed=3)
-    b = make_iid_incremental(blob_data, num_batches=4, seed=3)
+    a = make_iid_incremental(*train_test_split(blob_data, 0.2, 3), num_batches=4, seed=3)
+    b = make_iid_incremental(*train_test_split(blob_data, 0.2, 3), num_batches=4, seed=3)
     for x, y in zip(a.batches, b.batches):
         assert np.array_equal(x.features, y.features)
 
 
 def test_iid_incremental_preserves_rows(blob_data):
-    scen = make_iid_incremental(blob_data, num_batches=4, seed=3)
+    scen = make_iid_incremental(*train_test_split(blob_data, 0.2, 3), num_batches=4, seed=3)
     train, _ = train_test_split(blob_data, 0.2, 3)
     stacked = np.vstack([b.features for b in scen.batches])
     assert np.array_equal(
@@ -183,7 +173,7 @@ def test_iid_incremental_preserves_rows(blob_data):
 
 def test_iid_batches_mirror_global_frequencies():
     data = synth_blobs(seed=5, n_per_class=1250, num_classes=4, dims=3)
-    scen = make_iid_incremental(data, num_batches=10, seed=5)
+    scen = make_iid_incremental(*train_test_split(data, 0.2, 5), num_batches=10, seed=5)
     table = class_frequencies(scen)
     global_freq = 0.25
     for t, batch in enumerate(scen.batches):
@@ -221,27 +211,27 @@ def test_blobs_are_linearly_separable():
 
 
 def test_class_frequency_rows_sum_to_one(blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=4)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 0), num_batches=4)
     table = class_frequencies(scen)
     assert np.abs(table.sum(axis=1) - 1.0).max() <= 1e-12
 
 
 def test_class_incremental_frequencies_are_task_local(blob_data):
-    scen = make_class_incremental(blob_data, classes_per_task=2)
+    scen = make_class_incremental(*train_test_split(blob_data, 0.2, 0), classes_per_task=2)
     table = class_frequencies(scen)
     assert np.allclose(table[0][2:], 0.0)
     assert np.allclose(table[1][:2], 0.0)
 
 
 def test_single_batch_frequencies_match_global(blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=1)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 0), num_batches=1)
     table = class_frequencies(scen)
     counts = np.bincount(scen.batches[0].labels, minlength=4)
     assert np.allclose(table[0], counts / counts.sum())
 
 
 def test_frequencies_recover_global_counts(blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=4)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 0), num_batches=4)
     table = class_frequencies(scen)
     sizes = np.array([b.num_examples for b in scen.batches])
     recovered = (table * sizes[:, None]).sum(axis=0)
@@ -250,7 +240,7 @@ def test_frequencies_recover_global_counts(blob_data):
 
 
 def test_scenario_manifest_records_kind_seed_and_sizes(tmp_path, blob_data):
-    scen = make_sorted_scenario(blob_data, num_batches=4, seed=7)
+    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 7), num_batches=4)
     path = tmp_path / "scenario.txt"
     scenarios.write_scenario_manifest(scen, str(path), seed=7)
     text = path.read_text()
@@ -280,9 +270,13 @@ def test_standardize_uses_train_statistics(blob_data):
 def test_batches_partition_the_train_split(seed, num_batches, kind):
     data = synth_blobs(seed=seed % 1000, n_per_class=10, num_classes=3, dims=3, drift=1.0)
     if kind == "sorted":
-        scen = make_sorted_scenario(data, num_batches=num_batches, seed=seed % 97)
+        scen = make_sorted_scenario(
+            *train_test_split(data, 0.2, seed % 97), num_batches=num_batches
+        )
     else:
-        scen = make_iid_incremental(data, num_batches=num_batches, seed=seed % 97)
+        scen = make_iid_incremental(
+            *train_test_split(data, 0.2, seed % 97), num_batches=num_batches, seed=seed % 97
+        )
     train, _ = train_test_split(data, 0.2, seed % 97)
     stacked = np.vstack([b.features for b in scen.batches])
     assert stacked.shape == train.features.shape
