@@ -291,7 +291,9 @@ def cmd_select(args) -> int:
         data, _ = scenarios.standardize_features(data, data)
     dim = embedding_dim(config, arch)
     problem = None
-    if args.size < 1:
+    if data.num_classes < 2:
+        problem = "the dataset holds a single class, whose gradients all vanish; need >= 2 classes"
+    elif args.size < 1:
         problem = f"coreset size must be >= 1, got {args.size}"
     elif args.size > dim:
         problem = (
@@ -343,12 +345,12 @@ def cmd_run(args) -> int:
         arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
         cfg["memory_sizes"] = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
         config = replace(config, memory_sizes=cfg["memory_sizes"])
+        out_dir = cfg["out"]
+        os.makedirs(out_dir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     result = harness.sweep(config, scenario, jobs=cfg["jobs"])
     write_raw_csv(os.path.join(out_dir, "raw.csv"), result.rows)
     write_raw_csv(os.path.join(out_dir, "timings.csv"), result.rows, with_timings=True)
@@ -396,7 +398,11 @@ def cmd_report(args) -> int:
         )
         return 2
     out_dir = args.out or args.results_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     aggregates = harness.aggregate_rows(rows)
     finals = [a for a in aggregates if a.task_index == final]

@@ -21,16 +21,15 @@ from . import nn
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim
 from .scenarios import ContinualScenario, Dataset
 
-METHODS = (
-    "gmc",
-    "gmc_last_layer",
-    "gmc_local",
-    "reservoir",
-    "class_balance",
-    "sliding_window",
-    "facility_location",
-)
-GMC_METHODS = ("gmc", "gmc_last_layer", "gmc_local")
+# What each gradient-matching method pins of the run's embedding; local
+# matching re-embeds at the current iterate, a single draw.
+GMC_PINS = {
+    "gmc": {"mode": "random_projection"},
+    "gmc_last_layer": {"mode": "last_layer"},
+    "gmc_local": {"mode": "random_projection", "draws": 1},
+}
+GMC_METHODS = tuple(GMC_PINS)
+METHODS = (*GMC_METHODS, "reservoir", "class_balance", "sliding_window", "facility_location")
 PARADIGMS = ("gdumb", "replay")
 DEFAULT_MEMORY_SIZES = (100, 200, 500, 1000, 2000, 5000)
 
@@ -125,17 +124,8 @@ class PartialRunError(RuntimeError):
 
 
 def method_embedding(config: ExperimentConfig, method: str, seed: int) -> EmbeddingConfig:
-    """Per-run embedding: the method pins the mode, the seed shifts the draws.
-
-    Local matching re-embeds at the current iterate, a single draw.
-    """
-    emb = config.embedding
-    if method == "gmc":
-        emb = replace(emb, mode="random_projection")
-    elif method == "gmc_last_layer":
-        emb = replace(emb, mode="last_layer")
-    elif method == "gmc_local":
-        emb = replace(emb, mode="random_projection", draws=1)
+    """Per-run embedding: the method pins what ``GMC_PINS`` says, the seed shifts the draws."""
+    emb = replace(config.embedding, **GMC_PINS.get(method, {}))
     return replace(emb, init_seed=emb.init_seed + seed, projection_seed=emb.projection_seed + seed)
 
 
@@ -183,29 +173,28 @@ class Rehearsal:
     ):
         feasible_memory_sizes(replace(config, methods=(method,)), arch, (memory_size,))
         self.method = method
-        self.memory_size = memory_size
         self.arch = arch
         self.embedding = method_embedding(config, method, seed)
         self.rng = np.random.default_rng(seed)
-        self.memory = mem.RehearsalMemory.empty(memory_size)
+        self.memory = mem.RehearsalMemory(memory_size)
         self.sieve = mem.SieveState()
 
     def update(self, batch: Dataset, params: nn.MlpParams) -> mem.RehearsalMemory:
         """Offer one batch; local matching embeds at ``params``."""
-        X, y, n, method = batch.features, batch.labels, self.memory_size, self.method
+        X, y, method = batch.features, batch.labels, self.method
         if method in ("gmc", "gmc_last_layer"):
             G = embed_batch(X, y, self.arch, self.embedding)
-            self.memory = mem.gmc_update(self.memory, X, y, G, n)
+            self.memory = mem.gmc_update(self.memory, X, y, G)
         elif method == "gmc_local":
-            self.memory = mem.local_gmc_update(self.memory, X, y, params, n, self.embedding)
+            self.memory = mem.local_gmc_update(self.memory, X, y, params, self.embedding)
         elif method == "reservoir":
-            self.memory = mem.reservoir_update(self.memory, X, y, n, self.rng)
+            self.memory = mem.reservoir_update(self.memory, X, y, self.rng)
         elif method == "class_balance":
-            self.memory = mem.class_balance_update(self.memory, X, y, n, self.rng)
+            self.memory = mem.class_balance_update(self.memory, X, y, self.rng)
         elif method == "sliding_window":
-            self.memory = mem.sliding_window_update(self.memory, X, y, n)
+            self.memory = mem.sliding_window_update(self.memory, X, y)
         else:
-            self.memory = mem.facility_location_update(self.memory, X, y, n, self.sieve)
+            self.memory = mem.facility_location_update(self.memory, X, y, self.sieve)
         return self.memory
 
 

@@ -55,10 +55,6 @@ class RehearsalMemory:
         if self.embeddings is not None and self.embeddings.shape[1] != len(self.labels):
             raise ValueError("embedding columns must align with stored examples")
 
-    @classmethod
-    def empty(cls, capacity: int) -> "RehearsalMemory":
-        return cls(capacity=capacity)
-
     @property
     def size(self) -> int:
         return len(self.labels)
@@ -73,12 +69,12 @@ def _stack_examples(memory: RehearsalMemory, features: np.ndarray, labels: np.nd
 
 
 def _next_memory(
-    memory, batch_labels, n, features, labels, weights=None, embeddings=None, target=None
+    memory, batch_labels, features, labels, weights=None, embeddings=None, target=None
 ) -> RehearsalMemory:
-    """The capacity-n memory after a batch: weights default to 1, seen and classes advance."""
+    """``memory`` after a batch, same capacity: weights default to 1, seen and classes advance."""
     batch_labels = np.asarray(batch_labels, dtype=np.int64).tolist()
     return RehearsalMemory(
-        capacity=n,
+        capacity=memory.capacity,
         features=np.asarray(features),
         labels=np.asarray(labels, dtype=np.int64),
         weights=np.ones(len(labels)) if weights is None else weights,
@@ -94,13 +90,13 @@ def gmc_update(
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
     batch_embeddings: GradientMatrix,
-    n: int,
 ) -> RehearsalMemory:
     """Re-select the coreset against the updated running target.
 
     Adds the batch's column sum to the target, then runs matching
-    pursuit on the dictionary [stored coreset columns, batch columns].
-    Stored elements may be dropped or re-weighted.
+    pursuit for up to ``memory.capacity`` columns of the dictionary
+    [stored coreset columns, batch columns].  Stored elements may be
+    dropped or re-weighted.
     """
     data = batch_embeddings.data
     if memory.target is not None and memory.target.shape != (data.shape[0],):
@@ -117,12 +113,12 @@ def gmc_update(
     else:
         dictionary = data
     pool = GradientMatrix(dictionary)
-    selection = omp_select(pool, target, min(n, pool.num_columns))
+    selection = omp_select(pool, target, min(memory.capacity, pool.num_columns))
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
     return _next_memory(
-        memory, batch_labels, n, all_features[idx], all_labels[idx], selection.weights,
+        memory, batch_labels, all_features[idx], all_labels[idx], selection.weights,
         embeddings=dictionary[:, idx], target=target,
     )
 
@@ -132,27 +128,25 @@ def local_gmc_update(
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
     current_params: MlpParams,
-    n: int,
     config: EmbeddingConfig,
 ) -> RehearsalMemory:
     """Gradient matching at the current iterate instead of initialization.
 
     Embeddings of the stored examples and the batch are recomputed at
     ``current_params`` (a single draw), so nothing is cached across
-    updates; the target is the column sum of this local embedding.
+    updates; the target is the column sum of this local embedding, and
+    up to ``memory.capacity`` columns are selected.
     """
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     pool = embed_batch_at_params([current_params], all_features, all_labels, config)
     target = pool.data.sum(axis=1)
-    selection = omp_select(pool, target, min(n, pool.num_columns))
+    selection = omp_select(pool, target, min(memory.capacity, pool.num_columns))
     idx = selection.indices
-    return _next_memory(
-        memory, batch_labels, n, all_features[idx], all_labels[idx], selection.weights
-    )
+    return _next_memory(memory, batch_labels, all_features[idx], all_labels[idx], selection.weights)
 
 
-def _admit_each(memory, batch_features, batch_labels, n, evict) -> RehearsalMemory:
-    """Offer the batch one item at a time; fill up to n, then let ``evict`` choose.
+def _admit_each(memory, batch_features, batch_labels, evict) -> RehearsalMemory:
+    """Offer the batch one item at a time; fill to capacity, then let ``evict`` choose.
 
     ``evict(labels, y, seen, num_classes)`` returns the slot item y
     overwrites, or None to leave it out; the counts include the item.
@@ -164,7 +158,7 @@ def _admit_each(memory, batch_features, batch_labels, n, evict) -> RehearsalMemo
         y = int(y)
         seen += 1
         classes.add(y)
-        if len(labels) < n:
+        if len(labels) < memory.capacity:
             feats.append(x)
             labels.append(y)
             continue
@@ -172,38 +166,36 @@ def _admit_each(memory, batch_features, batch_labels, n, evict) -> RehearsalMemo
         if slot is not None:
             feats[slot] = x
             labels[slot] = y
-    return _next_memory(memory, batch_labels, n, feats, labels)
+    return _next_memory(memory, batch_labels, feats, labels)
 
 
 def reservoir_update(
     memory: RehearsalMemory,
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
-    n: int,
     rng: np.random.Generator,
 ) -> RehearsalMemory:
-    """Classic single-pass reservoir: item t survives with probability n/t."""
+    """Single-pass reservoir: item t survives with probability n/t, n = ``memory.capacity``."""
 
     def evict(labels, y, seen, num_classes):
         slot = int(rng.integers(0, seen))
-        return slot if slot < n else None
+        return slot if slot < memory.capacity else None
 
-    return _admit_each(memory, batch_features, batch_labels, n, evict)
+    return _admit_each(memory, batch_features, batch_labels, evict)
 
 
 def class_balance_update(
     memory: RehearsalMemory,
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
-    n: int,
     rng: np.random.Generator,
 ) -> RehearsalMemory:
     """Greedy class balancing: under-quota classes displace the largest class.
 
     An arriving item of class y is admitted to a full memory only when
-    y's count is below floor(n / #classes seen); the victim is a
-    uniformly random member of the currently largest class (ties toward
-    the lowest class id).
+    y's count is below floor(n / #classes seen), n = ``memory.capacity``;
+    the victim is a uniformly random member of the currently largest
+    class (ties toward the lowest class id).
     """
 
     # Class counts and each class's slots in ascending order, built from the
@@ -216,7 +208,7 @@ def class_balance_update(
             for slot, lab in enumerate(labels):
                 counts[lab] = counts.get(lab, 0) + 1
                 members.setdefault(lab, []).append(slot)
-        if counts.get(y, 0) >= n // num_classes:
+        if counts.get(y, 0) >= memory.capacity // num_classes:
             return None
         largest = max(counts, key=lambda c: (counts[c], -c))
         slot = members[largest].pop(int(rng.integers(0, counts[largest])))
@@ -225,18 +217,16 @@ def class_balance_update(
         bisect.insort(members.setdefault(y, []), slot)
         return slot
 
-    return _admit_each(memory, batch_features, batch_labels, n, evict)
+    return _admit_each(memory, batch_features, batch_labels, evict)
 
 
 def sliding_window_update(
-    memory: RehearsalMemory,
-    batch_features: np.ndarray,
-    batch_labels: np.ndarray,
-    n: int,
+    memory: RehearsalMemory, batch_features: np.ndarray, batch_labels: np.ndarray
 ) -> RehearsalMemory:
-    """Keep the last n items in arrival order."""
+    """Keep the last ``memory.capacity`` items in arrival order."""
+    n = memory.capacity
     feats, labels = _stack_examples(memory, batch_features, batch_labels)
-    return _next_memory(memory, batch_labels, n, feats[-n:], labels[-n:])
+    return _next_memory(memory, batch_labels, feats[-n:], labels[-n:])
 
 
 # --- streaming facility location (sieve thresholds) -----------------------
@@ -311,13 +301,13 @@ def facility_location_update(
     memory: RehearsalMemory,
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
-    n: int,
     state: SieveState,
 ) -> RehearsalMemory:
     """Stream a batch through the sieve thresholds, updating ``state`` in place.
 
     An item joins a threshold-v set when its marginal gain is at least
-    (v/2 - F) / (n - |set|), F being the set's accumulated objective.
+    (v/2 - F) / (n - |set|), F being the set's accumulated objective and
+    n = ``memory.capacity``.
     With similarity bound - distance, the gain is the item's distance to
     the set's nearest member, or ``bound`` for an empty set, so a
     duplicate of a member gains exactly zero.  The item's distances to
@@ -326,7 +316,7 @@ def facility_location_update(
     weights 1: the fallback set wins ties, then the lowest threshold with
     the strictly largest value.
     """
-    eps = SIEVE_EPSILON
+    eps, n = SIEVE_EPSILON, memory.capacity
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
         if state.bound <= 0.0:
@@ -358,6 +348,5 @@ def facility_location_update(
     for j in sorted(state.sets):
         if state.sets[j].value > best.value:
             best = state.sets[j]
-    return _next_memory(
-        memory, batch_labels, n, state.points[best.members], state.labels[best.members]
-    )
+    members = best.members
+    return _next_memory(memory, batch_labels, state.points[members], state.labels[members])

@@ -371,4 +371,4 @@ def facility_location_by_set_scans(
     for j in sorted(state.sets):
         if state.sets[j].value > best.value:
             best = state.sets[j]
-    return _next_memory(memory, batch_labels, n, best.features, best.labels)
+    return _next_memory(memory, batch_labels, best.features, best.labels)

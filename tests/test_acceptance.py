@@ -140,7 +140,7 @@ def test_criterion_06_reservoir_uniformity():
     labels = np.zeros(10, dtype=np.int64)
     for trial in range(trials):
         rng = np.random.default_rng([9, trial])
-        memory = reservoir_update(RehearsalMemory.empty(3), feats, labels, 3, rng)
+        memory = reservoir_update(RehearsalMemory(3), feats, labels, rng)
         for v in memory.features[:, 0]:
             counts[int(v)] += 1
     result = chisquare(counts, f_exp=np.full(10, trials * 0.3))
@@ -155,7 +155,7 @@ def test_criterion_07_continual_matches_offline():
         G = GradientMatrix(rng.standard_normal((16, 25)))
         feats = rng.standard_normal((25, 3))
         labels = rng.integers(0, 2, size=25)
-        memory = gmc_update(RehearsalMemory.empty(5), feats, labels, G, 5)
+        memory = gmc_update(RehearsalMemory(5), feats, labels, G)
         offline = omp_select(G, G.data.sum(axis=1), 5)
         assert np.array_equal(memory.weights, offline.weights)
         assert np.array_equal(memory.embeddings, G.data[:, offline.indices])
@@ -169,8 +169,8 @@ def test_criterion_07_continual_matches_offline():
         G2 = GradientMatrix(np.random.default_rng([seed, 1]).standard_normal((64, 15)))
         feats = np.zeros((15, 2))
         labels = np.zeros(15, dtype=np.int64)
-        m1 = gmc_update(RehearsalMemory.empty(5), feats, labels, G1, 5)
-        m2 = gmc_update(m1, feats, labels, G2, 5)
+        m1 = gmc_update(RehearsalMemory(5), feats, labels, G1)
+        m2 = gmc_update(m1, feats, labels, G2)
         target = G1.data.sum(axis=1) + G2.data.sum(axis=1)
         continual = np.linalg.norm(target - m2.embeddings @ m2.weights)
         full = GradientMatrix(np.hstack([G1.data, G2.data]))
@@ -243,9 +243,9 @@ def test_criterion_10_class_incremental_bookkeeping():
 
     # capacity 8 divides into 4 classes: the greedy sampler ends exactly balanced
     rng = np.random.default_rng(0)
-    memory = RehearsalMemory.empty(8)
+    memory = RehearsalMemory(8)
     for batch in scenario.batches:
-        memory = class_balance_update(memory, batch.features, batch.labels, 8, rng)
+        memory = class_balance_update(memory, batch.features, batch.labels, rng)
     assert np.bincount(memory.labels, minlength=4).tolist() == [2, 2, 2, 2]
 
     config = ExperimentConfig(

@@ -118,6 +118,19 @@ def test_select_rejects_empty_coreset_before_embedding(tmp_path, capsys, monkeyp
     assert "coreset size must be >= 1" in capsys.readouterr().err
 
 
+def test_select_rejects_single_class_before_embedding(tmp_path, capsys, monkeypatch):
+    path, _ = write_blob_csv(tmp_path, classes=1)
+    monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    out = tmp_path / "x.csv"
+    code = main([
+        "select", path, "-n", "2", "--out", str(out), "--label-column", "label",
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 2
+    assert "single class" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--init-seed", "--proj-seed"])
 def test_select_rejects_negative_seed(tmp_path, capsys, flag):
     path, _ = write_blob_csv(tmp_path)
@@ -251,6 +264,15 @@ def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):
                  "--memory-sizes", "64"])
     assert code == 2
     assert "D >= n" in capsys.readouterr().err
+
+
+def test_run_out_that_is_a_file_exits_two_before_any_cell(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("line, flags, message", [
@@ -402,6 +424,14 @@ def test_report_unknown_memory_size_exits_two(finished_run, capsys):
     assert not os.path.exists(os.path.join(finished_run, "report_per_task.csv"))
 
 
+def test_report_out_that_is_a_file_exits_two(finished_run, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["report", finished_run, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def write_results(out, raw_lines, num_batches):
     """A results directory holding only raw.csv and the scenario.txt ``report`` reads."""
     os.makedirs(out)
@@ -467,11 +497,11 @@ def test_report_final_accuracy_matches_the_runs_aggregate(tmp_path, monkeypatch)
     original = mem.reservoir_update
     calls = {"count": 0}
 
-    def flaky(memory, feats, labels, n, rng):
+    def flaky(memory, feats, labels, rng):
         calls["count"] += 1
         if calls["count"] == 2:  # the first cell, reservoir at seed 0, fails at task 1
             raise RuntimeError("synthetic fault")
-        return original(memory, feats, labels, n, rng)
+        return original(memory, feats, labels, rng)
 
     monkeypatch.setattr(mem, "reservoir_update", flaky)
     cfg = write_config(tmp_path, MINIMAL_CONFIG.replace(

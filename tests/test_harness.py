@@ -88,8 +88,8 @@ def test_gdumb_memory_never_exceeds_capacity(tiny_scenario, monkeypatch):
     observed = []
     original = mem.reservoir_update
 
-    def spy(memory, feats, labels, n, rng):
-        out = original(memory, feats, labels, n, rng)
+    def spy(memory, feats, labels, rng):
+        out = original(memory, feats, labels, rng)
         observed.append(out.size)
         return out
 
@@ -106,10 +106,10 @@ def test_gdumb_accuracy_is_a_function_of_memory_and_seed(tiny_scenario):
     # rebuild the memory stream independently, retrain from it and compare
     # against the recorded accuracy of the middle task
     rng = np.random.default_rng(seed)
-    memory = RehearsalMemory.empty(20)
+    memory = RehearsalMemory(20)
     for t in range(2):
         batch = tiny_scenario.batches[t]
-        memory = reservoir_update(memory, batch.features, batch.labels, 20, rng)
+        memory = reservoir_update(memory, batch.features, batch.labels, rng)
 
     arch = nn.MlpArch(tiny_scenario.num_features, config.hidden, tiny_scenario.num_classes)
     params = nn.init_sample(arch, seed ^ 1)
@@ -125,9 +125,9 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
     seen_params = []
     original = mem.local_gmc_update
 
-    def spy(memory, feats, labels, params, n, config):
+    def spy(memory, feats, labels, params, config):
         seen_params.append(params.flat.copy())
-        return original(memory, feats, labels, params, n, config)
+        return original(memory, feats, labels, params, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
     rows = run_cell(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
@@ -143,7 +143,7 @@ def test_gdumb_empty_memory_evaluates_the_fresh_draw(tiny_scenario, monkeypatch)
     trained = []
     monkeypatch.setattr(
         harness.Rehearsal, "update",
-        lambda self, batch, params: mem.RehearsalMemory.empty(self.memory_size),
+        lambda self, batch, params: mem.RehearsalMemory(self.memory.capacity),
     )
     monkeypatch.setattr(nn, "train", lambda *args: trained.append(args))
     seed = 5
@@ -227,9 +227,9 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
     seen_params = []
     original = mem.local_gmc_update
 
-    def spy(memory, feats, labels, params, n, config):
+    def spy(memory, feats, labels, params, config):
         seen_params.append(params.flat.copy())
-        return original(memory, feats, labels, params, n, config)
+        return original(memory, feats, labels, params, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
     run_cell(tiny_scenario, "gmc_local", 10, tiny_config(paradigm="replay"), seed=0)
@@ -245,9 +245,9 @@ def test_replay_task_leaves_params_and_state_unchanged(tiny_scenario):
     params = nn.init_sample(arch, 0)
     state = nn.AdamState.zeros(params)
     full = reservoir_update(
-        RehearsalMemory.empty(10), first.features, first.labels, 10, np.random.default_rng(0)
+        RehearsalMemory(10), first.features, first.labels, np.random.default_rng(0)
     )
-    for memory in (RehearsalMemory.empty(10), full):
+    for memory in (RehearsalMemory(10), full):
         kept = params.flat.copy(), state.m.copy(), state.v.copy()
         trained, moved = harness._replay_task(params, state, second, memory, config, 2)
         assert moved.step > 0 and not np.array_equal(trained.flat, params.flat)
@@ -261,17 +261,17 @@ def replay_memories(first):
     location, and a reservoir memory with three negative weights (every mixed
     minibatch still has a positive weight sum)."""
     reservoir = reservoir_update(
-        RehearsalMemory.empty(10), first.features, first.labels, 10, np.random.default_rng(0)
+        RehearsalMemory(10), first.features, first.labels, np.random.default_rng(0)
     )
     signed = RehearsalMemory(
         capacity=10, features=reservoir.features, labels=reservoir.labels,
         weights=np.where(np.arange(10) % 4 == 1, -0.2, 1.5), seen=reservoir.seen,
     )
     sieve = facility_location_update(
-        RehearsalMemory.empty(10), first.features, first.labels, 10, SieveState()
+        RehearsalMemory(10), first.features, first.labels, SieveState()
     )
     return {
-        "empty": RehearsalMemory.empty(10), "reservoir": reservoir,
+        "empty": RehearsalMemory(10), "reservoir": reservoir,
         "facility_location": sieve, "negative-weights": signed,
     }
 
@@ -290,7 +290,7 @@ def test_replay_task_equals_minibatches_by_stacking(tiny_scenario, batch_size, k
     # moments from an earlier task, so the state threaded through is not all zeros
     start = nn.init_sample(arch, 2)
     params, state = harness._replay_task(
-        start, nn.AdamState.zeros(start), first, RehearsalMemory.empty(10), config, 1
+        start, nn.AdamState.zeros(start), first, RehearsalMemory(10), config, 1
     )
     got, got_state = harness._replay_task(params, state, second, memory, config, 2)
     want, want_state = replay_task_by_stacking(
@@ -466,11 +466,11 @@ def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch
     original = mem.reservoir_update
     calls = {"count": 0}
 
-    def flaky(memory, feats, labels, n, rng):
+    def flaky(memory, feats, labels, rng):
         calls["count"] += 1
         if calls["count"] == 2:  # fail on the second task of the first cell
             raise RuntimeError("synthetic fault")
-        return original(memory, feats, labels, n, rng)
+        return original(memory, feats, labels, rng)
 
     monkeypatch.setattr(mem, "reservoir_update", flaky)
     config = tiny_config(methods=("reservoir", "sliding_window"), memory_sizes=(10,), seeds=(0,))

@@ -43,7 +43,7 @@ def test_first_update_equals_offline_selection():
     for seed in range(5):
         G = random_embeddings(seed, 16, 12)
         feats, labels = fake_batch(12, seed=seed)
-        memory = gmc_update(RehearsalMemory.empty(4), feats, labels, G, 4)
+        memory = gmc_update(RehearsalMemory(4), feats, labels, G)
         offline = omp_select(G, G.data.sum(axis=1), 4)
         assert memory.size == offline.size
         assert np.array_equal(memory.embeddings, G.data[:, offline.indices])
@@ -55,7 +55,7 @@ def test_identical_examples_collapse_to_one():
     col = np.random.default_rng(3).standard_normal(8)
     G = GradientMatrix(np.tile(col[:, None], (1, 5)))
     feats, labels = fake_batch(5, seed=3)
-    memory = gmc_update(RehearsalMemory.empty(5), feats, labels, G, 5)
+    memory = gmc_update(RehearsalMemory(5), feats, labels, G)
     assert memory.size == 1
     assert memory.weights[0] == pytest.approx(5.0)
     residual = memory.target - memory.embeddings @ memory.weights
@@ -64,12 +64,12 @@ def test_identical_examples_collapse_to_one():
 
 def test_target_accumulates_column_sums():
     n = 6
-    memory = RehearsalMemory.empty(n)
+    memory = RehearsalMemory(n)
     total = np.zeros(16)
     for t in range(3):
         G = random_embeddings(100 + t, 16, 10)
         feats, labels = fake_batch(10, seed=t)
-        memory = gmc_update(memory, feats, labels, G, n)
+        memory = gmc_update(memory, feats, labels, G)
         total += G.data.sum(axis=1)
     assert np.abs(memory.target - total).max() <= 1e-9 * max(1.0, np.abs(total).max())
     assert memory.seen == 30
@@ -83,8 +83,8 @@ def test_continual_pays_a_price_against_offline():
         G2 = GradientMatrix(np.random.default_rng([seed, 1]).standard_normal((64, 15)))
         n = 5
         feats, labels = fake_batch(15, seed=seed)
-        m1 = gmc_update(RehearsalMemory.empty(n), feats, labels, G1, n)
-        m2 = gmc_update(m1, feats, labels, G2, n)
+        m1 = gmc_update(RehearsalMemory(n), feats, labels, G1)
+        m2 = gmc_update(m1, feats, labels, G2)
         target = G1.data.sum(axis=1) + G2.data.sum(axis=1)
         continual = np.linalg.norm(target - m2.embeddings @ m2.weights)
         full = GradientMatrix(np.hstack([G1.data, G2.data]))
@@ -96,17 +96,17 @@ def test_continual_pays_a_price_against_offline():
 
 def test_gmc_update_rejects_dimension_change():
     memory = gmc_update(
-        RehearsalMemory.empty(3), *fake_batch(5), random_embeddings(0, 8, 5), 3
+        RehearsalMemory(3), *fake_batch(5), random_embeddings(0, 8, 5)
     )
     with pytest.raises(ValueError, match="dimension"):
-        gmc_update(memory, *fake_batch(5), random_embeddings(0, 9, 5), 3)
+        gmc_update(memory, *fake_batch(5), random_embeddings(0, 9, 5))
 
 
 def test_gmc_residual_never_exceeds_target_norm():
-    memory = RehearsalMemory.empty(4)
+    memory = RehearsalMemory(4)
     for t in range(3):
         G = random_embeddings(50 + t, 32, 9)
-        memory = gmc_update(memory, *fake_batch(9, seed=t), G, 4)
+        memory = gmc_update(memory, *fake_batch(9, seed=t), G)
         residual = np.linalg.norm(memory.target - memory.embeddings @ memory.weights)
         assert residual <= np.linalg.norm(memory.target) + 1e-12
 
@@ -127,8 +127,8 @@ def local_setup():
 def test_local_update_is_deterministic(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, 7)
-    a = local_gmc_update(RehearsalMemory.empty(4), feats, labels, params, 4, config)
-    b = local_gmc_update(RehearsalMemory.empty(4), feats, labels, params, 4, config)
+    a = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
+    b = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.weights, b.weights)
 
@@ -136,9 +136,9 @@ def test_local_update_is_deterministic(local_setup):
 def test_local_update_matches_single_draw_gmc(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, config.init_seed)  # the draw gmc would use
-    local = local_gmc_update(RehearsalMemory.empty(4), feats, labels, params, 4, config)
+    local = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
     G = embed_batch(feats, labels, arch, config)
-    offline = gmc_update(RehearsalMemory.empty(4), feats, labels, G, 4)
+    offline = gmc_update(RehearsalMemory(4), feats, labels, G)
     assert np.array_equal(local.features, offline.features)
     assert np.allclose(local.weights, offline.weights)
 
@@ -156,7 +156,7 @@ def test_local_embeddings_track_the_iterate(local_setup):
 def test_local_update_does_not_cache_embeddings(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, 0)
-    memory = local_gmc_update(RehearsalMemory.empty(4), feats, labels, params, 4, config)
+    memory = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
     assert memory.embeddings is None and memory.target is None
 
 
@@ -166,7 +166,7 @@ def test_local_update_does_not_cache_embeddings(local_setup):
 def test_reservoir_keeps_everything_until_full():
     feats, labels = fake_batch(4)
     memory = reservoir_update(
-        RehearsalMemory.empty(10), feats, labels, 10, np.random.default_rng(0)
+        RehearsalMemory(10), feats, labels, np.random.default_rng(0)
     )
     assert memory.size == 4
     assert np.array_equal(memory.features, feats)
@@ -175,8 +175,8 @@ def test_reservoir_keeps_everything_until_full():
 
 def test_reservoir_is_deterministic_per_seed():
     feats, labels = fake_batch(50)
-    a = reservoir_update(RehearsalMemory.empty(5), feats, labels, 5, np.random.default_rng(4))
-    b = reservoir_update(RehearsalMemory.empty(5), feats, labels, 5, np.random.default_rng(4))
+    a = reservoir_update(RehearsalMemory(5), feats, labels, np.random.default_rng(4))
+    b = reservoir_update(RehearsalMemory(5), feats, labels, np.random.default_rng(4))
     assert np.array_equal(a.features, b.features)
 
 
@@ -186,7 +186,7 @@ def _inclusion_counts(order, trials, n=3, items=10, base_seed=0):
         rng = np.random.default_rng([base_seed, trial])
         feats = np.asarray(order, dtype=float)[:, None]
         memory = reservoir_update(
-            RehearsalMemory.empty(n), feats, np.zeros(items, dtype=np.int64), n, rng
+            RehearsalMemory(n), feats, np.zeros(items, dtype=np.int64), rng
         )
         for v in memory.features[:, 0]:
             counts[int(v)] += 1
@@ -213,7 +213,7 @@ def test_class_balance_trace():
     feats = np.arange(5, dtype=float)[:, None]
     labels = np.array([0, 0, 0, 1, 1])
     memory = class_balance_update(
-        RehearsalMemory.empty(4), feats, labels, 4, np.random.default_rng(0)
+        RehearsalMemory(4), feats, labels, np.random.default_rng(0)
     )
     counts = np.bincount(memory.labels, minlength=2)
     assert counts.tolist() == [2, 2]
@@ -222,7 +222,7 @@ def test_class_balance_trace():
 def test_class_balance_single_class_stream():
     feats, labels = fake_batch(9, label=3)
     memory = class_balance_update(
-        RehearsalMemory.empty(4), feats, labels, 4, np.random.default_rng(0)
+        RehearsalMemory(4), feats, labels, np.random.default_rng(0)
     )
     assert memory.size == 4
     assert set(memory.labels.tolist()) == {3}
@@ -233,7 +233,7 @@ def test_class_balance_balanced_supply():
     labels = np.tile(np.arange(3), 30)
     feats = rng.standard_normal((90, 2))
     memory = class_balance_update(
-        RehearsalMemory.empty(9), feats, labels, 9, np.random.default_rng(1)
+        RehearsalMemory(9), feats, labels, np.random.default_rng(1)
     )
     assert np.bincount(memory.labels, minlength=3).tolist() == [3, 3, 3]
 
@@ -252,13 +252,13 @@ def test_class_balance_equals_the_rescanning_rule(seed, n, num_classes, batch_si
     data = np.random.default_rng(seed)
     # a skewed class mix, so the largest class changes during the stream
     mix = data.dirichlet(np.full(num_classes, 0.5))
-    memory = expected = RehearsalMemory.empty(n)
+    memory = expected = RehearsalMemory(n)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for size in batch_sizes:
         feats = data.standard_normal((size, 2))
         labels = data.choice(num_classes, size=size, p=mix)
-        memory = class_balance_update(memory, feats, labels, n, rng)
-        expected = _admit_each(expected, feats, labels, n, class_balance_by_rescan(n, oracle_rng))
+        memory = class_balance_update(memory, feats, labels, rng)
+        expected = _admit_each(expected, feats, labels, class_balance_by_rescan(n, oracle_rng))
         assert np.array_equal(memory.labels, expected.labels)
         assert np.array_equal(memory.features, expected.features)
         assert np.array_equal(memory.weights, expected.weights)
@@ -269,7 +269,7 @@ def test_class_balance_equals_the_rescanning_rule(seed, n, num_classes, batch_si
 def test_sliding_window_keeps_most_recent():
     feats = np.arange(5, dtype=float)[:, None]
     memory = sliding_window_update(
-        RehearsalMemory.empty(3), feats, np.zeros(5, dtype=np.int64), 3
+        RehearsalMemory(3), feats, np.zeros(5, dtype=np.int64)
     )
     assert memory.features[:, 0].tolist() == [2.0, 3.0, 4.0]
 
@@ -277,17 +277,17 @@ def test_sliding_window_keeps_most_recent():
 def test_sliding_window_short_stream():
     feats = np.arange(2, dtype=float)[:, None]
     memory = sliding_window_update(
-        RehearsalMemory.empty(5), feats, np.zeros(2, dtype=np.int64), 5
+        RehearsalMemory(5), feats, np.zeros(2, dtype=np.int64)
     )
     assert memory.features[:, 0].tolist() == [0.0, 1.0]
 
 
 def test_sliding_window_across_batches():
-    m = RehearsalMemory.empty(5)
+    m = RehearsalMemory(5)
     a = np.arange(4, dtype=float)[:, None]
     b = np.arange(4, 8, dtype=float)[:, None]
-    m = sliding_window_update(m, a, np.zeros(4, dtype=np.int64), 5)
-    m = sliding_window_update(m, b, np.zeros(4, dtype=np.int64), 5)
+    m = sliding_window_update(m, a, np.zeros(4, dtype=np.int64))
+    m = sliding_window_update(m, b, np.zeros(4, dtype=np.int64))
     assert m.features[:, 0].tolist() == [3.0, 4.0, 5.0, 6.0, 7.0]
     assert m.seen == 8
 
@@ -300,7 +300,7 @@ def test_sieve_covers_all_distinct_points_with_room():
     feats = rng.standard_normal((6, 2)) * 3.0
     labels = np.zeros(6, dtype=np.int64)
     state = SieveState()
-    memory = facility_location_update(RehearsalMemory.empty(8), feats, labels, 8, state)
+    memory = facility_location_update(RehearsalMemory(8), feats, labels, state)
     objective = facility_location_objective(memory.features, feats, state.bound)
     assert objective == pytest.approx(6 * state.bound, rel=1e-9)
 
@@ -314,7 +314,7 @@ def test_sieve_selects_one_point_per_cluster():
     order = rng.permutation(24)
     state = SieveState()
     memory = facility_location_update(
-        RehearsalMemory.empty(2), feats[order], labels[order], 2, state
+        RehearsalMemory(2), feats[order], labels[order], state
     )
     assert memory.size == 2
     assert set(memory.labels.tolist()) == {0, 1}
@@ -341,7 +341,7 @@ def test_sieve_objective_beats_singletons():
     feats = rng.standard_normal((30, 3))
     labels = np.zeros(30, dtype=np.int64)
     state = SieveState()
-    memory = facility_location_update(RehearsalMemory.empty(4), feats, labels, 4, state)
+    memory = facility_location_update(RehearsalMemory(4), feats, labels, state)
     chosen = facility_location_objective(memory.features, feats, state.bound)
     for i in range(30):
         single = facility_location_objective(feats[[i]], feats, state.bound)
@@ -349,10 +349,10 @@ def test_sieve_objective_beats_singletons():
 
 
 def test_sieve_memory_respects_capacity_across_batches():
-    state, memory = SieveState(), RehearsalMemory.empty(3)
+    state, memory = SieveState(), RehearsalMemory(3)
     for t in range(4):
         feats, labels = fake_batch(20, seed=t)
-        memory = facility_location_update(memory, feats, labels, 3, state)
+        memory = facility_location_update(memory, feats, labels, state)
         assert memory.size <= 3
 
 
@@ -367,11 +367,11 @@ def test_sieve_keeps_the_first_best_set_fallback_first():
     no_items = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
     state = SieveState(bound=1.0)
     state.sets = {5: cand(state, 5, 2.0), 3: cand(state, 3, 2.0), 4: cand(state, 4, 1.0)}
-    memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
+    memory = facility_location_update(RehearsalMemory(2), *no_items, state)
     assert memory.labels.tolist() == [3]  # the lowest threshold of the tied best
     state = SieveState(bound=1.0)
     state.sets, state.fallback = {3: cand(state, 3, 0.0)}, cand(state, 9, 0.0)
-    memory = facility_location_update(RehearsalMemory.empty(2), *no_items, 2, state)
+    memory = facility_location_update(RehearsalMemory(2), *no_items, state)
     assert memory.labels.tolist() == [9]  # the fallback wins a tie
 
 
@@ -407,12 +407,12 @@ def test_sieve_equals_the_set_scans(seed, n, dims, zeros, growth, batch_sizes):
             feats[i] = feats[rng.integers(0, i)]
     labels = rng.integers(0, 5, size=total)
     state, oracle_state = SieveState(), SetScanSieveState()
-    memory = oracle = RehearsalMemory.empty(n)
+    memory = oracle = RehearsalMemory(n)
     start = 0
     for size in batch_sizes:
         X, y = feats[start : start + size], labels[start : start + size]
         start += size
-        memory = facility_location_update(memory, X, y, n, state)
+        memory = facility_location_update(memory, X, y, state)
         oracle = facility_location_by_set_scans(oracle, X, y, n, oracle_state)
         assert np.array_equal(memory.features, oracle.features)
         assert np.array_equal(memory.labels, oracle.labels)
@@ -442,11 +442,11 @@ def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
     first, second = rng.standard_normal((10, 3)), rng.standard_normal((30, 3))
     labels = np.zeros(40, dtype=np.int64)
     state, n = SieveState(), 50  # room in every set, so every set stays open
-    memory = facility_location_update(RehearsalMemory.empty(n), first, labels[:10], n, state)
+    memory = facility_location_update(RehearsalMemory(n), first, labels[:10], state)
     stored = state.count
     counting = _CountsPasses()
     monkeypatch.setattr(gmcoreset.memory, "np", counting)
-    facility_location_update(memory, second, labels[10:], n, state)
+    facility_location_update(memory, second, labels[10:], state)
     assert len(counting.passes) == len(second)
     # every pass covers the whole store, which grows by at most the one item offered
     rows = counting.passes + [state.count]
@@ -462,15 +462,15 @@ def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
 LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
 UPDATES = {
     "gmc": lambda m, X, y, rng, sieve: gmc_update(
-        m, X, y, GradientMatrix(rng.standard_normal((16, len(y)))), 4
+        m, X, y, GradientMatrix(rng.standard_normal((16, len(y))))
     ),
     "gmc_local": lambda m, X, y, rng, sieve: local_gmc_update(
-        m, X, y, nn.init_sample(LOCAL_ARCH, 0), 4, EmbeddingConfig(draws=1, proj_dim=24)
+        m, X, y, nn.init_sample(LOCAL_ARCH, 0), EmbeddingConfig(draws=1, proj_dim=24)
     ),
-    "reservoir": lambda m, X, y, rng, sieve: reservoir_update(m, X, y, 4, rng),
-    "class_balance": lambda m, X, y, rng, sieve: class_balance_update(m, X, y, 4, rng),
-    "sliding_window": lambda m, X, y, rng, sieve: sliding_window_update(m, X, y, 4),
-    "facility_location": lambda m, X, y, rng, sieve: facility_location_update(m, X, y, 4, sieve),
+    "reservoir": lambda m, X, y, rng, sieve: reservoir_update(m, X, y, rng),
+    "class_balance": lambda m, X, y, rng, sieve: class_balance_update(m, X, y, rng),
+    "sliding_window": lambda m, X, y, rng, sieve: sliding_window_update(m, X, y),
+    "facility_location": lambda m, X, y, rng, sieve: facility_location_update(m, X, y, sieve),
 }
 
 
@@ -480,7 +480,7 @@ def test_updates_count_items_and_classes_offered(method):
     # the bookkeeping must keep it
     rng = np.random.default_rng(0)
     batches = [np.array([2, 0, 2, 2, 0, 2, 0]), np.array([3, 3, 0, 3, 3])]
-    memory, sieve = RehearsalMemory.empty(4), SieveState()
+    memory, sieve = RehearsalMemory(4), SieveState()
     for labels in batches:
         memory = UPDATES[method](memory, rng.standard_normal((len(labels), 3)), labels, rng, sieve)
     assert memory.seen == 12
@@ -497,26 +497,33 @@ def test_updates_count_items_and_classes_offered(method):
 def test_every_strategy_respects_capacity(seed, n, batch_sizes):
     rng = np.random.default_rng(seed)
     memories = {
-        "reservoir": RehearsalMemory.empty(n),
-        "class_balance": RehearsalMemory.empty(n),
-        "sliding_window": RehearsalMemory.empty(n),
-        "gmc": RehearsalMemory.empty(n),
+        "reservoir": RehearsalMemory(n),
+        "class_balance": RehearsalMemory(n),
+        "sliding_window": RehearsalMemory(n),
+        "gmc": RehearsalMemory(n),
+        "gmc_local": RehearsalMemory(n),
     }
-    sieve, fl_memory = SieveState(), RehearsalMemory.empty(n)
+    sieve, fl_memory = SieveState(), RehearsalMemory(n)
+    params = nn.init_sample(nn.MlpArch(2, (4,), 3), seed)
     for b, size in enumerate(batch_sizes):
         feats = rng.standard_normal((size, 2))
         labels = rng.integers(0, 3, size=size)
-        memories["reservoir"] = reservoir_update(memories["reservoir"], feats, labels, n, rng)
+        memories["reservoir"] = reservoir_update(memories["reservoir"], feats, labels, rng)
         memories["class_balance"] = class_balance_update(
-            memories["class_balance"], feats, labels, n, rng
+            memories["class_balance"], feats, labels, rng
         )
         memories["sliding_window"] = sliding_window_update(
-            memories["sliding_window"], feats, labels, n
+            memories["sliding_window"], feats, labels
         )
         G = GradientMatrix(np.random.default_rng([seed, b]).standard_normal((8, size)))
-        memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G, n)
-        fl_memory = facility_location_update(fl_memory, feats, labels, n, sieve)
+        memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G)
+        memories["gmc_local"] = local_gmc_update(
+            memories["gmc_local"], feats, labels, params, EmbeddingConfig(draws=1, proj_dim=8)
+        )
+        fl_memory = facility_location_update(fl_memory, feats, labels, sieve)
         assert fl_memory.size <= n
+        assert fl_memory.capacity == n
         for memory in memories.values():
             assert memory.size <= n
+            assert memory.capacity == n
             assert len(memory.weights) == memory.size

@@ -1,6 +1,8 @@
 """A tiny `run` in both paradigms and a tiny `select`, pinned to recorded outputs.
 
-The files in tests/pinned/ hold the outputs of exactly these commands.
+The files in tests/pinned/ hold the outputs of exactly these commands,
+and the shipped configs' raw.csv at seed 0 and memory size 50 is pinned
+by its sha256.
 A refactor must reproduce raw.csv byte for byte and the coreset's rows
 exactly (weights within rtol 1e-9); a change meant to alter numerics
 re-records the files and says why.  The run covers all seven methods,
@@ -8,6 +10,7 @@ and the replay run keeps the known gmc_local failure at seed 1, task 1
 (refit weights whose sum is negative), so it exits 1 with partial rows.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -17,6 +20,11 @@ from gmcoreset.cli import main
 from gmcoreset.scenarios import save_csv, synth_blobs
 
 PINNED = os.path.join(os.path.dirname(__file__), "pinned")
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+SHIPPED_RAW_SHA256 = {
+    "sorted": "bb0937166b681c9db7da039b93c154434e5fae3dbfc1b6deaca8667fe9a21da3",
+    "iid": "ea3e2b39640bbb64182db8aa170f973fc2cd4a6e8aadac457a2859c7a2a0d8fa",
+}
 
 # At the default step size three epochs barely move the learner and most
 # methods give equal rows; at 0.1 all seven differ under gdumb.
@@ -67,3 +75,12 @@ def test_select_reproduces_pinned_coreset(tmp_path, mode):
     want = np.loadtxt(pinned(f"select-{mode}.csv"), delimiter=",", skiprows=1)
     assert np.array_equal(got[:, 0], want[:, 0])
     np.testing.assert_allclose(got[:, 1], want[:, 1], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_RAW_SHA256))
+def test_shipped_config_reproduces_pinned_raw_csv_hash(tmp_path, name):
+    config = os.path.join(CONFIGS, f"{name}.cfg")
+    out = tmp_path / "out"
+    assert main(["run", "--config", config, "--seed", "0", "--memory-sizes", "50",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "raw.csv").read_bytes()).hexdigest() == SHIPPED_RAW_SHA256[name]
