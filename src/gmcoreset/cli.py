@@ -93,6 +93,11 @@ class ConfigError(ValueError):
     pass
 
 
+# The gradients of a one-class softmax classifier vanish, so there is
+# nothing to match and nothing to learn.
+SINGLE_CLASS = "the dataset holds a single class, whose gradients all vanish; need >= 2 classes"
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     """Flat ``key = value`` lines; blank lines and ``#`` comments ignored."""
     values: dict[str, str] = {}
@@ -292,7 +297,7 @@ def cmd_select(args) -> int:
     dim = embedding_dim(config, arch)
     problem = None
     if data.num_classes < 2:
-        problem = "the dataset holds a single class, whose gradients all vanish; need >= 2 classes"
+        problem = SINGLE_CLASS
     elif args.size < 1:
         problem = f"coreset size must be >= 1, got {args.size}"
     elif args.size > dim:
@@ -302,6 +307,10 @@ def cmd_select(args) -> int:
         )
     elif args.size > data.num_examples:
         problem = f"coreset size {args.size} exceeds the dataset size {data.num_examples}"
+    elif os.path.isdir(args.out):
+        problem = f"--out {args.out} is a directory"
+    elif not os.path.isdir(os.path.dirname(args.out) or "."):
+        problem = f"--out {args.out}: directory {os.path.dirname(args.out)} does not exist"
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
@@ -341,6 +350,8 @@ def cmd_run(args) -> int:
         if cfg["jobs"] < 1:
             raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
+        if scenario.num_classes < 2:
+            raise ConfigError(SINGLE_CLASS)
         config = experiment_config(cfg)
         arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
         cfg["memory_sizes"] = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])

@@ -204,9 +204,10 @@ def facility_location_objective(selected: np.ndarray, points: np.ndarray, bound:
 
 
 def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
-    """The gather-based form of ``omp_select``: the selected columns are
-    gathered from ``G.data`` for the cross term, the refit and the
-    residual on every pick.  Expects valid arguments (no checks)."""
+    """The plain form of ``omp_select``: every pick refits the weights,
+    forms the residual and scores it against every column, and the
+    selected columns are gathered from ``G.data`` for the cross term,
+    the refit and the residual.  Expects valid arguments (no checks)."""
     target = np.asarray(target, dtype=np.float64)
     norms = G.column_norms
     admissible = norms > 0.0

@@ -131,6 +131,20 @@ def test_select_rejects_single_class_before_embedding(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out, message", [
+    (".", "is a directory"), ("missing/coreset.csv", "does not exist"),
+], ids=["directory", "missing-parent"])
+def test_select_unwritable_out_exits_two_before_embedding(tmp_path, capsys, monkeypatch, out, message):
+    path, _ = write_blob_csv(tmp_path)
+    monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    code = main([
+        "select", path, "-n", "2", "--out", str(tmp_path / out), "--label-column", "label",
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--init-seed", "--proj-seed"])
 def test_select_rejects_negative_seed(tmp_path, capsys, flag):
     path, _ = write_blob_csv(tmp_path)
@@ -273,6 +287,15 @@ def test_run_out_that_is_a_file_exits_two_before_any_cell(tmp_path, capsys, monk
     assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_run_rejects_single_class_data_before_any_cell(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace("synth_classes = 3", "synth_classes = 1"))
+    out = tmp_path / "o"
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", cfg, "--out", str(out), "--method", "gmc,reservoir"]) == 2
+    assert cli.SINGLE_CLASS in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, flags, message", [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
 from gmcoreset.matching_pursuit import (
+    GRAM_MAX_RATIO,
     GradientMatrix,
     SingularGramError,
     _solve_lower,
@@ -253,6 +256,21 @@ def _oracle_cases():
         ("n-equals-D", wide, wide.sum(axis=1), 12),
         ("n-equals-N", tall, rng.standard_normal(40), 12),
     ]
+    # Streaming shape, N <= min(D, GRAM_MAX_RATIO * n): scores from the full Gram.
+    rng = np.random.default_rng(2026)
+    D, N, n = 128, 90, 40
+    gram_plain = rng.standard_normal((D, N))
+    gram_zeros = rng.standard_normal((D, N))
+    gram_zeros[:, [3, 41, 88]] = 0.0
+    gram_duplicates = rng.standard_normal((D, N))
+    gram_duplicates[:, 45:] = gram_duplicates[:, :45]
+    gram_low_rank = rng.standard_normal((D, 10)) @ rng.standard_normal((10, N))
+    cases += [
+        ("gram-plain", gram_plain, rng.standard_normal(D), n),
+        ("gram-zero-norm", gram_zeros, gram_zeros.sum(axis=1), n),
+        ("gram-duplicates", gram_duplicates, gram_duplicates.sum(axis=1), n),
+        ("gram-low-rank", gram_low_rank, rng.standard_normal(D), n),
+    ]
     return [pytest.param(*case, id=case[0]) for case in cases]
 
 
@@ -266,6 +284,44 @@ def test_selection_equals_the_gather_loop_bit_for_bit(name, data, target, n):
     assert sel.truncated == oracle.truncated
     if name == "low-rank":
         assert sel.truncated and sel.size == 4
+
+
+def test_gram_cases_take_scores_from_the_full_gram():
+    for param in _oracle_cases():
+        name, data, _, n = param.values
+        D, N = data.shape
+        if name.startswith("gram-"):
+            assert N <= min(D, GRAM_MAX_RATIO * n), name
+
+
+def test_duplicate_tie_resolves_as_the_plain_loop_does():
+    """Columns 0 and 5 are equal, so their exact scores tie up to the
+    rounding of the correlation product, which with OpenBLAS favours
+    column 5 at the second pick.  The recurrence's scores favour column 0;
+    the tie guard rescores that pick from the explicit residual."""
+    rng = np.random.default_rng(2)
+    data = rng.standard_normal((8, 6))
+    data[:, 5] = data[:, 0]
+    target = rng.standard_normal(8)
+    G = GradientMatrix(data)
+    sel = omp_select(G, target, 3)
+    oracle = omp_select_by_gathers(G, target, 3)
+    assert np.array_equal(sel.indices, oracle.indices)
+    assert np.array_equal(sel.weights, oracle.weights)
+    assert sel.truncated == oracle.truncated
+
+
+def test_selection_without_the_full_gram_stays_below_its_size():
+    D, N, n = 512, 8000, 50
+    G, target = random_instance(11, D, N)
+    tracemalloc.start()
+    try:
+        sel = omp_select(G, target, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sel.size == n
+    assert peak < N * N * 8
 
 
 @st.composite
