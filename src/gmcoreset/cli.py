@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, nn, scenarios
-from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim
+from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim, embedding_peak_bytes
 from .matching_pursuit import omp_select
 
 
@@ -281,6 +281,18 @@ def final_accuracy_table(rows, aggregates) -> str:
 # --- subcommands -------------------------------------------------------------
 
 
+def _embedding_memory_problem(config: EmbeddingConfig, arch: nn.MlpArch, num_examples: int):
+    """Why embedding ``num_examples`` examples cannot fit in physical memory, or None."""
+    need = embedding_peak_bytes(config, arch, num_examples)
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need <= physical:
+        return None
+    return (
+        f"embedding {num_examples} examples needs {need / 2**30:.3g} GiB, more than the "
+        f"{physical / 2**30:.3g} GiB of physical memory (reduce draws or proj_dim)"
+    )
+
+
 def cmd_select(args) -> int:
     try:
         data = scenarios.load_csv(args.dataset, _label_column(args.label_column), args.header)
@@ -311,6 +323,8 @@ def cmd_select(args) -> int:
         problem = f"--out {args.out} is a directory"
     elif not os.path.isdir(os.path.dirname(args.out) or "."):
         problem = f"--out {args.out}: directory {os.path.dirname(args.out)} does not exist"
+    else:
+        problem = _embedding_memory_problem(config, arch, data.num_examples)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
@@ -356,6 +370,13 @@ def cmd_run(args) -> int:
         arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
         cfg["memory_sizes"] = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
         config = replace(config, memory_sizes=cfg["memory_sizes"])
+        # a gmc update embeds at most the memory plus the batch
+        pool = max(config.memory_sizes) + max(b.num_examples for b in scenario.batches)
+        for method in (m for m in config.methods if m in harness.GMC_METHODS):
+            embedding = harness.method_embedding(config, method, 0)
+            problem = _embedding_memory_problem(embedding, arch, pool)
+            if problem:
+                raise ConfigError(problem)
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
     except (ConfigError, ValueError, OSError) as exc:

@@ -4,10 +4,31 @@ An example's embedding stacks its per-example loss gradient at several
 parameter draws from the model's initialization distribution, reduced
 per draw either by a random sign projection or by restriction to the
 output-layer gradient (computable without a full backward pass).
+
+The sign matrix of a draw never exists whole: ``sign_projection`` yields
+it in blocks of _PROJECT_BLOCK_ROWS rows, each a view of one reused
+buffer, and each block's product with the draw's gradients goes straight
+into its rows of the dictionary.  Only the sign rows are chunked, never
+the examples: a block is the single product's BLAS call restricted to
+its rows, each entry still one dot product over all P gradient
+coordinates.  A projection of at most _PROJECT_BLOCK_ROWS rows is one
+block, the single product itself.  Larger ones matched the single
+product bit for bit wherever the last block filled whole register tiles
+of the BLAS kernel (multiples of 16 rows on an AVX-512 OpenBLAS host),
+proj_dim = 2000 among them.  A 37-row last block rounded 0.15-0.3% of
+the entries differently, by at most 4e-16 relative, as the single
+product itself does between BLAS thread counts.  Chunking the examples
+is not exact even at proj_dim = 2000: 1333-example chunks changed 1876
+of 8M entries at N = 4000, P = 18 180.  Embedding N examples into D
+rows peaks near 8 * (D * N + N * P + B * (P + N)) bytes, with
+B = min(proj_dim, _PROJECT_BLOCK_ROWS): the dictionary, one draw's
+(N, P) gradient buffer, one sign block and its (N, B) product
+(``embedding_peak_bytes``).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +72,14 @@ class EmbeddingConfig:
 # int64 draw buffer at _SIGN_BLOCK_ROWS * input_dim * 8 bytes.
 _SIGN_BLOCK_ROWS = 64
 
+# Rows of the sign matrix yielded per block, a multiple of _SIGN_BLOCK_ROWS.
+# Each block's product repacks the whole (N, P) gradient buffer inside
+# BLAS, so smaller blocks trade time for memory.  perfbench select-offline
+# (D = 8000, N = 4000, P = 18 180; 35 s runs, 2-vCPU OpenBLAS host),
+# median run and peak RSS: one 2000-row product 14.2 s, 1181 MB;
+# 1024-row blocks 14.4 s, 1076 MB; 512-row blocks 15.2 s, 989 MB.
+_PROJECT_BLOCK_ROWS = 1024
+
 
 def last_layer_size(arch: MlpArch) -> int:
     """Output-layer parameter count: k * penultimate_width + k."""
@@ -64,38 +93,64 @@ def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
     return config.draws * last_layer_size(arch)
 
 
-def sign_projection(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
-    """Sample a (proj_dim, input_dim) {+1, -1} matrix; bit-identical for equal seeds (PCG64).
+def embedding_peak_bytes(config: EmbeddingConfig, arch: MlpArch, num_examples: int) -> int:
+    """Bytes ``embed_batch`` holds at its peak for ``num_examples`` examples.
 
-    The matrix is allocated once and filled _SIGN_BLOCK_ROWS rows at a
-    time from int64 draws in {0, 1}, then mapped to {-1, +1} in place.
-    Bounded int64 draws take 32 bits at a time from the generator, which
-    carries a spare half-word across calls, so the blocks draw the same
-    stream as a single call for the whole matrix would.  (Narrower
-    dtypes draw from a buffer that is dropped between calls; they would
-    give a different matrix.)
+    The D x N dictionary and one draw's (N, P) gradient buffer (P the
+    parameter count, or the output layer's in last_layer mode), plus, in
+    random_projection mode, one block of B = min(proj_dim,
+    _PROJECT_BLOCK_ROWS) sign rows and its (N, B) product, all float64.
+    Pure arithmetic, so it can bound a config before anything is
+    allocated.
+    """
+    if config.mode == "random_projection":
+        params = sum((fan_in + 1) * fan_out for fan_in, fan_out in arch.layer_dims())
+        block = min(config.proj_dim, _PROJECT_BLOCK_ROWS)
+    else:
+        params, block = last_layer_size(arch), 0
+    dim = embedding_dim(config, arch)
+    return 8 * (dim * num_examples + num_examples * params + block * (params + num_examples))
+
+
+def sign_projection(proj_dim: int, input_dim: int, seed: int) -> Iterator[np.ndarray]:
+    """Yield a (proj_dim, input_dim) {+1, -1} matrix in row blocks; bit-identical for equal seeds (PCG64).
+
+    Each block holds the next _PROJECT_BLOCK_ROWS rows (fewer in the last
+    one) and is a view of one buffer that the next block overwrites:
+    copy a block to keep it.  The buffer is filled _SIGN_BLOCK_ROWS rows
+    at a time from int64 draws in {0, 1}, then mapped to {-1, +1} in
+    place.  Bounded int64 draws take 32 bits at a time from the
+    generator, which carries a spare half-word across calls, so the
+    blocks draw the same stream as a single call for the whole matrix
+    would.  (Narrower dtypes draw from a buffer that is dropped between
+    calls; they would give a different matrix.)
 
     Projecting by it and scaling by 1/sqrt(proj_dim) preserves inner
     products in expectation.
     """
     rng = np.random.default_rng(seed)
-    signs = np.empty((proj_dim, input_dim))
-    for start in range(0, proj_dim, _SIGN_BLOCK_ROWS):
-        rows = signs[start:start + _SIGN_BLOCK_ROWS]
-        rows[...] = rng.integers(0, 2, size=rows.shape)
-    signs *= 2.0
-    signs -= 1.0
-    return signs
+    buffer = np.empty((min(proj_dim, _PROJECT_BLOCK_ROWS), input_dim))
+    for start in range(0, proj_dim, _PROJECT_BLOCK_ROWS):
+        signs = buffer[:min(_PROJECT_BLOCK_ROWS, proj_dim - start)]
+        for row in range(0, len(signs), _SIGN_BLOCK_ROWS):
+            rows = signs[row:row + _SIGN_BLOCK_ROWS]
+            rows[...] = rng.integers(0, 2, size=rows.shape)
+        signs *= 2.0
+        signs -= 1.0
+        yield signs
 
 
-def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str) -> np.ndarray:
+def _batch_gradients(
+    params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str, grads: np.ndarray | None = None
+) -> np.ndarray:
     """Per-example loss gradients, one row per example, in one (N, P) array.
 
     scope "full" backpropagates the single-example cross-entropy through
     all layers; row i is example i's gradient flattened as
     [W1, b1, ..., Wk, bk].  "last_layer" keeps only the output-layer
     block [Wk, bk], the closed form (softmax - onehot) x penultimate
-    activation.  The array is allocated once: each layer's outer product
+    activation.  The array is ``grads`` when given, every entry
+    overwritten, else allocated once: each layer's outer product
     delta x input is written by ``einsum(..., out=)`` into a view of its
     column block, and its bias block is delta itself.
     """
@@ -105,7 +160,11 @@ def _batch_gradients(params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str
     y = np.asarray(y, dtype=np.int64)
     activations, pre, _, delta = _output_delta(params, X, y)
     sizes = [w.size + b.size for w, b in zip(params.weights, params.biases)]
-    grads = np.empty((len(y), sizes[-1] if scope == "last_layer" else sum(sizes)))
+    shape = (len(y), sizes[-1] if scope == "last_layer" else sum(sizes))
+    if grads is None:
+        grads = np.empty(shape)
+    elif grads.shape != shape or grads.dtype != np.float64 or not grads.flags.c_contiguous:
+        raise ValueError(f"gradient buffer must be a C-ordered float64 {shape} array")
     stop = grads.shape[1]
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
         shape = params.weights[layer].shape
@@ -130,33 +189,48 @@ def embed_batch_at_params(
     """Embed a batch at explicit parameter draws (columns = examples).
 
     The D x N result is allocated once, C-contiguous, and ``GradientMatrix``
-    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d) with the
-    transpose of its (N, d) block: the per-example gradients projected by
-    that draw's sign matrix and divided by sqrt(proj_dim) in place, or
-    the output-layer gradients in last_layer mode.  Each draw's gradients
-    and sign matrix are released before the next draw is built, and the
-    projection is one product over all N rows.
+    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d).  In
+    random_projection mode, for each block S of the draw's sign matrix as
+    ``sign_projection`` yields it, grads @ S.T goes into one reused
+    (N, B) product buffer and its transpose into the block's rows; the
+    draw's rows are then divided by sqrt(proj_dim) in place.  In
+    last_layer mode the rows are the transposed output-layer gradients.
+    One (N, P) gradient buffer is refilled for every draw.  A projection
+    of at most _PROJECT_BLOCK_ROWS rows is one block: the single product,
+    with its bits.  Larger ones are chunked along the sign rows only,
+    never the examples (see the module docstring).  The peak is the
+    dictionary, the gradient buffer, one sign block and its product
+    (``embedding_peak_bytes``).
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(features) == 0:
         raise ValueError("batch must be non-empty")
+    num_examples = len(features)
     if config.mode == "random_projection":
         rows = config.proj_dim
+        products = np.empty(num_examples * min(rows, _PROJECT_BLOCK_ROWS))
     else:
         rows = draws[0].weights[-1].size + draws[0].biases[-1].size
-    out = np.empty((len(draws) * rows, len(features)))
+    out = np.empty((len(draws) * rows, num_examples))
+    grads = None
     for j, params in enumerate(draws):
+        block = out[j * rows:(j + 1) * rows]
         if config.mode == "random_projection":
-            grads = _batch_gradients(params, features, labels, "full")
-            proj = sign_projection(config.proj_dim, grads.shape[1], config.projection_seed + j)
-            block = grads @ proj.T
-            del grads, proj
+            grads = _batch_gradients(params, features, labels, "full", grads)
+            start = 0
+            for signs in sign_projection(rows, grads.shape[1], config.projection_seed + j):
+                # contiguous for a short last block too, like the single product's output
+                product = products[:num_examples * len(signs)].reshape(num_examples, len(signs))
+                np.matmul(grads, signs.T, out=product)
+                block[start:start + len(signs)] = product.T
+                start += len(signs)
+            del signs  # a view of the sign buffer: the next draw's generator makes its own
             block /= np.sqrt(config.proj_dim)
         else:
-            block = _batch_gradients(params, features, labels, "last_layer")
-        out[j * rows:(j + 1) * rows] = block.T
-        del block
+            grads = _batch_gradients(params, features, labels, "last_layer", grads)
+            block[...] = grads.T
+    del grads  # before the column norms take their D x N temporary
     return GradientMatrix(out)
 
 

@@ -108,14 +108,16 @@ class CoresetSelection:
 
 
 def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """Solve ``lower @ x = rhs``, or ``lower.T @ x = rhs`` when ``transposed``.
+    """Solve ``L @ x = rhs``, or ``L.T @ x = rhs`` when ``transposed``.
 
-    ``lower`` is a C-ordered lower-triangular factor, so ``lower.T`` is the
-    Fortran-ordered upper triangle that LAPACK ``dtrtrs`` reads in place.
-    These are the operands ``scipy.linalg.solve_triangular`` passes for such
-    a factor, so the solution has the same bits, without that wrapper's
-    per-call validation.  scipy is imported at the first call.  A zero on
-    the diagonal raises ``SingularGramError``; a non-finite solution, which
+    ``lower`` is C-ordered with m = len(rhs) rows; L is its leading m x m
+    lower triangle, and columns past m are never read.  ``lower.T`` is then
+    the Fortran-ordered upper triangle, with leading dimension the row
+    length, that LAPACK ``dtrtrs`` reads in place.  For a square factor
+    these are the operands ``scipy.linalg.solve_triangular`` passes, so
+    the solution has the same bits, without that wrapper's per-call
+    validation.  scipy is imported at the first call.  A zero on the
+    diagonal raises ``SingularGramError``; a non-finite solution, which
     overflow or a non-finite ``rhs`` gives, raises ``ValueError``.
     """
     from scipy.linalg.lapack import dtrtrs
@@ -128,18 +130,26 @@ def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -
     return x
 
 
-def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.ndarray:
+def cholesky_append(
+    lower: np.ndarray, cross: np.ndarray, diag: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Extend a Cholesky factor by one column of the underlying Gram matrix.
 
     Args:
       lower: lower-triangular L with L L^T equal to the current m x m
-        Gram matrix of the selection (0 x 0 when empty).
+        Gram matrix of the selection (0 x 0 when empty), or the first m
+        rows of a C-ordered buffer holding L in its leading block.
       cross: inner products of the selected columns with the new column,
         length m.
       diag: squared norm of the new column, must be positive.
+      out: that buffer, when ``lower`` is its first m rows: row m is
+        written into it in place and its first m + 1 rows are returned,
+        so the factor grows without a copy.  By default a new
+        (m+1) x (m+1) factor is returned with a copy of L.
 
     Returns:
-      Factor of the (m+1) x (m+1) Gram matrix, in O(m^2) time.
+      Factor of the (m+1) x (m+1) Gram matrix, or the buffer's first m + 1
+      rows holding it, in O(m^2) time.
 
     Raises:
       SingularGramError: the new column is linearly dependent on the
@@ -153,6 +163,8 @@ def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.nda
     m = lower.shape[0]
     if cross.shape != (m,):
         raise ValueError(f"cross term must have length {m}, got shape {cross.shape}")
+    if out is not None and min(out.shape) <= m:
+        raise ValueError(f"factor buffer of shape {out.shape} has no room for row {m}")
     if m == 0:
         w = np.zeros(0)
     else:
@@ -163,11 +175,12 @@ def cholesky_append(lower: np.ndarray, cross: np.ndarray, diag: float) -> np.nda
             f"candidate column is linearly dependent on the selection "
             f"(schur complement {schur:.3e} <= {DEPENDENT_RTOL:.0e} * {diag:.3e})"
         )
-    grown = np.zeros((m + 1, m + 1))
-    grown[:m, :m] = lower
-    grown[m, :m] = w
-    grown[m, m] = np.sqrt(schur)
-    return grown
+    if out is None:
+        out = np.zeros((m + 1, m + 1))
+        out[:m, :m] = lower[:, :m]
+    out[m, :m] = w
+    out[m, m] = np.sqrt(schur)
+    return out[:m + 1]
 
 
 def refit_weights(selected: np.ndarray, target: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -178,7 +191,8 @@ def refit_weights(selected: np.ndarray, target: np.ndarray, lower: np.ndarray) -
     Solves the normal equations through two triangular solves with the
     maintained Cholesky factor ``lower`` of ``selected.T @ selected``;
     the residual target - selected @ w is orthogonal to every selected
-    column.
+    column.  ``lower`` may be the first m rows of a wider factor buffer,
+    as ``cholesky_append`` grows it.
     """
     if selected.shape[1] == 0:
         raise ValueError("cannot refit an empty selection")
@@ -226,6 +240,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
 
     The cross terms of each pick with the selection and the Cholesky
     update are exact, so ``truncated`` is decided as in the plain loop.
+    The factor grows in place, one row per pick, in an n x n buffer.
     The recurrence's scores drift from the exact ones by rounding; where
     the best two admissible ratios lie within TIE_RTOL times the largest
     first-pick ratio (a tie, or a residual at noise level), that pick is
@@ -269,7 +284,8 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     basis = np.empty((N, n), order="F")
     indices: list[int] = []
     picked = np.empty((D, n), order="F")
-    chol = np.zeros((0, 0))
+    factor = np.zeros((n, n))
+    chol = factor[:0]
     truncated = False
 
     while len(indices) < n:
@@ -288,7 +304,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         column = G.data[:, k]
         cross = picked[:, :m].T @ column if m else np.zeros(0)
         try:
-            chol = cholesky_append(chol, cross, float(norms[k]) ** 2)
+            chol = cholesky_append(chol, cross, float(norms[k]) ** 2, out=factor)
         except SingularGramError:
             truncated = True
             break

@@ -17,6 +17,7 @@ from gmcoreset.matching_pursuit import (
     cholesky_append,
 )
 from gmcoreset import nn
+from gmcoreset.grad_embed import sign_projection
 from gmcoreset.memory import SIEVE_EPSILON, RehearsalMemory, _next_memory
 from gmcoreset.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams, _backprop, _output_delta
 
@@ -238,6 +239,13 @@ def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
         residual = target - G.data[:, indices] @ weights
 
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
+
+
+def sign_matrix(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
+    """The whole (proj_dim, input_dim) matrix of ``grad_embed.sign_projection``:
+    a copy of each yielded block, taken before the next one overwrites it,
+    stacked in order."""
+    return np.concatenate([block.copy() for block in sign_projection(proj_dim, input_dim, seed)])
 
 
 def sign_projection_one_shot(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:

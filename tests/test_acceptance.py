@@ -17,7 +17,6 @@ from gmcoreset.grad_embed import (
     EmbeddingConfig,
     embed_batch_at_params,
     last_layer_size,
-    sign_projection,
 )
 from gmcoreset.harness import ExperimentConfig, run_cell
 from gmcoreset.matching_pursuit import (
@@ -40,7 +39,7 @@ from gmcoreset.scenarios import (
     train_test_split,
 )
 
-from oracles import per_example_gradient, project
+from oracles import per_example_gradient, project, sign_matrix
 from test_nn import finite_difference_grad
 
 
@@ -126,7 +125,7 @@ def test_criterion_05_sketch_fidelity():
     truth = float(u @ v)
     total = 0.0
     for seed in range(1000):
-        proj = sign_projection(256, 64, seed=seed)
+        proj = sign_matrix(256, 64, seed=seed)
         total += float(project(u, proj) @ project(v, proj))
     mean = total / 1000.0
     assert abs(mean - truth) <= 0.05 * abs(truth)

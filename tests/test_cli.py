@@ -145,6 +145,22 @@ def test_select_unwritable_out_exits_two_before_embedding(tmp_path, capsys, monk
     assert message in capsys.readouterr().err
 
 
+def test_select_rejects_an_embedding_beyond_physical_memory_before_embedding(
+    tmp_path, capsys, monkeypatch
+):
+    # 1e11 draws pass the D >= n check; never run such a config unpatched
+    path, _ = write_blob_csv(tmp_path)
+    monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    out = tmp_path / "x.csv"
+    code = main([
+        "select", path, "-n", "2", "--out", str(out), "--label-column", "label",
+        "--hidden", "8", "--proj-dim", "16", "--draws", "100000000000",
+    ])
+    assert code == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--init-seed", "--proj-seed"])
 def test_select_rejects_negative_seed(tmp_path, capsys, flag):
     path, _ = write_blob_csv(tmp_path)
@@ -295,6 +311,22 @@ def test_run_rejects_single_class_data_before_any_cell(tmp_path, capsys, monkeyp
     monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
     assert main(["run", "--config", cfg, "--out", str(out), "--method", "gmc,reservoir"]) == 2
     assert cli.SINGLE_CLASS in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["gmc", "gmc_last_layer"])
+def test_run_rejects_an_embedding_beyond_physical_memory_before_any_cell(
+    tmp_path, capsys, monkeypatch, method
+):
+    # 1e11 draws pass the D >= n check; never run such a config unpatched.
+    # (gmc_local pins a single draw, so the key does not reach it.)
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace("draws = 2", "draws = 100000000000"))
+    out = tmp_path / "o"
+    for module in (cli, harness):
+        monkeypatch.setattr(module, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", cfg, "--out", str(out), "--method", f"reservoir,{method}"]) == 2
+    assert "physical memory" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,12 +5,14 @@ import pytest
 
 from gmcoreset import nn
 from gmcoreset.grad_embed import (
+    _PROJECT_BLOCK_ROWS,
     _SIGN_BLOCK_ROWS,
     EmbeddingConfig,
     _batch_gradients,
     embed_batch,
     embed_batch_at_params,
     embedding_dim,
+    embedding_peak_bytes,
     last_layer_size,
     sign_projection,
 )
@@ -21,6 +23,7 @@ from oracles import (
     num_params,
     per_example_gradient,
     project,
+    sign_matrix,
     sign_projection_one_shot,
 )
 
@@ -37,8 +40,8 @@ def small_batch(seed, n=6, arch=None):
 
 
 def test_sign_matrix_entries_and_reproducibility():
-    a = sign_projection(16, 40, seed=11)
-    b = sign_projection(16, 40, seed=11)
+    a = sign_matrix(16, 40, seed=11)
+    b = sign_matrix(16, 40, seed=11)
     assert np.array_equal(a, b)
     assert set(np.unique(a)) == {-1.0, 1.0}
 
@@ -49,6 +52,7 @@ def test_sign_matrix_entries_and_reproducibility():
         (_SIGN_BLOCK_ROWS - 1, 40),  # fewer rows than one block
         (2 * _SIGN_BLOCK_ROWS, 40),  # a whole number of blocks
         (2 * _SIGN_BLOCK_ROWS + 5, 40),  # a partial last block
+        (2 * _PROJECT_BLOCK_ROWS + 5, 40),  # several yielded blocks, a partial last one
         (_SIGN_BLOCK_ROWS + 3, 333),  # odd input dimension
         (1, 333),
         (1, 1),
@@ -57,22 +61,28 @@ def test_sign_matrix_entries_and_reproducibility():
 def test_sign_matrix_equals_one_shot_draw(proj_dim, input_dim):
     for seed in (0, 5):
         expected = sign_projection_one_shot(proj_dim, input_dim, seed)
-        assert np.array_equal(sign_projection(proj_dim, input_dim, seed), expected)
+        assert np.array_equal(sign_matrix(proj_dim, input_dim, seed), expected)
+
+
+def test_sign_blocks_are_views_of_one_buffer():
+    blocks = list(sign_projection(2 * _PROJECT_BLOCK_ROWS + 5, 7, seed=3))
+    assert [len(b) for b in blocks] == [_PROJECT_BLOCK_ROWS, _PROJECT_BLOCK_ROWS, 5]
+    assert all(np.shares_memory(b, blocks[0]) for b in blocks)
 
 
 def test_project_single_row():
-    proj = sign_projection(1, 2, seed=0)
+    proj = sign_matrix(1, 2, seed=0)
     proj[:] = 1.0
     assert project(np.array([3.0, 4.0]), proj) == pytest.approx(7.0)
 
 
 def test_project_zero_vector():
-    proj = sign_projection(8, 5, seed=1)
+    proj = sign_matrix(8, 5, seed=1)
     assert np.allclose(project(np.zeros(5), proj), 0.0)
 
 
 def test_project_rejects_length_mismatch():
-    proj = sign_projection(4, 5, seed=2)
+    proj = sign_matrix(4, 5, seed=2)
     with pytest.raises(ValueError):
         project(np.zeros(6), proj)
 
@@ -84,7 +94,7 @@ def test_sketched_inner_products_are_unbiased():
     truth = u @ v
     estimates = [
         project(u, p) @ project(v, p)
-        for p in (sign_projection(256, 64, seed=s) for s in range(1000))
+        for p in (sign_matrix(256, 64, seed=s) for s in range(1000))
     ]
     assert abs(np.mean(estimates) - truth) <= 0.05 * abs(truth)
 
@@ -171,7 +181,7 @@ def test_columns_match_componentwise_recomputation():
         for j in range(config.draws):
             params = nn.init_sample(arch, config.init_seed + j)
             grad = per_example_gradient(params, (X[i], int(y[i])), scope="full")
-            proj = sign_projection(config.proj_dim, P, config.projection_seed + j)
+            proj = sign_matrix(config.proj_dim, P, config.projection_seed + j)
             parts.append(project(grad, proj))
         assert np.abs(G.data[:, i] - np.concatenate(parts)).max() <= 1e-12
 
@@ -187,7 +197,7 @@ def test_column_sum_equals_embedding_of_summed_gradients():
         total = np.zeros(P)
         for i in range(len(y)):
             total += per_example_gradient(params, (X[i], int(y[i])), scope="full")
-        proj = sign_projection(config.proj_dim, P, config.projection_seed + j)
+        proj = sign_matrix(config.proj_dim, P, config.projection_seed + j)
         parts.append(project(total, proj))
     expected = np.concatenate(parts)
     actual = G.data.sum(axis=1)
@@ -241,6 +251,31 @@ def test_embedding_equals_concatenating_form(num_examples, draws, mode):
     assert np.array_equal(G.column_norms, expected.column_norms)
 
 
+def several_sign_blocks(proj_dim):
+    arch, X, y = small_batch(24, n=300, arch=nn.MlpArch(9, (16, 12), 4))
+    config = EmbeddingConfig(draws=2, proj_dim=proj_dim, projection_seed=4, init_seed=6)
+    params = [nn.init_sample(arch, config.init_seed + j) for j in range(config.draws)]
+    G = embed_batch_at_params(params, X, y, config)
+    return G, embed_batch_by_concatenation(params, X, y, config)
+
+
+def test_embedding_in_several_sign_blocks_equals_one_product():
+    # Two whole blocks and a partial third of 48 rows; the oracle projects
+    # by the whole sign matrix in one product.
+    G, expected = several_sign_blocks(2 * _PROJECT_BLOCK_ROWS + 48)
+    assert np.array_equal(G.data, expected.data)
+    assert np.array_equal(G.column_norms, expected.column_norms)
+
+
+def test_embedding_after_a_short_last_sign_block_agrees_to_rounding():
+    # A 37-row last block fills no whole register tile of the BLAS kernel,
+    # which may then round its last rows differently from the single
+    # product (as the single product does between BLAS thread counts).
+    G, expected = several_sign_blocks(2 * _PROJECT_BLOCK_ROWS + 37)
+    scale = np.abs(expected.data).max()
+    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("hidden", [(16, 12), (6,), ()])
 @pytest.mark.parametrize("scope", ["full", "last_layer"])
 def test_batch_gradients_equal_concatenating_form(hidden, scope):
@@ -268,3 +303,42 @@ def test_embedding_holds_one_gradient_and_one_sign_matrix_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * (grad_bytes + sign_bytes + out_bytes + block_bytes)
+
+
+def test_embedding_holds_one_gradient_buffer_and_one_sign_block():
+    # The traced peak stays near the dictionary, one (N, P) gradient buffer
+    # refilled for every draw, one block of sign rows with its int64 draw
+    # buffer, and the block's (N, rows) product; the whole sign matrix, an
+    # (N, proj_dim) product or a fresh gradient array per draw exceeds it.
+    arch = nn.MlpArch(20, (64, 64), 10)
+    num_examples = 1000
+    config = EmbeddingConfig(draws=2, proj_dim=2 * _PROJECT_BLOCK_ROWS + 13)
+    _, X, y = small_batch(25, n=num_examples, arch=arch)
+    grad_bytes = 8 * num_examples * num_params(arch)
+    out_bytes = 8 * embedding_dim(config, arch) * num_examples
+    sign_block_bytes = 8 * _PROJECT_BLOCK_ROWS * num_params(arch)
+    product_bytes = 8 * num_examples * _PROJECT_BLOCK_ROWS
+    draw_bytes = 8 * _SIGN_BLOCK_ROWS * num_params(arch)
+    tracemalloc.start()
+    try:
+        embed_batch(X, y, arch, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * (grad_bytes + out_bytes + sign_block_bytes + product_bytes + draw_bytes)
+    assert embedding_peak_bytes(config, arch, num_examples) == (
+        grad_bytes + out_bytes + sign_block_bytes + product_bytes
+    )
+
+
+def test_embedding_peak_of_a_huge_config_is_arithmetic():
+    arch = nn.MlpArch(4, (8,), 3)
+    P, N = num_params(arch), 100
+    projected = EmbeddingConfig(draws=10**11, proj_dim=2000)
+    assert embedding_peak_bytes(projected, arch, N) == 8 * (
+        10**11 * 2000 * N + N * P + _PROJECT_BLOCK_ROWS * (P + N)
+    )
+    last = EmbeddingConfig(draws=10**11, mode="last_layer")
+    assert embedding_peak_bytes(last, arch, N) == 8 * (
+        embedding_dim(last, arch) * N + N * last_layer_size(arch)
+    )

@@ -117,6 +117,22 @@ def test_incremental_matches_one_shot_factorization(seed):
     assert np.abs(chol - oracle).max() <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_append_in_place_equals_the_copying_form_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    cols = rng.standard_normal((30, 12))
+    gram = cols.T @ cols
+    chol, buffer = np.zeros((0, 0)), np.zeros((12, 12))
+    rows = buffer[:0]
+    for j in range(12):
+        chol = cholesky_append(chol, gram[:j, j], gram[j, j])
+        rows = cholesky_append(rows, gram[:j, j], gram[j, j], out=buffer)
+        assert np.shares_memory(rows, buffer)
+        assert np.array_equal(rows[:, :j + 1], chol)
+    with pytest.raises(ValueError, match="no room"):
+        cholesky_append(rows, gram[:, 0], 1.0, out=buffer)
+
+
 def test_append_rejects_dependent_column():
     first = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
     # cross = 2 * 2 means the new column is the old one scaled: schur = 0
