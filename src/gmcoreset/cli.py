@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from . import harness, nn, scenarios
-from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim, embedding_peak_bytes
+from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
 from .matching_pursuit import omp_select
 
 
@@ -143,11 +143,13 @@ def manifest_text(resolved: dict, config_path: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _label_column(raw: str) -> int | str:
+def _read_csv(cfg: dict) -> scenarios.Dataset:
+    """The CSV file at ``dataset``; ``label_column`` is a column index or name."""
     try:
-        return int(raw)
+        label = int(cfg["label_column"])
     except ValueError:
-        return raw
+        label = cfg["label_column"]
+    return scenarios.load_csv(cfg["dataset"], label, cfg["has_header"])
 
 
 def load_dataset(cfg: dict) -> scenarios.Dataset:
@@ -156,7 +158,7 @@ def load_dataset(cfg: dict) -> scenarios.Dataset:
             cfg["data_seed"], cfg["synth_per_class"], cfg["synth_classes"],
             cfg["synth_dims"], cfg["synth_drift"],
         )
-    return scenarios.load_csv(cfg["dataset"], _label_column(cfg["label_column"]), cfg["has_header"])
+    return _read_csv(cfg)
 
 
 def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
@@ -281,63 +283,69 @@ def final_accuracy_table(rows, aggregates) -> str:
 # --- subcommands -------------------------------------------------------------
 
 
-def _embedding_memory_problem(config: EmbeddingConfig, arch: nn.MlpArch, num_examples: int):
-    """Why embedding ``num_examples`` examples cannot fit in physical memory, or None."""
-    need = embedding_peak_bytes(config, arch, num_examples)
+def resolve_args(args, file_values: dict[str, str] | None = None) -> dict:
+    """``resolve_config`` with the flags whose ``dest`` is a schema key as overrides."""
+    flags = {key: getattr(args, key, None) for key in CONFIG_SCHEMA}
+    return resolve_config(file_values or {}, flags)
+
+
+def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScenario, pool_rows):
+    """``cfg``'s sweep config and learner on ``data``, after the rules ``run`` and ``select`` share.
+
+    One class, values ``ExperimentConfig`` rejects, memory sizes beyond the embedding dimension
+    and an embedding of ``pool_rows(memory_sizes)`` examples beyond physical memory raise.
+    """
+    if data.num_classes < 2:
+        raise ConfigError(SINGLE_CLASS)
+    config = experiment_config(cfg)
+    arch = nn.MlpArch(data.num_features, config.hidden, data.num_classes)
+    sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
+    config, rows = replace(config, memory_sizes=sizes), pool_rows(sizes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need <= physical:
-        return None
-    return (
-        f"embedding {num_examples} examples needs {need / 2**30:.3g} GiB, more than the "
-        f"{physical / 2**30:.3g} GiB of physical memory (reduce draws or proj_dim)"
-    )
+    for method in (m for m in config.methods if m in harness.GMC_METHODS):
+        need = embedding_peak_bytes(harness.method_embedding(config, method, 0), arch, rows)
+        if need > physical:
+            raise ConfigError(
+                f"embedding {rows} examples needs {need / 2**30:.3g} GiB, more than the "
+                f"{physical / 2**30:.3g} GiB of physical memory (reduce draws or proj_dim)"
+            )
+    return config, arch
+
+
+# select's --embedding values, each the gradient-matching method that pins that mode alone
+SELECT_METHODS = {pins["mode"]: m for m, pins in harness.GMC_PINS.items() if len(pins) == 1}
 
 
 def cmd_select(args) -> int:
+    method = SELECT_METHODS[args.embedding]
     try:
-        data = scenarios.load_csv(args.dataset, _label_column(args.label_column), args.header)
-        arch = nn.MlpArch(data.num_features, tuple(args.hidden), data.num_classes)
-        config = EmbeddingConfig(
-            draws=args.draws, mode=args.embedding, proj_dim=args.proj_dim,
-            projection_seed=args.proj_seed, init_seed=args.init_seed,
-        )
-    except (OSError, ValueError) as exc:
+        cfg = {**resolve_args(args), "methods": (method,)}
+        data = _read_csv(cfg)
+        # one update of an empty memory embeds every row
+        config, arch = checked_config(cfg, data, lambda sizes: data.num_examples)
+        (size,), out = config.memory_sizes, cfg["out"]
+        if size > data.num_examples:
+            raise ConfigError(f"coreset size {size} exceeds the dataset size {data.num_examples}")
+        if os.path.isdir(out):
+            raise ConfigError(f"--out {out} is a directory")
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ConfigError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.standardize:
+    if cfg["standardize"]:
         data, _ = scenarios.standardize_features(data, data)
-    dim = embedding_dim(config, arch)
-    problem = None
-    if data.num_classes < 2:
-        problem = SINGLE_CLASS
-    elif args.size < 1:
-        problem = f"coreset size must be >= 1, got {args.size}"
-    elif args.size > dim:
-        problem = (
-            f"coreset size {args.size} exceeds the embedding dimension {dim}; "
-            f"gradient matching requires D >= n (increase --proj-dim or --draws)"
-        )
-    elif args.size > data.num_examples:
-        problem = f"coreset size {args.size} exceeds the dataset size {data.num_examples}"
-    elif os.path.isdir(args.out):
-        problem = f"--out {args.out} is a directory"
-    elif not os.path.isdir(os.path.dirname(args.out) or "."):
-        problem = f"--out {args.out}: directory {os.path.dirname(args.out)} does not exist"
-    else:
-        problem = _embedding_memory_problem(config, arch, data.num_examples)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
     try:
-        G = embed_batch(data.features, data.labels, arch, config)
-        selection = omp_select(G, G.data.sum(axis=1), args.size)
-        with open(args.out, "w", newline="") as fh:
+        embedding = harness.method_embedding(config, method, 0)
+        G = embed_batch(data.features, data.labels, arch, embedding)
+        selection = omp_select(G, G.data.sum(axis=1), size)
+        with open(out, "w", newline="") as fh:
             fh.write("row_index,weight\n")
             for ix, w in zip(selection.indices, selection.weights):
                 fh.write(f"{int(ix)},{float(w)!r}\n")
         if selection.truncated:
             print(
-                f"note: wrote {len(selection.indices)} of the {args.size} rows asked for; "
+                f"note: wrote {len(selection.indices)} of the {size} rows asked for; "
                 f"the gradient embeddings of the other rows depend linearly on them",
                 file=sys.stderr,
             )
@@ -349,37 +357,21 @@ def cmd_select(args) -> int:
 
 def cmd_run(args) -> int:
     file_values: dict[str, str] = {}
-    config_path = None
-    if args.config:
-        config_path = args.config
-        try:
+    try:
+        if args.config:
             with open(args.config) as fh:
                 file_values = parse_config_text(fh.read(), args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    overrides = {key: getattr(args, key, None) for key in CONFIG_SCHEMA}
-    try:
-        cfg = resolve_config(file_values, overrides)
+        cfg = resolve_args(args, file_values)
         if cfg["jobs"] < 1:
             raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
-        if scenario.num_classes < 2:
-            raise ConfigError(SINGLE_CLASS)
-        config = experiment_config(cfg)
-        arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
-        cfg["memory_sizes"] = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
-        config = replace(config, memory_sizes=cfg["memory_sizes"])
         # a gmc update embeds at most the memory plus the batch
-        pool = max(config.memory_sizes) + max(b.num_examples for b in scenario.batches)
-        for method in (m for m in config.methods if m in harness.GMC_METHODS):
-            embedding = harness.method_embedding(config, method, 0)
-            problem = _embedding_memory_problem(embedding, arch, pool)
-            if problem:
-                raise ConfigError(problem)
+        batch_rows = max(b.num_examples for b in scenario.batches)
+        config, _ = checked_config(cfg, scenario, lambda sizes: max(sizes) + batch_rows)
+        cfg["memory_sizes"] = config.memory_sizes
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -396,7 +388,7 @@ def cmd_run(args) -> int:
         scenario, os.path.join(out_dir, "scenario.txt"), seed=cfg["data_seed"]
     )
     with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(manifest_text(cfg, config_path))
+        fh.write(manifest_text(cfg, args.config))
     if result.failures:
         for failure in result.failures:
             print(
@@ -453,20 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sel = sub.add_parser("select", help="select a weighted coreset from a CSV dataset")
     sel.add_argument("dataset", help="path to a CSV dataset")
-    sel.add_argument("-n", "--size", type=int, required=True, help="coreset size")
+    # dests are CONFIG_SCHEMA keys, resolved by run's rules
+    sel.add_argument("-n", "--size", dest="memory_sizes", metavar="SIZE", type=int,
+                     required=True, help="coreset size")
     sel.add_argument("--out", default="coreset.csv", help="output CSV (row_index, weight)")
-    sel.add_argument("--label-column", default="-1", help="label column name or index")
-    sel.add_argument("--header", dest="header", action="store_true", default=True)
-    sel.add_argument("--no-header", dest="header", action="store_false")
-    sel.add_argument("--standardize", dest="standardize", action="store_true", default=True)
-    sel.add_argument("--no-standardize", dest="standardize", action="store_false")
-    sel.add_argument("--embedding", choices=["random_projection", "last_layer"],
-                     default="random_projection")
-    sel.add_argument("--proj-dim", type=int, default=2000)
-    sel.add_argument("--draws", type=int, default=4)
-    sel.add_argument("--init-seed", type=int, default=0)
-    sel.add_argument("--proj-seed", type=int, default=0)
-    sel.add_argument("--hidden", type=lambda s: _parse_int_list(s), default=(128, 128))
+    sel.add_argument("--label-column", help="label column name or index")
+    sel.add_argument("--header", dest="has_header", action=argparse.BooleanOptionalAction)
+    sel.add_argument("--standardize", action=argparse.BooleanOptionalAction)
+    sel.add_argument("--embedding", choices=SELECT_METHODS, default="random_projection")
+    for flag in ("--proj-dim", "--draws", "--init-seed", "--proj-seed", "--hidden"):
+        sel.add_argument(flag)
 
     run = sub.add_parser("run", help="run an experiment sweep from a configuration")
     run.add_argument("--config", help="flat key = value configuration file")
@@ -475,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--jobs", help="parallel sweep cells")
     run.add_argument("--memory-sizes", help="comma-separated memory sizes")
     run.add_argument("--method", dest="methods", help="comma-separated method names")
-    run.add_argument("--paradigm", choices=["gdumb", "replay"])
+    run.add_argument("--paradigm", choices=harness.PARADIGMS)
     run.add_argument("--proj-dim")
     run.add_argument("--draws")
 

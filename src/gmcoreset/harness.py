@@ -29,7 +29,25 @@ GMC_PINS = {
     "gmc_local": {"mode": "random_projection", "draws": 1},
 }
 GMC_METHODS = tuple(GMC_PINS)
-METHODS = (*GMC_METHODS, "reservoir", "class_balance", "sliding_window", "facility_location")
+
+
+def _matched(r: Rehearsal, X, y, p):
+    return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))
+
+
+# How each method offers a batch (X, y) to a Rehearsal r; local matching
+# embeds at the learner's params p.  Each entry looks its update up in
+# ``memory`` when called, so a rebound module attribute is the one that runs.
+UPDATES = {
+    "gmc": _matched,
+    "gmc_last_layer": _matched,
+    "gmc_local": lambda r, X, y, p: mem.local_gmc_update(r.memory, X, y, p, r.embedding),
+    "reservoir": lambda r, X, y, p: mem.reservoir_update(r.memory, X, y, r.rng),
+    "class_balance": lambda r, X, y, p: mem.class_balance_update(r.memory, X, y, r.rng),
+    "sliding_window": lambda r, X, y, p: mem.sliding_window_update(r.memory, X, y),
+    "facility_location": lambda r, X, y, p: mem.facility_location_update(r.memory, X, y, r.sieve),
+}
+METHODS = tuple(UPDATES)
 PARADIGMS = ("gdumb", "replay")
 DEFAULT_MEMORY_SIZES = (100, 200, 500, 1000, 2000, 5000)
 
@@ -180,21 +198,8 @@ class Rehearsal:
         self.sieve = mem.SieveState()
 
     def update(self, batch: Dataset, params: nn.MlpParams) -> mem.RehearsalMemory:
-        """Offer one batch; local matching embeds at ``params``."""
-        X, y, method = batch.features, batch.labels, self.method
-        if method in ("gmc", "gmc_last_layer"):
-            G = embed_batch(X, y, self.arch, self.embedding)
-            self.memory = mem.gmc_update(self.memory, X, y, G)
-        elif method == "gmc_local":
-            self.memory = mem.local_gmc_update(self.memory, X, y, params, self.embedding)
-        elif method == "reservoir":
-            self.memory = mem.reservoir_update(self.memory, X, y, self.rng)
-        elif method == "class_balance":
-            self.memory = mem.class_balance_update(self.memory, X, y, self.rng)
-        elif method == "sliding_window":
-            self.memory = mem.sliding_window_update(self.memory, X, y)
-        else:
-            self.memory = mem.facility_location_update(self.memory, X, y, self.sieve)
+        """Offer one batch through ``UPDATES``; local matching embeds at ``params``."""
+        self.memory = UPDATES[self.method](self, batch.features, batch.labels, params)
         return self.memory
 
 

@@ -115,7 +115,7 @@ def test_select_rejects_empty_coreset_before_embedding(tmp_path, capsys, monkeyp
         "select", path, "-n", "0", "--out", str(tmp_path / "x.csv"), "--label-column", "label",
     ])
     assert code == 2
-    assert "coreset size must be >= 1" in capsys.readouterr().err
+    assert "memory sizes must be >= 1" in capsys.readouterr().err
 
 
 def test_select_rejects_single_class_before_embedding(tmp_path, capsys, monkeypatch):
@@ -227,6 +227,20 @@ def test_select_notes_a_coreset_smaller_than_asked(tmp_path, capsys):
     assert "wrote 3 of the 5 rows asked for" in capsys.readouterr().err
 
 
+def test_select_reads_a_csv_named_synthetic(tmp_path, monkeypatch):
+    # run's dataset key names the built-in generator "synthetic"; select's argument is a path
+    data = synth_blobs(seed=0, n_per_class=10, num_classes=2, dims=4)
+    save_csv(data, str(tmp_path / "synthetic"))
+    monkeypatch.chdir(tmp_path)
+    code = main([
+        "select", "synthetic", "-n", str(data.num_examples), "--out", "coreset.csv",
+        "--label-column", "label", "--proj-dim", "16", "--draws", "4", "--hidden", "8",
+    ])
+    assert code == 0
+    rows = [line.split(",") for line in open("coreset.csv").read().strip().splitlines()[1:]]
+    assert sorted(int(r[0]) for r in rows) == list(range(data.num_examples))
+
+
 def test_select_missing_file_is_a_usage_error(tmp_path, capsys):
     code = main(["select", str(tmp_path / "nope.csv"), "-n", "3", "--out", "o.csv"])
     assert code == 2
@@ -263,6 +277,14 @@ def test_run_unknown_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + "\nbogus_key = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "bogus_key" in capsys.readouterr().err
+
+
+def test_run_malformed_config_line_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, MINIMAL_CONFIG + "epochs 5\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "expected 'key = value'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_override_is_recorded_in_manifest(tmp_path):
@@ -388,6 +410,16 @@ def test_memory_size_beyond_embedding_dim_is_rejected_at_both_entry_points(
     cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), {"methods": method})
     with pytest.raises(ValueError, match=f"embedding dimension {dim};"):
         run_cell(cli.build_scenario(cfg), method, dim + 1, cli.experiment_config(cfg), seed=0)
+
+    # select has no mode of local matching
+    modes = {"gmc": "random_projection", "gmc_last_layer": "last_layer"}
+    if method in modes:
+        path, _ = write_blob_csv(tmp_path, n_per_class=20, classes=3)
+        code = main(["select", path, "-n", str(dim + 1), "--out", str(tmp_path / "x.csv"),
+                     "--label-column", "label", "--embedding", modes[method],
+                     "--hidden", "8", "--proj-dim", "16", "--draws", "2"])
+        assert code == 2
+        assert f"embedding dimension {dim};" in capsys.readouterr().err
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -546,3 +546,29 @@ def test_each_gmc_method_pins_its_embedding_mode(method, mode):
     for configured in ("random_projection", "last_layer"):
         config = ExperimentConfig(embedding=EmbeddingConfig(mode=configured))
         assert method_embedding(config, method, seed=0).mode == mode
+
+
+# The memory update each method's UPDATES entry must reach, by its name in
+# the memory module: perfbench times every update through that name.
+UPDATE_NAMES = {
+    "gmc": "gmc_update",
+    "gmc_last_layer": "gmc_update",
+    "gmc_local": "local_gmc_update",
+    "reservoir": "reservoir_update",
+    "class_balance": "class_balance_update",
+    "sliding_window": "sliding_window_update",
+    "facility_location": "facility_location_update",
+}
+
+
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_rehearsal_update_calls_the_memory_module_attribute(tiny_scenario, monkeypatch, method):
+    calls = []
+    recorded = mem.RehearsalMemory(20)
+    monkeypatch.setattr(mem, UPDATE_NAMES[method], lambda *args: calls.append(args) or recorded)
+    batch = tiny_scenario.batches[0]
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    rehearsal = harness.Rehearsal(tiny_config(methods=(method,)), method, 20, arch, seed=0)
+    assert rehearsal.update(batch, nn.init_sample(arch, 0)) is recorded
+    assert rehearsal.memory is recorded
+    assert len(calls) == 1 and calls[0][1] is batch.features and calls[0][2] is batch.labels
