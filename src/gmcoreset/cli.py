@@ -18,7 +18,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
+from functools import partial
 
 from . import harness, nn, scenarios
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
@@ -47,10 +48,13 @@ def _parse_opt_int(text: str):
 
 
 def _fmt(value) -> str:
+    """A results-file field: a float by its repr, ``None`` empty, a sequence comma-joined."""
     if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
     if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
+        return ",".join(map(_fmt, value))
     return "" if value is None else str(value)
 
 
@@ -133,16 +137,6 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> di
     return resolved
 
 
-def manifest_text(resolved: dict, config_path: str | None) -> str:
-    """The fully resolved config of a run, itself reusable as --config."""
-    lines = ["# resolved run configuration; reusable as --config"]
-    if config_path:
-        lines.append(f"# source config: {config_path}")
-    for key in CONFIG_SCHEMA:
-        lines.append(f"{key} = {_fmt(resolved[key])}")
-    return "\n".join(lines) + "\n"
-
-
 def _read_csv(cfg: dict) -> scenarios.Dataset:
     """The CSV file at ``dataset``; ``label_column`` is a column index or name."""
     try:
@@ -203,41 +197,23 @@ AGG_HEADER = "scenario,paradigm,method,memory_size,mean_final_acc,std_final_acc,
 PER_TASK_HEADER = "scenario,paradigm,method,memory_size,task_index,mean_acc,std_acc,num_seeds"
 
 
-def write_raw_csv(path: str, rows, with_timings: bool = False) -> None:
-    """Raw per-task rows.
-
-    The wall_time_s field is left empty in raw.csv so re-running an
-    identical configuration reproduces the file byte for byte; measured
-    times go to the timings.csv companion (with_timings=True).
-    """
+def write_csv(path: str, header: str, records) -> None:
+    """``header``, then one line of comma-joined ``_fmt`` fields per record."""
     with open(path, "w", newline="") as fh:
-        fh.write(RAW_HEADER + "\n")
-        for r in rows:
-            stamp = repr(r.wall_time) if with_timings else ""
-            fh.write(
-                f"{r.scenario},{r.paradigm},{r.method},{r.memory_size},"
-                f"{r.seed},{r.task_index},{r.test_accuracy!r},{stamp}\n"
-            )
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_fmt, record)) + "\n" for record in records)
 
 
-def write_aggregate_csv(path: str, aggregates, per_task: bool = False) -> None:
-    """Final-task rows, or with ``per_task`` every task's row with its index."""
-    with open(path, "w", newline="") as fh:
-        fh.write((PER_TASK_HEADER if per_task else AGG_HEADER) + "\n")
-        for a in aggregates:
-            task = f"{a.task_index}," if per_task else ""
-            fh.write(
-                f"{a.scenario},{a.paradigm},{a.method},{a.memory_size},{task}"
-                f"{a.mean_acc!r},{a.std_acc!r},{a.num_seeds}\n"
-            )
+def write_key_values(path: str, values: dict, comments=()) -> None:
+    """``# comment`` lines, then a ``key = value`` line per item for ``parse_config_text``."""
+    with open(path, "w") as fh:
+        fh.writelines(f"# {line}\n" for line in comments)
+        fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in values.items())
 
 
-def write_frequency_csv(path: str, scenario) -> None:
-    table = scenarios.class_frequencies(scenario)
-    with open(path, "w", newline="") as fh:
-        fh.write("task_index," + ",".join(f"class_{c}" for c in range(table.shape[1])) + "\n")
-        for t, row in enumerate(table):
-            fh.write(f"{t}," + ",".join(repr(float(v)) for v in row) + "\n")
+def final_records(aggregates) -> list[tuple]:
+    """``AGG_HEADER``'s fields of final-task aggregates: all but the task index."""
+    return [(*row[:4], *row[5:]) for row in map(astuple, aggregates)]
 
 
 def read_raw_csv(path: str) -> list[harness.ResultRow]:
@@ -339,10 +315,7 @@ def cmd_select(args) -> int:
         embedding = harness.method_embedding(config, method, 0)
         G = embed_batch(data.features, data.labels, arch, embedding)
         selection = omp_select(G, G.data.sum(axis=1), size)
-        with open(out, "w", newline="") as fh:
-            fh.write("row_index,weight\n")
-            for ix, w in zip(selection.indices, selection.weights):
-                fh.write(f"{int(ix)},{float(w)!r}\n")
+        write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
         if selection.truncated:
             print(
                 f"note: wrote {len(selection.indices)} of the {size} rows asked for; "
@@ -376,28 +349,39 @@ def cmd_run(args) -> int:
         return 2
 
     result = harness.sweep(config, scenario, jobs=cfg["jobs"])
-    write_raw_csv(os.path.join(out_dir, "raw.csv"), result.rows)
-    write_raw_csv(os.path.join(out_dir, "timings.csv"), result.rows, with_timings=True)
+    out = partial(os.path.join, out_dir)
+    rows = [astuple(r) for r in result.rows]
+    # raw.csv leaves the wall time empty, so an identical configuration reproduces it byte for
+    # byte; timings.csv holds the measured times
+    write_csv(out("raw.csv"), RAW_HEADER, [(*r[:-1], None) for r in rows])
+    write_csv(out("timings.csv"), RAW_HEADER, rows)
     final = scenario.num_tasks - 1
-    write_aggregate_csv(
-        os.path.join(out_dir, "aggregate.csv"),
-        [a for a in harness.aggregate_rows(result.rows) if a.task_index == final],
+    finals = [a for a in harness.aggregate_rows(result.rows) if a.task_index == final]
+    write_csv(out("aggregate.csv"), AGG_HEADER, final_records(finals))
+    table = scenarios.class_frequencies(scenario)
+    header = ",".join(["task_index", *(f"class_{c}" for c in range(table.shape[1]))])
+    write_csv(out("class_frequencies.csv"), header, ((t, *row) for t, row in enumerate(table)))
+    write_key_values(out("scenario.txt"), {
+        "kind": scenario.kind,
+        "seed": cfg["data_seed"],
+        "num_batches": scenario.num_tasks,
+        "batch_sizes": [b.num_examples for b in scenario.batches],
+        "test_size": scenario.test.num_examples,
+        "num_classes": scenario.num_classes,
+        "num_features": scenario.num_features,
+    })
+    # cfg holds every CONFIG_SCHEMA key in order, so the manifest is itself a runnable config
+    source = [f"source config: {args.config}"] if args.config else []
+    write_key_values(
+        out("manifest.txt"), cfg, ["resolved run configuration; reusable as --config", *source]
     )
-    write_frequency_csv(os.path.join(out_dir, "class_frequencies.csv"), scenario)
-    scenarios.write_scenario_manifest(
-        scenario, os.path.join(out_dir, "scenario.txt"), seed=cfg["data_seed"]
-    )
-    with open(os.path.join(out_dir, "manifest.txt"), "w") as fh:
-        fh.write(manifest_text(cfg, args.config))
-    if result.failures:
-        for failure in result.failures:
-            print(
-                f"cell failed: method={failure.method} memory_size={failure.memory_size} "
-                f"seed={failure.seed} task={failure.task_index}: {failure.message}",
-                file=sys.stderr,
-            )
-        return 1
-    return 0
+    for failure in result.failures:
+        print(
+            f"cell failed: method={failure.method} memory_size={failure.memory_size} "
+            f"seed={failure.seed} task={failure.task_index}: {failure.message}",
+            file=sys.stderr,
+        )
+    return 1 if result.failures else 0
 
 
 def cmd_report(args) -> int:
@@ -430,11 +414,11 @@ def cmd_report(args) -> int:
 
     aggregates = harness.aggregate_rows(rows)
     finals = [a for a in aggregates if a.task_index == final]
-    write_aggregate_csv(os.path.join(out_dir, "report_final_accuracy.csv"), finals)
+    write_csv(os.path.join(out_dir, "report_final_accuracy.csv"), AGG_HEADER, final_records(finals))
     print(final_accuracy_table(rows, finals))
-    write_aggregate_csv(
-        os.path.join(out_dir, "report_per_task.csv"),
-        [a for a in aggregates if a.memory_size == size], per_task=True,
+    write_csv(
+        os.path.join(out_dir, "report_per_task.csv"), PER_TASK_HEADER,
+        [astuple(a) for a in aggregates if a.memory_size == size],
     )
     return 0
 

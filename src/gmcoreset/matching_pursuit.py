@@ -70,7 +70,8 @@ class GradientMatrix:
             )
         if not np.all(np.isfinite(self.data)):
             raise ValueError("dictionary contains non-finite entries")
-        self.column_norms = np.linalg.norm(self.data, axis=0)
+        with np.errstate(over="ignore"):  # omp_select raises on a norm that overflows
+            self.column_norms = np.linalg.norm(self.data, axis=0)
 
     @property
     def dim(self) -> int:
@@ -256,7 +257,9 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     Zero-norm columns and already-selected columns are never candidates;
     score ties break toward the lowest column index.  A linearly
     dependent best candidate stops the selection early with
-    ``truncated=True`` rather than raising.
+    ``truncated=True`` rather than raising.  Column norms or scores
+    ``target @ G`` that overflow to non-finite values raise
+    ``ValueError``.
     """
     target = np.asarray(target, dtype=np.float64)
     D, N = G.data.shape
@@ -275,10 +278,16 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
             f"a valid selection requires D >= n"
         )
 
+    # NaN ratios would rank no column, and the selection would stop empty as "truncated"
     norms = G.column_norms
+    if not np.isfinite(norms).all():
+        raise ValueError("dictionary column norms overflow to inf (standardize the features)")
     excluded = norms <= 0.0
     safe_norms = np.where(excluded, 1.0, norms)
-    scores = target @ G.data
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        scores = target @ G.data
+    if not np.isfinite(scores).all():
+        raise ValueError("scores target @ G overflow to non-finite values (standardize features)")
     ratios = np.empty(N)
     gram = G.data.T @ G.data if N <= min(D, GRAM_MAX_RATIO * n) else None
     basis = np.empty((N, n), order="F")

@@ -259,18 +259,3 @@ def class_frequencies(scenario: ContinualScenario) -> np.ndarray:
         counts = np.bincount(batch.labels, minlength=k)
         table[t] = counts / counts.sum()
     return table
-
-
-def write_scenario_manifest(scenario: ContinualScenario, path: str, seed: int) -> None:
-    """Record kind, seed and sizes as flat ``key = value`` lines."""
-    lines = [
-        f"kind = {scenario.kind}",
-        f"seed = {seed}",
-        f"num_batches = {scenario.num_tasks}",
-        f"batch_sizes = {','.join(str(b.num_examples) for b in scenario.batches)}",
-        f"test_size = {scenario.test.num_examples}",
-        f"num_classes = {scenario.num_classes}",
-        f"num_features = {scenario.num_features}",
-    ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -227,6 +227,20 @@ def test_select_notes_a_coreset_smaller_than_asked(tmp_path, capsys):
     assert "wrote 3 of the 5 rows asked for" in capsys.readouterr().err
 
 
+def test_select_fails_loudly_when_gradient_norms_overflow(tmp_path, capsys):
+    # unstandardized features of drift 1e200 give gradients whose squared norms overflow
+    path = tmp_path / "data.csv"
+    save_csv(synth_blobs(seed=0, n_per_class=25, num_classes=3, dims=4, drift=1e200), str(path))
+    out = tmp_path / "coreset.csv"
+    code = main([
+        "select", str(path), "-n", "5", "--out", str(out), "--no-standardize",
+        "--label-column", "label", "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 1
+    assert "column norms overflow" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_reads_a_csv_named_synthetic(tmp_path, monkeypatch):
     # run's dataset key names the built-in generator "synthetic"; select's argument is a path
     data = synth_blobs(seed=0, n_per_class=10, num_classes=2, dims=4)
@@ -271,6 +285,31 @@ def test_run_replay_paradigm(tmp_path):
     assert "sorted,replay,reservoir,15,0," in raw
     manifest = open(os.path.join(out, "manifest.txt")).read()
     assert "paradigm = replay" in manifest and "replay_epochs = 2" in manifest
+
+
+def test_scenario_manifest_records_kind_seed_and_sizes(tmp_path):
+    # later lines override MINIMAL_CONFIG's: 200 examples, 160 of them cut into 4 batches
+    cfg = write_config(tmp_path, MINIMAL_CONFIG + (
+        "synth_per_class = 50\nsynth_classes = 4\nsynth_dims = 5\nsynth_drift = 1.0\n"
+        "data_seed = 7\nnum_batches = 4\n"
+    ))
+    out = str(tmp_path / "results")
+    assert main(["run", "--config", cfg, "--out", out]) == 0
+    text = open(os.path.join(out, "scenario.txt")).read()
+    assert "kind = sorted" in text
+    assert "seed = 7" in text
+    assert "batch_sizes = 40,40,40,40" in text
+    assert "test_size = 40" in text
+
+
+def test_run_fails_loudly_when_gradient_norms_overflow(tmp_path, capsys):
+    text = MINIMAL_CONFIG.replace("methods = reservoir", "methods = gmc")
+    cfg = write_config(tmp_path, text.replace("synth_drift = 1.0", "synth_drift = 1e200")
+                       + "standardize = false\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "cell failed: method=gmc memory_size=15 seed=0 task=0: " in err
+    assert "column norms overflow" in err
 
 
 def test_run_unknown_key_exits_two(tmp_path, capsys):

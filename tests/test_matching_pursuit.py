@@ -253,6 +253,20 @@ def test_preconditions():
         omp_select(G, np.ones(2), 0)
 
 
+def test_overflowing_column_norms_raise_instead_of_selecting_nothing():
+    # squared entries of 1e200 overflow, so every norm is inf and every ratio NaN
+    G = GradientMatrix(np.random.default_rng(0).standard_normal((8, 5)) * 1e200)
+    assert np.isinf(G.column_norms).all()
+    with pytest.raises(ValueError, match="column norms overflow"):
+        omp_select(G, np.ones(8), 3)
+
+
+def test_overflowing_first_scores_raise():
+    G = GradientMatrix(np.ones((8, 5)))
+    with pytest.raises(ValueError, match=r"target @ G overflow"):
+        omp_select(G, np.full(8, 1e308), 3)
+
+
 def _oracle_cases():
     """(name, dictionary, target, n) on seeded random dictionaries."""
     rng = np.random.default_rng(2024)

@@ -1,16 +1,23 @@
-"""A tiny `run` in both paradigms and a tiny `select`, pinned to recorded outputs.
+"""A tiny `run` in both paradigms, its `report` and a tiny `select`, pinned to recorded outputs.
 
-The files in tests/pinned/ hold the outputs of exactly these commands,
-and the shipped configs' raw.csv at seed 0 and memory size 50 is pinned
-by its sha256.
-A refactor must reproduce raw.csv byte for byte and the coreset's rows
-exactly (weights within rtol 1e-9); a change meant to alter numerics
-re-records the files and says why.  The run covers all seven methods,
-and the replay run keeps the known gmc_local failure at seed 1, task 1
-(refit weights whose sum is negative), so it exits 1 with partial rows.
+The files in tests/pinned/ hold the outputs of exactly these commands:
+run-<paradigm>.csv is the run's raw.csv, and run-<paradigm>/ holds every
+other results file of the run and of `report --memory-size 10`, with the
+table `report` prints as report.txt.  manifest.txt is pinned without its
+two path lines, and timings.csv, whose wall times are measured, must
+equal raw.csv but for them.  The shipped configs' raw.csv at seed 0 and
+memory size 50 is pinned by its sha256.
+A refactor must reproduce these files byte for byte and the coreset's
+rows exactly (weights within rtol 1e-9); a change meant to alter
+numerics re-records the files and says why.  The run covers all seven
+methods, and the replay run keeps the known gmc_local failure at seed 1,
+task 1 (refit weights whose sum is negative), so it exits 1 with partial
+rows.
 """
 
+import contextlib
 import hashlib
+import io
 import os
 
 import numpy as np
@@ -51,18 +58,80 @@ SELECT_FLAGS = ["-n", "10", "--label-column", "label", "--hidden", "8",
                 "--proj-dim", "16", "--draws", "2"]
 
 
+PARADIGMS = ["gdumb", "replay"]
+# results files pinned byte for byte in tests/pinned/run-<paradigm>/
+RESULTS_FILES = [
+    "aggregate.csv", "class_frequencies.csv", "scenario.txt",
+    "report_final_accuracy.csv", "report_per_task.csv",
+]
+
+
 def pinned(name):
     return os.path.join(PINNED, name)
 
 
-@pytest.mark.parametrize("paradigm, code", [("gdumb", 0), ("replay", 1)])
-def test_run_reproduces_pinned_raw_csv(tmp_path, paradigm, code):
-    config = tmp_path / "pin.cfg"
+def pinned_bytes(name):
+    with open(pinned(name), "rb") as fh:
+        return fh.read()
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory):
+    """paradigm -> (run's exit code, results directory, what `report --memory-size 10` prints)"""
+    root = tmp_path_factory.mktemp("pinned")
+    config = root / "pin.cfg"
     config.write_text(RUN_CONFIG)
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(config), "--paradigm", paradigm, "--out", str(out)]) == code
-    with open(pinned(f"run-{paradigm}.csv"), "rb") as fh:
-        assert (out / "raw.csv").read_bytes() == fh.read()
+    outcomes = {}
+    for paradigm in PARADIGMS:
+        out = root / paradigm
+        code = main(["run", "--config", str(config), "--paradigm", paradigm, "--out", str(out)])
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            assert main(["report", str(out), "--memory-size", "10"]) == 0
+        outcomes[paradigm] = code, out, printed.getvalue()
+    return outcomes
+
+
+@pytest.mark.parametrize("paradigm, code", [("gdumb", 0), ("replay", 1)])
+def test_run_reproduces_pinned_raw_csv(runs, paradigm, code):
+    got, out, _ = runs[paradigm]
+    assert got == code
+    assert (out / "raw.csv").read_bytes() == pinned_bytes(f"run-{paradigm}.csv")
+
+
+@pytest.mark.parametrize("name", RESULTS_FILES)
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_run_and_report_reproduce_pinned_results_files(runs, paradigm, name):
+    _, out, _ = runs[paradigm]
+    assert (out / name).read_bytes() == pinned_bytes(f"run-{paradigm}/{name}")
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_report_prints_the_pinned_table(runs, paradigm):
+    _, _, printed = runs[paradigm]
+    assert printed.encode() == pinned_bytes(f"run-{paradigm}/report.txt")
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_manifest_reproduces_pinned_lines_but_its_paths(runs, paradigm):
+    _, out, _ = runs[paradigm]
+    lines = (out / "manifest.txt").read_bytes().decode().splitlines(keepends=True)
+    paths = [line for line in lines if line.startswith(("# source config:", "out ="))]
+    assert paths == [f"# source config: {out.parent / 'pin.cfg'}\n", f"out = {out}\n"]
+    kept = "".join(line for line in lines if line not in paths)
+    assert kept.encode() == pinned_bytes(f"run-{paradigm}/manifest.txt")
+
+
+@pytest.mark.parametrize("paradigm", PARADIGMS)
+def test_timings_equal_raw_csv_but_for_a_positive_wall_time(runs, paradigm):
+    _, out, _ = runs[paradigm]
+    raw = (out / "raw.csv").read_bytes().decode().splitlines()
+    timings = (out / "timings.csv").read_bytes().decode().splitlines()
+    assert timings[0] == raw[0] and len(timings) == len(raw)
+    for timed, row in zip(timings[1:], raw[1:]):
+        fields, wall_time = timed.rsplit(",", 1)
+        assert fields + "," == row
+        assert float(wall_time) > 0
 
 
 @pytest.mark.parametrize("mode", ["random_projection", "last_layer"])

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmcoreset import scenarios
 from gmcoreset.scenarios import (
     Dataset,
     class_frequencies,
@@ -237,17 +236,6 @@ def test_frequencies_recover_global_counts(blob_data):
     recovered = (table * sizes[:, None]).sum(axis=0)
     train, _ = train_test_split(blob_data, 0.2, 0)
     assert np.allclose(recovered, np.bincount(train.labels, minlength=4))
-
-
-def test_scenario_manifest_records_kind_seed_and_sizes(tmp_path, blob_data):
-    scen = make_sorted_scenario(*train_test_split(blob_data, 0.2, 7), num_batches=4)
-    path = tmp_path / "scenario.txt"
-    scenarios.write_scenario_manifest(scen, str(path), seed=7)
-    text = path.read_text()
-    assert "kind = sorted" in text
-    assert "seed = 7" in text
-    assert "batch_sizes = 40,40,40,40" in text
-    assert "test_size = 40" in text
 
 
 def test_standardize_uses_train_statistics(blob_data):
