@@ -117,7 +117,9 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
 
 
 def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> dict:
-    """Apply defaults, file values, then overrides; reject unknown keys."""
+    """Apply defaults, file values, then overrides; reject unknown keys, and values that
+    would not read back from a ``key = value`` line: those holding ``#`` or a line break,
+    or starting or ending with whitespace."""
     unknown = sorted(set(file_values) - set(CONFIG_SCHEMA))
     if unknown:
         raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
@@ -130,8 +132,14 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> di
         else:
             resolved[key] = default
             continue
+        raw = str(raw)
+        if "#" in raw or len((raw + ".").splitlines()) > 1 or raw != raw.strip():
+            raise ConfigError(
+                f"bad value for {key!r}: {raw!r} would not read back from the manifest "
+                "(it holds '#' or a line break, or starts or ends with whitespace)"
+            )
         try:
-            resolved[key] = parser(str(raw))
+            resolved[key] = parser(raw)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}")
     return resolved

@@ -11,7 +11,6 @@ each task.  Every run emits one result row per task.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -306,6 +305,9 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
 
     workers = min(jobs, len(cells))
     if workers > 1:
+        # imported here: multiprocessing costs a serial run's start-up about 30 ms
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(run_cell, *cell) for cell in cells]
             for cell, fut in zip(cells, futures):

@@ -233,68 +233,73 @@ def sliding_window_update(
 
 
 @dataclass
-class _Candidates:
-    """One threshold's set: the store slots of its members, in admission order, and its value."""
-
-    slots: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
-    size: int = 0
-    value: float = 0.0
-
-    @property
-    def members(self) -> np.ndarray:
-        return self.slots[: self.size]
-
-    def add(self, slot: int) -> None:
-        if self.size == len(self.slots):
-            self.slots = np.concatenate([self.slots, np.empty(self.size + 8, dtype=np.intp)])
-        self.slots[self.size] = slot
-        self.size += 1
-
-
-@dataclass
 class SieveState:
-    """Threshold sets for one-pass submodular maximization.
+    """Threshold sets for one-pass submodular maximization, for one memory size n.
 
-    ``bound`` is the online estimate of the largest pairwise distance
-    (twice the largest feature norm seen); the active thresholds
-    (1 + SIEVE_EPSILON)^j cover [bound, 2 * n * bound] for memory size n,
-    and ``span`` is the (lowest, highest) j of the current ``sets``.
+    ``bound`` estimates the largest pairwise distance (twice the largest
+    feature norm seen); the live thresholds (1 + SIEVE_EPSILON)^j cover
+    [bound, 2 * n * bound], j in ``span``.  Threshold j's set is row
+    j - span[0]: objective ``values``, (1 + SIEVE_EPSILON)^j / 2 in
+    ``halves``, and its members' store slots in admission order in the
+    first ``sizes`` entries of its ``slots`` row, whose rest repeats its
+    first member (-1 while it has none).  ``open`` lists the rows with
+    fewer than n members, ``live`` the slots they hold.
 
     Every admitted item is stored once, in the next row (slot) of the
-    growing float64 ``points`` store, its label in ``labels`` beside it;
-    ``count`` rows are in use.  Each threshold set, and the ``fallback``
-    set that collects zero-norm items while the bound is 0, holds the
-    slots of its members in admission order.  An item whose sets all
-    drop off as the bound rises keeps its row, so the store's rows never
-    exceed the items offered.
+    growing ``points`` store, its label in ``labels``; ``count`` rows are
+    in use, never more than the items offered.  ``fallback`` holds the
+    slots of the zero-norm items taken while the bound is 0 (objective 0).
     """
 
     bound: float = 0.0
-    sets: dict[int, _Candidates] = field(default_factory=dict)
-    fallback: _Candidates = field(default_factory=_Candidates)
+    fallback: list[int] = field(default_factory=list)
     span: tuple[int, int] | None = None
+    slots: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.intp))
+    sizes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    halves: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    open: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    live: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
     points: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     labels: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     count: int = 0
 
+    def respan(self, j_lo: int, j_hi: int, n: int) -> None:
+        """Make thresholds j_lo..j_hi live, keeping the sets of those already live."""
+        slots = np.full((j_hi - j_lo + 1, n), -1, dtype=np.intp)
+        sizes, values = np.zeros(len(slots), dtype=np.intp), np.zeros(len(slots))
+        if self.span is not None:
+            kept = np.arange(max(j_lo, self.span[0]), min(j_hi, self.span[1]) + 1)
+            new, old = kept - j_lo, kept - self.span[0]
+            slots[new], sizes[new], values[new] = self.slots[old], self.sizes[old], self.values[old]
+        self.halves = np.array([(1.0 + SIEVE_EPSILON) ** j / 2.0 for j in range(j_lo, j_hi + 1)])
+        self.span, self.slots, self.sizes, self.values = (j_lo, j_hi), slots, sizes, values
+        self.reopen(n)
+
+    def reopen(self, n: int) -> None:
+        """Recompute ``open`` and ``live`` after a set closed or the span moved."""
+        self.open = np.flatnonzero(self.sizes < n)
+        held = np.zeros(self.count + 1, dtype=bool)
+        held[self.slots[self.open]] = True  # -1, an empty row's entry, marks the last
+        self.live = np.flatnonzero(held[:-1])
+
     def store(self, x: np.ndarray, y: int) -> int:
-        """Put one item in the next slot, doubling the store when it is full."""
+        """Put one item in the next slot, doubling the store (stored rows first) when it is full."""
         slot = self.count
         if slot == len(self.labels):
-            points = np.empty((2 * slot + 64, len(x)))
-            labels = np.empty(len(points), dtype=np.int64)
-            if slot:
-                points[:slot] = self.points[:slot]
-                labels[:slot] = self.labels[:slot]
-            self.points, self.labels = points, labels
-        self.points[slot] = x
-        self.labels[slot] = y
+            self.points = np.resize(self.points, (2 * slot + 64, len(x)))
+            self.labels = np.resize(self.labels, 2 * slot + 64)
+        self.points[slot], self.labels[slot] = x, y
         self.count += 1
         return slot
 
     def distances(self, x: np.ndarray) -> np.ndarray:
-        """Distance from x to every stored point, one row sum per point."""
-        return np.sqrt(((self.points[: self.count] - x) ** 2).sum(axis=1))
+        """By slot: x's distance to each ``live`` point, one row sum each, else ``bound``."""
+        out = np.full(self.count + 1, self.bound)
+        if len(self.live):
+            diff = self.points.take(self.live, axis=0) - x
+            out[self.live] = np.sqrt((diff * diff).sum(axis=1))
+        return out
 
 
 def facility_location_update(
@@ -307,46 +312,41 @@ def facility_location_update(
 
     An item joins a threshold-v set when its marginal gain is at least
     (v/2 - F) / (n - |set|), F being the set's accumulated objective and
-    n = ``memory.capacity``.
-    With similarity bound - distance, the gain is the item's distance to
-    the set's nearest member, or ``bound`` for an empty set, so a
-    duplicate of a member gains exactly zero.  The item's distances to
-    the store are measured once and shared by every open set.  Returns
-    the candidate set with the best objective as the next memory, all
-    weights 1: the fallback set wins ties, then the lowest threshold with
-    the strictly largest value.
+    n = ``memory.capacity``.  With similarity bound - distance, the gain
+    is the item's distance to the set's nearest member, or ``bound`` for
+    an empty set, so a duplicate of a member gains exactly zero.  Each
+    set's test depends on its own state only, so one distance pass and
+    one gather score every open set.  Returns the set with the best
+    objective as the next memory, all weights 1: the fallback wins ties,
+    then the lowest threshold.
     """
     eps, n = SIEVE_EPSILON, memory.capacity
     for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
         if state.bound <= 0.0:
-            if state.fallback.size < n:
-                state.fallback.add(state.store(x, y))
+            if len(state.fallback) < n:
+                state.fallback.append(state.store(x, y))
             continue
-        top = state.bound  # max singleton gain
-        j_lo = math.ceil(math.log(top) / math.log1p(eps) - 1e-12)
-        j_hi = math.floor(math.log(2.0 * n * top) / math.log1p(eps) + 1e-12)
+        j_lo = math.ceil(math.log(state.bound) / math.log1p(eps) - 1e-12)
+        j_hi = math.floor(math.log(2.0 * n * state.bound) / math.log1p(eps) + 1e-12)
         if state.span != (j_lo, j_hi):
-            state.span = (j_lo, j_hi)
-            state.sets = {j: state.sets.get(j) or _Candidates() for j in range(j_lo, j_hi + 1)}
-        dist, slot = None, None
-        for j, cand in state.sets.items():
-            if cand.size >= n:
-                continue
-            if cand.size:
-                dist = state.distances(x) if dist is None else dist
-                gain = float(dist[cand.members].min())
+            state.respan(j_lo, j_hi, n)
+        rows, sizes = state.open, state.sizes[state.open]
+        # one gather scores every open set; an empty row's -1 picks out ``bound``
+        width = max(int(sizes.max(initial=0)), 1)
+        gains = state.distances(x)[state.slots[rows, :width]].min(axis=1)
+        hit = gains >= (state.halves[rows] - state.values[rows]) / (n - sizes)
+        if hit.any():
+            slot = state.store(x, y)
+            rows, sizes = rows[hit], sizes[hit]
+            state.slots[rows, sizes] = slot
+            state.slots[rows[sizes == 0]] = slot  # a first member fills its row
+            state.sizes[rows] += 1
+            state.values[rows] += gains[hit]
+            if sizes.max() == n - 1:  # a set closed
+                state.reopen(n)
             else:
-                gain = state.bound
-            threshold = ((1.0 + eps) ** j / 2.0 - cand.value) / (n - cand.size)
-            if gain >= threshold:
-                if slot is None:
-                    slot = state.store(x, y)
-                cand.add(slot)
-                cand.value += gain
-    best = state.fallback
-    for j in sorted(state.sets):
-        if state.sets[j].value > best.value:
-            best = state.sets[j]
-    members = best.members
+                state.live = np.append(state.live, slot)
+    best = int(np.argmax(np.append(0.0, state.values)))  # 0 is the fallback, of objective 0
+    members = state.slots[best - 1, : state.sizes[best - 1]] if best else state.fallback
     return _next_memory(memory, batch_labels, state.points[members], state.labels[members])

@@ -199,19 +199,27 @@ def weighted_gradient(
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    A non-finite gradient raises before anything is changed.
+    A non-finite gradient, or one whose second-moment term (1 - beta2) * g * g
+    overflows, raises before anything is changed.
     """
     g = grads.flat
-    if not np.all(np.isfinite(g)):
-        raise FloatingPointError("non-finite gradient in Adam update")
-    state.step += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
+    with np.errstate(over="ignore"):  # an overflow raises below
+        g2 = (1.0 - b2) * g * g  # a non-finite g gives a non-finite term too
+    if not np.isfinite(g2).all():
+        if not np.isfinite(g).all():
+            raise FloatingPointError("non-finite gradient in Adam update")
+        raise FloatingPointError(
+            f"Adam second moment overflows: a gradient entry of {np.abs(g).max():.3g} squares "
+            "past the float64 range (standardize the features)"
+        )
+    state.step += 1
     mc, vc = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     m, v = state.m, state.v
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += g2
     update = m / mc
     update *= config.step_size
     scale = v / vc

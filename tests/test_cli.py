@@ -312,6 +312,16 @@ def test_run_fails_loudly_when_gradient_norms_overflow(tmp_path, capsys):
     assert "column norms overflow" in err
 
 
+def test_run_fails_loudly_when_the_adam_second_moment_overflows(tmp_path, capsys):
+    # reservoir embeds nothing, so the first overflow is in the learner's Adam step
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace("synth_drift = 1.0", "synth_drift = 1e200")
+                       + "standardize = false\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "cell failed: method=reservoir memory_size=15 seed=0 task=0: " in err
+    assert "Adam second moment overflows" in err
+
+
 def test_run_unknown_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, MINIMAL_CONFIG + "\nbogus_key = 1\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -347,6 +357,38 @@ def test_run_is_reproducible_from_its_manifest(tmp_path):
         open(os.path.join(first, "raw.csv")).read()
         == open(os.path.join(again, "raw.csv")).read()
     )
+
+
+@pytest.mark.parametrize("extra, flags", [
+    ("", []),
+    ("paradigm = replay\nreplay_epochs = 2\nstep_size = 0.01\nstandardize = false\n",
+     ["--seed", "0", "--memory-sizes", "5,10"]),
+    ("scenario = class_incremental\nclasses_per_task = 1\ntest_fraction = 0.3\n",
+     ["--method", "reservoir, sliding_window", "--jobs", "1"]),
+])
+@pytest.mark.parametrize("out_name", ["results", "run 1 = a;b,c"])
+def test_every_manifest_reads_back_to_the_resolved_config(tmp_path, extra, flags, out_name):
+    cfg = write_config(tmp_path, MINIMAL_CONFIG + extra)
+    out = str(tmp_path / out_name)
+    assert main(["run", "--config", cfg, "--out", out, *flags]) == 0
+    with open(os.path.join(out, "manifest.txt")) as fh:
+        from_manifest = resolve_config(parse_config_text(fh.read()), {})
+    args = cli.build_parser().parse_args(["run", "--config", cfg, "--out", out, *flags])
+    with open(cfg) as fh:
+        assert from_manifest == cli.resolve_args(args, parse_config_text(fh.read()))
+
+
+@pytest.mark.parametrize("value", ["runs/run#1", "runs/a\nb", "runs/a\rb", "runs/a\x0cb", "runs/a "])
+def test_a_value_the_manifest_cannot_hold_exits_two_at_both_entry_points(tmp_path, capsys, value):
+    # parse_config_text cuts a line at '#', splits it at a line break and strips
+    # the value, so such a value would not read back from manifest.txt
+    out = tmp_path / value
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert "would not read back from the manifest" in capsys.readouterr().err
+    assert not glob.glob(str(tmp_path / "runs*"))
+    path, _ = write_blob_csv(tmp_path)
+    assert main(["select", path, "-n", "3", "--label-column", "label", "--out", str(out)]) == 2
+    assert "would not read back from the manifest" in capsys.readouterr().err
 
 
 def test_run_infeasible_memory_size_exits_two(tmp_path, capsys):

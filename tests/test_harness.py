@@ -1,3 +1,4 @@
+import concurrent.futures
 import pickle
 from concurrent.futures import Future
 
@@ -455,7 +456,7 @@ def test_sweep_starts_no_more_workers_than_cells(tiny_scenario, monkeypatch, met
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     config = tiny_config(methods=methods, memory_sizes=(10,), seeds=(0,))
     result = sweep(config, tiny_scenario, jobs=jobs)
     assert started == pools

@@ -1,7 +1,8 @@
-"""scipy loads at the first selection, never at import or in runs that select nothing.
+"""scipy loads at the first selection, never at import or in runs that select nothing;
+the process pool's modules load only for a parallel sweep.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
-do not count, and reports which ``scipy`` modules the interpreter holds.
+do not count, and reports which modules the interpreter holds.
 """
 
 import ast
@@ -33,18 +34,19 @@ draws = 1
 """
 
 
-def scipy_modules_after(statements: str, cwd) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running ``statements``."""
-    script = (
-        f"{statements}\n"
-        "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
-    )
+def modules_after(statements: str, cwd) -> list[str]:
+    """The modules a fresh interpreter holds after running ``statements``."""
+    script = f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def scipy_modules_after(statements: str, cwd) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running ``statements``."""
+    return [m for m in modules_after(statements, cwd) if m.split(".")[0] == "scipy"]
 
 
 def run_statements(tmp_path, methods: str, paradigm: str) -> str:
@@ -56,6 +58,11 @@ def run_statements(tmp_path, methods: str, paradigm: str) -> str:
 @pytest.mark.parametrize("module", ["gmcoreset", "gmcoreset.cli"])
 def test_importing_the_package_loads_no_scipy(tmp_path, module):
     assert scipy_modules_after(f"import {module}", tmp_path) == []
+
+
+def test_importing_the_cli_loads_no_process_pool(tmp_path):
+    loaded = modules_after("import gmcoreset.cli", tmp_path)
+    assert "multiprocessing" not in loaded and "concurrent.futures.process" not in loaded
 
 
 def test_a_run_without_gradient_matching_loads_no_scipy(tmp_path):

@@ -18,6 +18,12 @@ from gmcoreset.memory import (
     reservoir_update,
     sliding_window_update,
 )
+from gmcoreset.scenarios import (
+    make_class_incremental,
+    standardize_features,
+    synth_blobs,
+    train_test_split,
+)
 
 from oracles import (
     SetScanSieveState,
@@ -329,11 +335,10 @@ def test_sieve_selects_one_point_per_cluster():
 
 
 def test_sieve_duplicate_gain_is_zero():
-    from gmcoreset.memory import _Candidates
-
-    state, cand = SieveState(), _Candidates(value=4.0)
-    cand.add(state.store(np.array([1.0, 2.0]), 0))
-    assert float(state.distances(np.array([1.0, 2.0]))[cand.members].min()) == 0.0
+    state, x = SieveState(), np.array([1.0, 2.0])
+    facility_location_update(RehearsalMemory(8), x[None], np.zeros(1, dtype=np.int64), state)
+    assert state.sizes.tolist() == [1] * len(state.sizes)  # every set took x and filled its row
+    assert state.distances(x)[state.slots].min(axis=1).tolist() == [0.0] * len(state.sizes)
 
 
 def test_sieve_objective_beats_singletons():
@@ -357,55 +362,45 @@ def test_sieve_memory_respects_capacity_across_batches():
 
 
 def test_sieve_keeps_the_first_best_set_fallback_first():
-    from gmcoreset.memory import _Candidates
-
-    def cand(state, label, value):
-        c = _Candidates(value=value)
-        c.add(state.store(np.full(2, float(label)), label))
-        return c
+    def sieve(values, fallback):
+        """Thresholds j = 3, 4, ... holding one point labelled j each, of objectives ``values``,
+        and a fallback of one point labelled 9 when ``fallback``."""
+        state = SieveState(bound=1.0)
+        state.respan(3, 2 + len(values), 2)
+        for row, value in enumerate(values):
+            state.slots[row] = state.store(np.full(2, row + 3.0), row + 3)
+        state.sizes[:], state.values[:] = 1, values
+        state.fallback = [state.store(np.full(2, 9.0), 9)] if fallback else []
+        return state
 
     no_items = np.zeros((0, 2)), np.zeros(0, dtype=np.int64)
-    state = SieveState(bound=1.0)
-    state.sets = {5: cand(state, 5, 2.0), 3: cand(state, 3, 2.0), 4: cand(state, 4, 1.0)}
-    memory = facility_location_update(RehearsalMemory(2), *no_items, state)
-    assert memory.labels.tolist() == [3]  # the lowest threshold of the tied best
-    state = SieveState(bound=1.0)
-    state.sets, state.fallback = {3: cand(state, 3, 0.0)}, cand(state, 9, 0.0)
-    memory = facility_location_update(RehearsalMemory(2), *no_items, state)
-    assert memory.labels.tolist() == [9]  # the fallback wins a tie
+
+    def pick(values, fallback=False):
+        memory = facility_location_update(RehearsalMemory(2), *no_items, sieve(values, fallback))
+        return memory.labels.tolist()
+
+    assert pick([2.0, 1.0, 2.0]) == [3]  # the lowest threshold of the tied best
+    assert pick([1.0, 2.0, 2.0], fallback=True) == [4]
+    assert pick([0.0], fallback=True) == [9]  # the fallback, of objective 0, wins a tie
+    assert pick([0.0]) == []
 
 
 def _sieve_sets(state):
     """(value, member labels in admission order) of the fallback and of every live threshold."""
+    if isinstance(state, SetScanSieveState):
+        sets = {j: (c.value, c.labels) for j, c in state.sets.items()}
+        return (state.fallback.value, state.fallback.labels), sets
+    lo, hi = state.span or (0, -1)
+    sets = {
+        j: (float(state.values[row]), state.labels[state.slots[row, : state.sizes[row]]].tolist())
+        for row, j in enumerate(range(lo, hi + 1))
+    }
+    return (0.0, state.labels[state.fallback].tolist()), sets
 
-    def view(c):
-        if isinstance(state, SetScanSieveState):
-            return c.value, c.labels
-        return c.value, state.labels[c.members].tolist()
 
-    return view(state.fallback), {j: view(c) for j, c in state.sets.items()}
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**31 - 1),
-    n=st.sampled_from([1, 2, 7, 50]),
-    dims=st.integers(1, 4),
-    zeros=st.integers(0, 4),
-    growth=st.sampled_from([1.0, 8.0]),
-    batch_sizes=st.lists(st.integers(1, 25), min_size=1, max_size=4),
-)
-def test_sieve_equals_the_set_scans(seed, n, dims, zeros, growth, batch_sizes):
-    # a zero-norm prefix takes the fallback path, copies of earlier items are
-    # duplicates, and a growing scale raises the bound so that sets drop off
-    rng = np.random.default_rng(seed)
-    total = sum(batch_sizes)
-    feats = rng.standard_normal((total, dims)) * growth ** (np.arange(total) / total)[:, None]
-    feats[:zeros] = 0.0
-    for i in range(1, total):
-        if rng.random() < 0.25:
-            feats[i] = feats[rng.integers(0, i)]
-    labels = rng.integers(0, 5, size=total)
+def _stream_both(feats, labels, n, batch_sizes):
+    """Stream the items through the sieve and the set-scan oracle side by side, comparing the
+    memories, the bound and every live set after each batch; returns the sieve state."""
     state, oracle_state = SieveState(), SetScanSieveState()
     memory = oracle = RehearsalMemory(n)
     start = 0
@@ -419,19 +414,70 @@ def test_sieve_equals_the_set_scans(seed, n, dims, zeros, growth, batch_sizes):
         assert memory.seen == oracle.seen
         assert state.bound == oracle_state.bound
         assert _sieve_sets(state) == _sieve_sets(oracle_state)
+    return state
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.sampled_from([1, 2, 7, 50, 200]),
+    dims=st.integers(1, 4),
+    zeros=st.integers(0, 4),
+    growth=st.sampled_from([1.0, 8.0]),
+    jump=st.sampled_from([1.0, 1e3]),
+    batch_sizes=st.lists(st.integers(1, 120), min_size=1, max_size=4),
+)
+def test_sieve_equals_the_set_scans(seed, n, dims, zeros, growth, jump, batch_sizes):
+    # a zero-norm prefix takes the fallback path, copies of earlier items are
+    # duplicates, a growing scale raises the bound so that sets drop off, a jump
+    # in scale halfway moves every threshold past the old span, and small n
+    # closes sets
+    rng = np.random.default_rng(seed)
+    total = sum(batch_sizes)
+    feats = rng.standard_normal((total, dims)) * growth ** (np.arange(total) / total)[:, None]
+    feats[total // 2 :] *= jump
+    feats[:zeros] = 0.0
+    for i in range(1, total):
+        if rng.random() < 0.25:
+            feats[i] = feats[rng.integers(0, i)]
+    labels = rng.integers(0, 5, size=total)
+    _stream_both(feats, labels, n, batch_sizes)
+
+
+def test_sieve_equals_the_set_scans_at_replay_scale():
+    # the replay benchmark's stream: 10 standardized classes in five tasks of two, n = 200
+    data = synth_blobs(seed=0, n_per_class=250, num_classes=10, dims=8)
+    train, test = standardize_features(*train_test_split(data, 0.2, 0))
+    scenario = make_class_incremental(train, test, 2)
+    feats = np.vstack([b.features for b in scenario.batches])
+    labels = np.concatenate([b.labels for b in scenario.batches])
+    state = _stream_both(feats, labels, 200, [b.num_examples for b in scenario.batches])
+    assert state.sizes.max() == 200 and (state.sizes < 200).any()  # some sets closed, some open
+
+
+def test_sieve_gain_is_the_member_distance_even_above_the_bound():
+    # x and -x lie 2|x| apart, and rounding puts that distance one ulp above the
+    # bound 2|x|: the gain of -x must still be that distance, so a set's spare
+    # row entries must repeat a member rather than stand for the bound
+    x = np.array([-0.5442589828573099, -0.31630015636915454, 0.4116305363741328,
+                  1.0425133694426776])
+    assert np.sqrt(((x - -x) ** 2).sum()) > 2.0 * np.linalg.norm(x)
+    _stream_both(np.vstack([x, 0.5 * x, -x]), np.arange(3), 3, [3])
 
 
 class _CountsPasses:
-    """numpy, with every sqrt call counted: one per distance pass."""
+    """numpy, with every sqrt call (one per distance pass) recorded beside the number of
+    distinct store slots the open sets hold at the time."""
 
-    def __init__(self):
-        self.passes = []
+    def __init__(self, state, n):
+        self.state, self.n, self.passes = state, n, []
 
     def __getattr__(self, name):
         return getattr(np, name)
 
     def sqrt(self, a):
-        self.passes.append(len(a))
+        held = self.state.slots[self.state.sizes < self.n]
+        self.passes.append((len(a), len(np.unique(held[held >= 0]))))
         return np.sqrt(a)
 
 
@@ -439,18 +485,17 @@ def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
     import gmcoreset.memory
 
     rng = np.random.default_rng(5)
-    first, second = rng.standard_normal((10, 3)), rng.standard_normal((30, 3))
-    labels = np.zeros(40, dtype=np.int64)
-    state, n = SieveState(), 50  # room in every set, so every set stays open
+    first, second = rng.standard_normal((10, 3)), rng.standard_normal((60, 3))
+    labels = np.zeros(70, dtype=np.int64)
+    state, n = SieveState(), 7  # sets close while the second batch streams
     memory = facility_location_update(RehearsalMemory(n), first, labels[:10], state)
-    stored = state.count
-    counting = _CountsPasses()
+    counting = _CountsPasses(state, n)
     monkeypatch.setattr(gmcoreset.memory, "np", counting)
     facility_location_update(memory, second, labels[10:], state)
     assert len(counting.passes) == len(second)
-    # every pass covers the whole store, which grows by at most the one item offered
-    rows = counting.passes + [state.count]
-    assert rows[0] == stored and set(np.diff(rows)) <= {0, 1}
+    # every pass covers exactly the stored members of the open sets, not the closed sets' own
+    assert all(rows == held for rows, held in counting.passes)
+    assert min(rows for rows, _ in counting.passes) < state.count
     # each admitted item is stored once
     assert state.count <= len(first) + len(second)
     assert len(np.unique(state.points[: state.count], axis=0)) == state.count

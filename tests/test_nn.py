@@ -192,6 +192,21 @@ def test_adam_rejects_non_finite_gradients():
     assert state.step == 1
 
 
+def test_adam_rejects_a_gradient_whose_second_moment_overflows():
+    arch = nn.MlpArch(3, (4,), 2)
+    params = nn.init_sample(arch, 0)
+    state = nn.AdamState.zeros(params)
+    grads = nn.MlpParams(np.full_like(params.flat, 0.5), arch.layer_dims())
+    nn.adam_step(params, grads, state, nn.TrainConfig())
+    before = params.flat.copy(), state.m.copy(), state.v.copy()
+    grads.weights[0][1, 2] = 1e200  # finite, but (1 - beta2) * g * g is not
+    with pytest.raises(FloatingPointError, match="second moment overflows"):
+        nn.adam_step(params, grads, state, nn.TrainConfig())
+    for kept, now in zip(before, (params.flat, state.m, state.v)):
+        assert np.array_equal(kept, now)
+    assert state.step == 1
+
+
 def test_adam_descends_a_quadratic():
     # minimize 0.5 * (x - 3)^2 by feeding its gradient through the optimizer
     params = nn.MlpParams(np.array([10.0, 0.0]), [(1, 1)])  # x is the one weight
