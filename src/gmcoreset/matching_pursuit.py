@@ -1,21 +1,16 @@
-"""Orthogonal matching pursuit over a dense column dictionary.
+"""Orthogonal matching pursuit over a column dictionary.
 
 Greedily selects dictionary columns to approximate a target vector; each
 pick maximizes the correlation with the residual of the exact
 least-squares fit on the picks so far.  The loop is Batch-OMP: it
 updates the correlations by a recurrence on the incremental Cholesky
 factor of the selection's Gram matrix (one row per pick), never forming
-the residual, and fits the weights once, after the last pick.  Gram
-columns come from the dictionary's full Gram matrix when it is no larger
-than the dictionary and n is at least N / GRAM_MAX_RATIO, else from one
-D x N product per pick.  Selecting n columns from a D x N dictionary
-thus costs O(DN^2 + Nn^2 + Dn^2 + n^3) time with the full Gram and
-O(DNn + Dn^2 + n^3) without.  Near-ties in the scores (TIE_RTOL) are
-rescored from the explicit residual, so every pick, the weights and the
-early stop are those of the plain loop that refits after every pick.
-The triangular solves call LAPACK directly; scipy, which provides it, is
-imported by the first selection, so importing this module does not load
-it.
+the residual, and fits the weights once, after the last pick.  Near-ties
+in the scores (TIE_RTOL) are rescored from the explicit residual, so
+every pick, the weights and the early stop are those of the plain loop
+that refits after every pick.  The triangular solves call LAPACK
+directly; scipy, which provides it, is imported by the first selection,
+so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -28,8 +23,8 @@ import numpy as np
 # norm are treated as linear dependence on the current selection.
 DEPENDENT_RTOL = 1e-12
 
-# Scores are taken from the full N x N Gram matrix only when N <= D and
-# N <= GRAM_MAX_RATIO * n.  On a 2-core OpenBLAS host at D = 2048,
+# The largest N / n at which a selection takes its Gram columns from the
+# full Gram (see _DensePicks).  On a 2-core OpenBLAS host at D = 2048,
 # n = 100, the Gram side was 1.9x faster at N / n = 4 and level at
 # N / n = 12-16; at D = 8000, N = 4000, n = 100 (one-shot selection,
 # N / n = 40) the Gram alone took 1.3-2.2 s against 1.8-1.9 s for the
@@ -104,12 +99,49 @@ class GradientMatrix:
             self.column_norms = _column_norms(self.data)
 
     @property
-    def dim(self) -> int:
-        return self.data.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return self.data.shape
 
-    @property
-    def num_columns(self) -> int:
-        return self.data.shape[1]
+    def scores(self, v: np.ndarray) -> np.ndarray:
+        return v @ self.data
+
+    def picks(self, n: int) -> _DensePicks:
+        """The state of one selection of at most ``n`` columns, none picked yet."""
+        return _DensePicks(self.data, n)
+
+
+class _DensePicks:
+    """The columns one selection picked from a dense D x N dictionary, copied
+    to a column-major D x n buffer (no gathers).  Gram columns come from the
+    full N x N Gram, computed once, when N <= min(D, GRAM_MAX_RATIO * n): it
+    is then no larger than the dictionary, and most of its columns are used.
+    Otherwise each pick computes its column as one D x N product, so time
+    stays linear in N.  Selecting n columns costs O(DN^2 + Nn^2 + Dn^2 + n^3)
+    time with the full Gram and O(DNn + Dn^2 + n^3) without.
+    """
+
+    def __init__(self, data: np.ndarray, n: int):
+        D, N = data.shape
+        self.data, self.size = data, 0
+        self.picked = np.empty((D, n), order="F")
+        self.gram = data.T @ data if N <= min(D, GRAM_MAX_RATIO * n) else None
+
+    def cross(self, k: int) -> np.ndarray:
+        """G_S^T g_k by a GEMV; a lookup into Gram column k would not give the same bits."""
+        return self.picked[:, : self.size].T @ self.data[:, k]
+
+    def add(self, k: int) -> None:
+        self.picked[:, self.size] = self.data[:, k]
+        self.size += 1
+
+    def gram_column(self, k: int) -> np.ndarray:
+        return self.gram[k] if self.gram is not None else self.picked[:, self.size - 1] @ self.data
+
+    def rhs(self, t: np.ndarray) -> np.ndarray:
+        return self.picked[:, : self.size].T @ t
+
+    def rescore(self, t: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(t - self.picked[:, : self.size] @ w, self.data, out=out)
 
 
 @dataclass
@@ -196,10 +228,7 @@ def cholesky_append(
         raise ValueError(f"cross term must have length {m}, got shape {cross.shape}")
     if out is not None and min(out.shape) <= m:
         raise ValueError(f"factor buffer of shape {out.shape} has no room for row {m}")
-    if m == 0:
-        w = np.zeros(0)
-    else:
-        w = _solve_lower(lower, cross)
+    w = _solve_lower(lower, cross) if m else np.zeros(0)
     schur = diag - float(w @ w)
     if schur <= DEPENDENT_RTOL * diag:
         raise SingularGramError(
@@ -214,24 +243,21 @@ def cholesky_append(
     return out[:m + 1]
 
 
-def refit_weights(selected: np.ndarray, target: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Least-squares weights of the selected columns against the target.
+def refit_weights(rhs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """Least-squares weights w of the selected columns G_S against a target t.
 
-    ``selected`` is the D x m block of the selected columns, in
-    selection order, so ``selected @ weights`` approximates the target.
-    Solves the normal equations through two triangular solves with the
-    maintained Cholesky factor ``lower`` of ``selected.T @ selected``;
-    the residual target - selected @ w is orthogonal to every selected
-    column.  ``lower`` may be the first m rows of a wider factor buffer,
-    as ``cholesky_append`` grows it.
+    ``rhs`` is G_S^T t, in selection order, and ``lower`` the maintained
+    Cholesky factor of G_S^T G_S; it may be the first m rows of a wider
+    factor buffer, as ``cholesky_append`` grows it.  Solves the normal
+    equations through two triangular solves, so the residual t - G_S w
+    is orthogonal to every selected column.
     """
-    if selected.shape[1] == 0:
+    if len(rhs) == 0:
         raise ValueError("cannot refit an empty selection")
-    if lower.shape[0] != selected.shape[1]:
+    if lower.shape[0] != len(rhs):
         raise ValueError("Cholesky factor does not match the selection size")
     if np.any(np.diag(lower) <= 0.0):
         raise SingularGramError("non-positive diagonal in the Cholesky factor")
-    rhs = selected.T @ target
     return _solve_lower(lower, _solve_lower(lower, rhs), transposed=True)
 
 
@@ -260,14 +286,11 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     c = G^T t - B L^-1 G_S^T t.  Picking column k as the m-th appends
     b = (K[:, k] - B L[m, :m]) / L[m, m] to B and updates
     c -= b * (c[k] / L[m, m]), one N x m product per pick.  The weights
-    are refit once, after the last pick, by ``refit_weights``.
-
-    The Gram columns K[:, k] come from the full N x N Gram, computed
-    once, when N <= min(D, GRAM_MAX_RATIO * n): it is then no larger
-    than the dictionary, and most of its columns are used.  Otherwise
-    each pick computes its column as one D x N product, so time stays
-    linear in N.  Selecting n columns costs O(DN^2 + Nn^2 + Dn^2 + n^3)
-    time on the Gram side and O(DNn + Dn^2 + n^3) otherwise.
+    are refit once, after the last pick, by ``refit_weights``.  The loop
+    reads ``G`` only through ``shape``, ``column_norms``, ``scores(v)`` =
+    v @ G and the state ``picks = G.picks(n)``: ``cross(k)`` = G_S^T g_k,
+    ``add(k)``, ``gram_column(k)`` = G^T g_k of the last pick, ``rhs(t)``
+    = G_S^T t and ``rescore(t, w, out)``, which writes G^T (t - G_S w).
 
     The cross terms of each pick with the selection and the Cholesky
     update are exact, so ``truncated`` is decided as in the plain loop.
@@ -280,7 +303,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
 
     Args:
       G: column dictionary.
-      target: vector of length G.dim.
+      target: vector of length D, where G.shape is (D, N).
       n: maximum selection size; requires n <= N and n <= D (the Gram
         matrix of more than D columns is always singular).
 
@@ -292,7 +315,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     ``ValueError``.
     """
     target = np.asarray(target, dtype=np.float64)
-    D, N = G.data.shape
+    D, N = G.shape
     if target.shape != (D,):
         raise ValueError(f"target must have length {D}, got shape {target.shape}")
     if not np.all(np.isfinite(target)):
@@ -315,14 +338,13 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     excluded = norms <= 0.0
     safe_norms = np.where(excluded, 1.0, norms)
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
-        scores = target @ G.data
+        scores = G.scores(target)
     if not np.isfinite(scores).all():
         raise ValueError("scores target @ G overflow to non-finite values (standardize features)")
     ratios = np.empty(N)
-    gram = G.data.T @ G.data if N <= min(D, GRAM_MAX_RATIO * n) else None
+    picks = G.picks(n)
     basis = np.empty((N, n), order="F")
     indices: list[int] = []
-    picked = np.empty((D, n), order="F")
     factor = np.zeros((n, n))
     chol = factor[:0]
     truncated = False
@@ -336,33 +358,24 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         if m == 0:
             tie_atol = TIE_RTOL * ratios[k]
         elif ratios[k] - np.partition(ratios, -2)[-2] <= tie_atol:
-            selected = picked[:, :m]
-            residual = target - selected @ refit_weights(selected, target, chol)
-            np.matmul(residual, G.data, out=scores)
+            picks.rescore(target, refit_weights(picks.rhs(target), chol), out=scores)
             k = _best_ratio(scores, safe_norms, excluded, ratios)
-        column = G.data[:, k]
-        cross = picked[:, :m].T @ column if m else np.zeros(0)
         try:
-            chol = cholesky_append(chol, cross, float(norms[k]) ** 2, out=factor)
+            chol = cholesky_append(chol, picks.cross(k), float(norms[k]) ** 2, out=factor)
         except SingularGramError:
             truncated = True
             break
-        picked[:, m] = column
+        picks.add(k)
         indices.append(k)
         excluded[k] = True
         if m + 1 == n:
             break
         b = basis[:, m]
-        np.subtract(
-            gram[k] if gram is not None else picked[:, m] @ G.data,
-            basis[:, :m] @ chol[m, :m],
-            out=b,
-        )
+        np.subtract(picks.gram_column(k), basis[:, :m] @ chol[m, :m], out=b)
         b /= chol[m, m]
         scores -= b * (scores[k] / chol[m, m])
 
-    m = len(indices)
-    weights = refit_weights(picked[:, :m], target, chol) if m else np.zeros(0)
+    weights = refit_weights(picks.rhs(target), chol) if indices else np.zeros(0)
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
 
 

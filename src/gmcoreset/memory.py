@@ -98,6 +98,8 @@ def gmc_update(
     [stored coreset columns, batch columns].  Stored elements may be
     dropped or re-weighted.
     """
+    if memory.size and memory.embeddings is None:
+        raise ValueError("memory holds examples but not their embedding columns")
     data = batch_embeddings.data
     if memory.target is not None and memory.target.shape != (data.shape[0],):
         raise ValueError(
@@ -108,12 +110,9 @@ def gmc_update(
     if memory.target is not None:
         target = memory.target + target
 
-    if memory.embeddings is not None and memory.size > 0:
-        dictionary = np.hstack([memory.embeddings, data])
-    else:
-        dictionary = data
+    dictionary = np.hstack([memory.embeddings, data]) if memory.size else data
     pool = GradientMatrix(dictionary)
-    selection = omp_select(pool, target, min(memory.capacity, pool.num_columns))
+    selection = omp_select(pool, target, min(memory.capacity, pool.shape[1]))
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
@@ -140,7 +139,7 @@ def local_gmc_update(
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     pool = embed_batch_at_params([current_params], all_features, all_labels, config)
     target = pool.data.sum(axis=1)
-    selection = omp_select(pool, target, min(memory.capacity, pool.num_columns))
+    selection = omp_select(pool, target, min(memory.capacity, pool.shape[1]))
     idx = selection.indices
     return _next_memory(memory, batch_labels, all_features[idx], all_labels[idx], selection.weights)
 

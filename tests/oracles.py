@@ -241,6 +241,58 @@ def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
     return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
 
 
+class GramDictionary:
+    """A dictionary known only by its Gram matrix K = GᵀG and its first
+    scores c0 = Gᵀt against one target t.  It answers every call
+    ``omp_select`` makes of a ``GradientMatrix`` by lookups into K and c0
+    and has no ``data`` attribute, so a selection through it shows the
+    loop reads no column of G itself."""
+
+    def __init__(self, data: np.ndarray, target: np.ndarray):
+        data = np.asarray(data, dtype=np.float64)
+        self.shape = data.shape
+        self.target = np.asarray(target, dtype=np.float64)
+        self.gram = data.T @ data
+        self.first_scores = self.target @ data
+        self.column_norms = np.sqrt(np.diag(self.gram))
+
+    def check_target(self, t: np.ndarray) -> None:
+        if not np.array_equal(t, self.target):
+            raise ValueError("a Gram dictionary answers for its own target only")
+
+    def scores(self, v: np.ndarray) -> np.ndarray:
+        self.check_target(v)
+        return self.first_scores.copy()
+
+    def picks(self, n: int) -> "_GramPicks":
+        return _GramPicks(self)
+
+
+class _GramPicks:
+    """One selection's state over a ``GramDictionary``: the picked indices S."""
+
+    def __init__(self, dictionary: GramDictionary):
+        self.dictionary = dictionary
+        self.selected: list[int] = []
+
+    def cross(self, k: int) -> np.ndarray:
+        return self.dictionary.gram[self.selected, k]
+
+    def add(self, k: int) -> None:
+        self.selected.append(k)
+
+    def gram_column(self, k: int) -> np.ndarray:
+        return self.dictionary.gram[k]
+
+    def rhs(self, t: np.ndarray) -> np.ndarray:
+        self.dictionary.check_target(t)
+        return self.dictionary.first_scores[self.selected]
+
+    def rescore(self, t: np.ndarray, w: np.ndarray, out: np.ndarray) -> None:
+        self.dictionary.check_target(t)
+        np.subtract(self.dictionary.first_scores, self.dictionary.gram[:, self.selected] @ w, out=out)
+
+
 def sign_matrix(proj_dim: int, input_dim: int, seed: int) -> np.ndarray:
     """The whole (proj_dim, input_dim) matrix of ``grad_embed.sign_projection``:
     a copy of each yielded block, taken before the next one overwrites it,

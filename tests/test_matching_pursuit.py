@@ -16,7 +16,7 @@ from gmcoreset.matching_pursuit import (
     refit_weights,
     selection_residual,
 )
-from oracles import omp_select_by_gathers
+from oracles import GramDictionary, omp_select_by_gathers
 
 
 def random_instance(seed, D, N):
@@ -101,14 +101,14 @@ def test_overflowing_solves_raise_instead_of_returning_inf():
         cholesky_append(tiny, np.array([1e200]), 1.0)
     # The forward solve gives 1e160; only the back substitution overflows.
     with pytest.raises(ValueError, match="non-finite"):
-        refit_weights(np.ones((1, 1)), np.ones(1), tiny)
+        refit_weights(np.ones((1, 1)).T @ np.ones(1), tiny)
 
 
 @pytest.mark.parametrize("diagonal", [0.0, -1.0])
 def test_refit_rejects_a_nonpositive_factor_diagonal(diagonal):
     lower = np.array([[1.0, 0.0], [0.5, diagonal]])
     with pytest.raises(SingularGramError):
-        refit_weights(np.eye(2), np.ones(2), lower)
+        refit_weights(np.eye(2).T @ np.ones(2), lower)
 
 
 # --- cholesky append ---------------------------------------------------------
@@ -175,14 +175,14 @@ def test_refit_orthonormal_columns():
     target = np.array([1.0, -2.0, 0.5, 3.0])
     idx = np.array([0, 3])
     chol = np.eye(2)
-    weights = refit_weights(G.data[:, idx], target, chol)
+    weights = refit_weights(G.data[:, idx].T @ target, chol)
     assert np.allclose(weights, G.data[:, idx].T @ target)
 
 
 def test_refit_single_column():
     G = GradientMatrix(np.array([[2.0], [0.0]]))
     chol = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
-    weights = refit_weights(G.data[:, [0]], np.array([4.0, 0.0]), chol)
+    weights = refit_weights(G.data[:, [0]].T @ np.array([4.0, 0.0]), chol)
     assert np.allclose(weights, [2.0])
 
 
@@ -196,7 +196,7 @@ def test_refit_matches_pseudo_inverse(seed):
     chol = np.zeros((0, 0))
     for j in range(3):
         chol = cholesky_append(chol, gram[:j, j], gram[j, j])
-    weights = refit_weights(G.data[:, np.arange(3)], target, chol)
+    weights = refit_weights(G.data[:, np.arange(3)].T @ target, chol)
     oracle = np.linalg.pinv(cols) @ target
     assert np.abs(weights - oracle).max() <= 1e-8
     # residual orthogonal to every selected column
@@ -207,7 +207,7 @@ def test_refit_matches_pseudo_inverse(seed):
 
 def test_refit_rejects_empty_selection():
     with pytest.raises(ValueError):
-        refit_weights(np.zeros((2, 0)), np.ones(2), np.zeros((0, 0)))
+        refit_weights(np.zeros(0), np.zeros((0, 0)))
 
 
 # --- greedy selection ----------------------------------------------------------
@@ -401,6 +401,33 @@ def test_selection_equals_the_gather_loop_on_degenerate_dictionaries(instance):
     assert np.array_equal(sel.indices, oracle.indices)
     assert np.array_equal(sel.weights, oracle.weights)
     assert sel.truncated == oracle.truncated
+
+
+def test_selection_through_a_gram_only_dictionary_makes_the_same_picks():
+    """``omp_select`` through a dictionary that has only K = GᵀG and Gᵀt
+    (no ``data``) picks as it does through the dense ``GradientMatrix``, on
+    both sides of the Gram policy, so the loop's calls are all it needs."""
+    rng = np.random.default_rng(23)
+    sides, truncations = set(), 0
+    for case in range(200):
+        D, N = int(rng.integers(20, 121)), int(rng.integers(20, 201))
+        n = int(rng.integers(1, min(D, N) + 1))
+        if case % 5 == 4:  # rank below n: the selection truncates
+            rank = int(rng.integers(1, min(D, N) + 1))
+            data = rng.standard_normal((D, rank)) @ rng.standard_normal((rank, N))
+        else:
+            data = rng.standard_normal((D, N))
+        target = data.sum(axis=1) if case % 2 else rng.standard_normal(D)
+        gram_only = GramDictionary(data, target)
+        assert not hasattr(gram_only, "data")
+        dense = omp_select(GradientMatrix(data), target, n)
+        lookup = omp_select(gram_only, target, n)
+        assert np.array_equal(lookup.indices, dense.indices), (case, D, N, n)
+        assert lookup.truncated == dense.truncated, (case, D, N, n)
+        assert np.allclose(lookup.weights, dense.weights, rtol=1e-9, atol=0.0), (case, D, N, n)
+        sides.add(N <= min(D, GRAM_MAX_RATIO * n))
+        truncations += dense.truncated
+    assert sides == {True, False} and truncations > 0
 
 
 class _CountsGathers(np.ndarray):

@@ -108,6 +108,14 @@ def test_gmc_update_rejects_dimension_change():
         gmc_update(memory, *fake_batch(5), random_embeddings(0, 9, 5))
 
 
+def test_gmc_update_rejects_a_memory_without_embedding_columns():
+    """A baseline's memory holds examples but no columns to reselect them by;
+    selecting from the batch's columns alone would index the wrong rows."""
+    memory = reservoir_update(RehearsalMemory(10), *fake_batch(10), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="embedding columns"):
+        gmc_update(memory, *fake_batch(30, seed=1), random_embeddings(0, 16, 30))
+
+
 def test_gmc_residual_never_exceeds_target_norm():
     memory = RehearsalMemory(4)
     for t in range(3):
