@@ -222,16 +222,23 @@ def _replay_task(params, state, batch, memory, train_cfg, epochs):
     if total <= 0.0:
         raise ValueError("memory weights sum to a non-positive value")
     half = max(1, train_cfg.batch_size // 2)
-    mixed = (
-        np.concatenate([cur, n + rng.integers(0, m, size=half)])
-        for cur in nn.shuffled_batches(n, half, epochs, rng)
-    )
+    full, rest = divmod(n, half)
+
+    def mixed():
+        # an epoch's shuffle, then its memory draws in one call: the same
+        # stream as one draw of ``half`` rows per minibatch
+        for perm in nn.shuffled_batches(n, n, epochs, rng):
+            drawn = n + rng.integers(0, m, size=(full + (rest > 0), half))
+            yield from np.concatenate([perm[: full * half].reshape(full, half), drawn[:full]], axis=1)
+            if rest:
+                yield np.concatenate([perm[full * half :], drawn[full]])
+
     return nn.train_steps(
         params, state,
         np.vstack([batch.features, memory.features]),
         np.concatenate([batch.labels, memory.labels]),
         np.concatenate([np.ones(n), memory.weights * (memory.seen / total)]),
-        train_cfg, mixed,
+        train_cfg, mixed(),
     )
 
 

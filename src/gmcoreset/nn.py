@@ -10,6 +10,7 @@ as a learner and as a source of gradient embeddings.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -136,11 +137,13 @@ def _forward(params: MlpParams, X: np.ndarray):
     pre = []
     a = X
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         pre.append(z)
         a = np.maximum(z, 0.0)
         activations.append(a)
-    logits = a @ params.weights[-1].T + params.biases[-1]
+    logits = a @ params.weights[-1].T
+    logits += params.biases[-1]
     return activations, pre, logits
 
 
@@ -153,11 +156,12 @@ def predict_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
 def _output_delta(params: MlpParams, X: np.ndarray, y: np.ndarray):
     """(layer inputs, hidden pre-activations, logits, softmax - onehot) of a forward pass."""
     activations, pre, logits = _forward(params, X)
-    if not np.all(np.isfinite(logits)):
-        bad = int(np.flatnonzero(~np.isfinite(logits).all(axis=1))[0])
+    finite = np.isfinite(logits)
+    if not np.logical_and.reduce(finite, axis=None):
+        bad = int(np.flatnonzero(~finite.all(axis=1))[0])
         raise FloatingPointError(f"non-finite activations for example {bad}")
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    delta = e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    delta = e / np.add.reduce(e, axis=1, keepdims=True)
     delta[np.arange(len(y)), y] -= 1.0
     return activations, pre, logits, delta
 
@@ -167,7 +171,8 @@ def _backprop(params: MlpParams, activations, pre, delta):
     layer = params.num_layers - 1
     yield layer, delta, activations[layer]
     for layer in range(layer - 1, -1, -1):
-        delta = (delta @ params.weights[layer + 1]) * (pre[layer] > 0.0)
+        delta = delta @ params.weights[layer + 1]
+        delta *= pre[layer] > 0.0
         yield layer, delta, activations[layer]
 
 
@@ -185,7 +190,7 @@ def weighted_gradient(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != y.shape or len(X) != len(y):
         raise ValueError("batch, labels and weights must have equal length")
-    wsum = float(weights.sum())
+    wsum = float(np.add.reduce(weights, axis=None))
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
 
@@ -193,7 +198,7 @@ def weighted_gradient(
     delta *= (weights / wsum)[:, None]
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
         np.matmul(delta.T, inputs, out=out.weights[layer])
-        np.sum(delta, axis=0, out=out.biases[layer])
+        np.add.reduce(delta, axis=0, out=out.biases[layer])
 
 
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig) -> None:
@@ -204,15 +209,18 @@ def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: Tra
     """
     g = grads.flat
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    with np.errstate(over="ignore"):  # an overflow raises below
-        g2 = (1.0 - b2) * g * g  # a non-finite g gives a non-finite term too
-    if not np.isfinite(g2).all():
-        if not np.isfinite(g).all():
+    # (1 - b2) * g * g grows with |g| and rounding keeps that order, so some
+    # entry overflows exactly when the largest does; Python floats overflow
+    # to inf without a warning, and a nan anywhere makes ``big`` nan
+    big = float(np.maximum.reduce(np.abs(g)))
+    if not math.isfinite((1.0 - b2) * big * big):
+        if not math.isfinite(big):
             raise FloatingPointError("non-finite gradient in Adam update")
         raise FloatingPointError(
-            f"Adam second moment overflows: a gradient entry of {np.abs(g).max():.3g} squares "
+            f"Adam second moment overflows: a gradient entry of {big:.3g} squares "
             "past the float64 range (standardize the features)"
         )
+    g2 = (1.0 - b2) * g * g
     state.step += 1
     mc, vc = 1.0 - b1 ** state.step, 1.0 - b2 ** state.step
     m, v = state.m, state.v

@@ -173,6 +173,16 @@ def replay_task_by_stacking(params, state, batch, memory, represented, train_cfg
     return params, state
 
 
+def replay_batches_per_minibatch(n: int, m: int, half: int, epochs: int, rng):
+    """The mixed-minibatch sampler ``harness._replay_task`` used when it drew
+    each minibatch's memory rows with their own ``rng.integers`` call: rows
+    ``n + j`` index memory row ``j`` of the stacked [batch; memory]."""
+    return (
+        np.concatenate([cur, n + rng.integers(0, m, size=half)])
+        for cur in nn.shuffled_batches(n, half, epochs, rng)
+    )
+
+
 def per_example_gradient(params, example: tuple[np.ndarray, int], scope: str = "full") -> np.ndarray:
     """Gradient of one example's cross-entropy loss, flattened.
 

@@ -4,6 +4,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmcoreset import harness, memory as mem, nn
 from gmcoreset.grad_embed import EmbeddingConfig
@@ -22,7 +24,7 @@ from gmcoreset.scenarios import (
     Dataset, make_class_incremental, make_sorted_scenario, synth_blobs, train_test_split,
 )
 
-from oracles import replay_task_by_stacking
+from oracles import replay_batches_per_minibatch, replay_task_by_stacking
 
 
 def tiny_config(**kwargs):
@@ -301,6 +303,45 @@ def test_replay_task_equals_minibatches_by_stacking(tiny_scenario, batch_size, k
     assert np.array_equal(got_state.m, want_state.m)
     assert np.array_equal(got_state.v, want_state.v)
     assert got_state.step == want_state.step > state.step
+
+
+def replayed_batches(n, m, batch_size, epochs, seed):
+    """The row-index arrays ``harness._replay_task`` feeds ``nn.train_steps``
+    for a batch of ``n`` rows and a memory of ``m``."""
+    rng = np.random.default_rng(0)
+    batch = Dataset(rng.standard_normal((n, 2)), np.zeros(n, dtype=np.int64))
+    memory = RehearsalMemory(
+        m, rng.standard_normal((m, 2)), np.zeros(m, dtype=np.int64), np.ones(m), seen=m
+    )
+    params = nn.init_sample(nn.MlpArch(2, (), 2), 0)
+    fed = []
+
+    def record(params, state, X, y, weights, config, batches):
+        fed.extend(batches)
+        return params, state
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nn, "train_steps", record)
+        harness._replay_task(
+            params, nn.AdamState.zeros(params), batch, memory,
+            nn.TrainConfig(batch_size=batch_size, seed=seed), epochs,
+        )
+    return fed
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 60), half=st.integers(1, 8), odd=st.integers(0, 1),
+    m=st.integers(1, 50), epochs=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+)
+@example(n=7, half=3, odd=0, m=1, epochs=2, seed=0)
+@example(n=2, half=8, odd=1, m=13, epochs=3, seed=1)
+def test_replay_draws_the_stream_of_the_per_minibatch_sampler(n, half, odd, m, epochs, seed):
+    got = replayed_batches(n, m, 2 * half + odd, epochs, seed)
+    want = list(replay_batches_per_minibatch(n, m, half, epochs, np.random.default_rng(seed)))
+    assert len(got) == len(want) == epochs * -(-n // half)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 # --- the step counts the benchmark's traced spans rest on ------------------------------

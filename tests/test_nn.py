@@ -1,9 +1,15 @@
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmcoreset import nn
+from gmcoreset import harness, nn
+from gmcoreset.memory import RehearsalMemory
+from gmcoreset.scenarios import Dataset
 
 from oracles import (
     LayerAdamState,
@@ -201,6 +207,51 @@ def test_adam_rejects_a_gradient_whose_second_moment_overflows():
     before = params.flat.copy(), state.m.copy(), state.v.copy()
     grads.weights[0][1, 2] = 1e200  # finite, but (1 - beta2) * g * g is not
     with pytest.raises(FloatingPointError, match="second moment overflows"):
+        nn.adam_step(params, grads, state, nn.TrainConfig())
+    for kept, now in zip(before, (params.flat, state.m, state.v)):
+        assert np.array_equal(kept, now)
+    assert state.step == 1
+
+
+def largest_entry_with_a_finite_second_moment():
+    """The largest float g whose (1 - beta2) * g * g is finite."""
+    c = 1.0 - nn.ADAM_BETA2
+    g = math.sqrt(sys.float_info.max) / math.sqrt(c)
+    while math.isfinite(c * g * g):
+        g = math.nextafter(g, math.inf)
+    while not math.isfinite(c * g * g):
+        g = math.nextafter(g, 0.0)
+    return g
+
+
+BIG = largest_entry_with_a_finite_second_moment()
+
+
+@pytest.mark.parametrize("entry, overflows", [
+    (BIG, False), (math.nextafter(BIG, math.inf), True),
+    (-BIG, False), (-math.nextafter(BIG, math.inf), True),
+    (math.inf, True), (-math.inf, True), (math.nan, True), (0.0, False), (5e-324, False),
+], ids=["largest", "next-up", "minus-largest", "minus-next-up", "inf", "minus-inf", "nan",
+        "zero", "subnormal"])
+def test_adam_raises_exactly_when_a_second_moment_term_is_not_finite(entry, overflows):
+    arch = nn.MlpArch(3, (4,), 2)
+    params = nn.init_sample(arch, 0)
+    state = nn.AdamState.zeros(params)
+    grads = nn.MlpParams(np.full_like(params.flat, 0.5), arch.layer_dims())
+    nn.adam_step(params, grads, state, nn.TrainConfig())
+    grads.weights[0][1, 2] = entry
+    g = grads.flat
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert (not np.isfinite((1.0 - nn.ADAM_BETA2) * g * g).all()) == overflows
+    before = params.flat.copy(), state.m.copy(), state.v.copy()
+    if not overflows:
+        # near the boundary the bias-corrected v / (1 - beta2**t) can still
+        # overflow, which warns and does not raise
+        with np.errstate(over="ignore"):
+            nn.adam_step(params, grads, state, nn.TrainConfig())
+        assert state.step == 2 and np.isfinite(state.v).all()
+        return
+    with pytest.raises(FloatingPointError):
         nn.adam_step(params, grads, state, nn.TrainConfig())
     for kept, now in zip(before, (params.flat, state.m, state.v)):
         assert np.array_equal(kept, now)
@@ -424,6 +475,47 @@ def test_adam_step_equals_per_tensor_update():
         layers, layer_state = adam_step_by_layers(layers, grads, layer_state, config)
     assert_params_equal(params, layers)
     assert_state_equal(state, layer_state, arch.layer_dims())
+
+
+def numpy_frames(run):
+    """The number of Python frames ``run()`` enters whose code lies in numpy's package."""
+    root = os.path.dirname(np.__file__) + os.sep
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call" and frame.f_code.co_filename.startswith(root)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_the_step_loop_enters_no_numpy_python_frame_per_minibatch():
+    # n and 4n rows at equal epochs: per-training and per-epoch frames are
+    # allowed, a frame per minibatch (a wrapper such as np.sum) is not
+    arch = nn.MlpArch(5, (8, 8), 3)
+    config = nn.TrainConfig(step_size=0.05, batch_size=10, epochs=2, seed=1)
+    start = nn.init_sample(arch, 0)
+    _, X, y, w = small_problem(3, n=80, arch=arch)
+    memory = RehearsalMemory(6, X[:6], y[:6], w[:6], seen=30)
+
+    def train(n):
+        return nn.train_steps(
+            start, nn.AdamState.zeros(start), X[:n], y[:n], w[:n], config, shuffled(n, config)
+        )
+
+    def replay(n):
+        batch = Dataset(X[:n], y[:n])
+        return harness._replay_task(start, nn.AdamState.zeros(start), batch, memory, config, 2)
+
+    for run in (train, replay):
+        run(20)  # first calls may import or cache; count the later ones
+        assert numpy_frames(lambda: run(20)) == numpy_frames(lambda: run(80))
 
 
 # --- what training leaves alone ------------------------------------------------------
