@@ -58,6 +58,8 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
+_DEFAULT = harness.ExperimentConfig()  # the one home of the sweep's defaults
+
 # key -> (parser, default); the manifest writes every key back out, so a
 # manifest is itself a runnable configuration.
 CONFIG_SCHEMA = {
@@ -75,19 +77,19 @@ CONFIG_SCHEMA = {
     "synth_per_class": (int, 500),
     "synth_dims": (int, 8),
     "synth_drift": (float, 2.0),
-    "methods": (_parse_str_list, ("gmc",)),
-    "paradigm": (str, "gdumb"),
+    "methods": (_parse_str_list, _DEFAULT.methods),
+    "paradigm": (str, _DEFAULT.paradigm),
     "memory_sizes": (_parse_int_list, ()),  # empty = defaults restricted to feasible sizes
-    "seeds": (_parse_int_list, (0, 1, 2, 3, 4)),
-    "step_size": (float, 1e-3),
-    "batch_size": (int, 100),
-    "epochs": (int, 200),
-    "replay_epochs": (_parse_opt_int, None),
-    "hidden": (_parse_int_list, (128, 128)),
-    "proj_dim": (int, 2000),
-    "draws": (int, 4),
-    "init_seed": (int, 0),
-    "proj_seed": (int, 0),
+    "seeds": (_parse_int_list, _DEFAULT.seeds),
+    "step_size": (float, _DEFAULT.train.step_size),
+    "batch_size": (int, _DEFAULT.train.batch_size),
+    "epochs": (int, _DEFAULT.train.epochs),
+    "replay_epochs": (_parse_opt_int, _DEFAULT.replay_epochs),
+    "hidden": (_parse_int_list, _DEFAULT.hidden),
+    "proj_dim": (int, _DEFAULT.embedding.proj_dim),
+    "draws": (int, _DEFAULT.embedding.draws),
+    "init_seed": (int, _DEFAULT.embedding.init_seed),
+    "proj_seed": (int, _DEFAULT.embedding.projection_seed),
     "jobs": (int, 1),
     "out": (str, "results"),
 }

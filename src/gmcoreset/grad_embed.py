@@ -19,11 +19,8 @@ proj_dim = 2000 among them.  A 37-row last block rounded 0.15-0.3% of
 the entries differently, by at most 4e-16 relative, as the single
 product itself does between BLAS thread counts.  Chunking the examples
 is not exact even at proj_dim = 2000: 1333-example chunks changed 1876
-of 8M entries at N = 4000, P = 18 180.  Embedding N examples into D
-rows peaks near 8 * (D * N + N * P + B * (P + N)) bytes, with
-B = min(proj_dim, _PROJECT_BLOCK_ROWS): the dictionary, one draw's
-(N, P) gradient buffer, one sign block and its (N, B) product
-(``embedding_peak_bytes``).
+of 8M entries at N = 4000, P = 18 180.  ``embedding_peak_bytes`` gives
+the memory this takes.
 """
 
 from __future__ import annotations
@@ -96,10 +93,14 @@ def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
 def embedding_peak_bytes(config: EmbeddingConfig, arch: MlpArch, num_examples: int) -> int:
     """Bytes ``embed_batch`` holds at its peak for ``num_examples`` examples.
 
-    The D x N dictionary and one draw's (N, P) gradient buffer (P the
-    parameter count, or the output layer's in last_layer mode), plus, in
-    random_projection mode, one block of B = min(proj_dim,
-    _PROJECT_BLOCK_ROWS) sign rows and its (N, B) product, all float64.
+    8 * (D * N + N * P + B * (P + N)): the D x N dictionary and one draw's
+    (N, P) gradient buffer (P the parameter count, or the output layer's
+    in last_layer mode), plus, in random_projection mode, one block of
+    B = min(proj_dim, _PROJECT_BLOCK_ROWS) sign rows and its (N, B)
+    product, all float64.  The column norms' D x N squares come after the
+    gradient buffer is dropped, so they stay within this while D <= P, as
+    in random_projection mode at the shipped sizes; in last_layer mode
+    with several draws (D = draws * P) they exceed it by 8 * N * (D - P).
     Pure arithmetic, so it can bound a config before anything is
     allocated.
     """
@@ -141,42 +142,29 @@ def sign_projection(proj_dim: int, input_dim: int, seed: int) -> Iterator[np.nda
 
 
 def _batch_gradients(
-    params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str, grads: np.ndarray | None = None
+    params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str, grads: np.ndarray
 ) -> np.ndarray:
-    """Per-example loss gradients, one row per example, in one (N, P) array.
+    """Per-example loss gradients, one row per example, written into ``grads``.
 
     scope "full" backpropagates the single-example cross-entropy through
-    all layers; row i is example i's gradient flattened as
-    [W1, b1, ..., Wk, bk].  "last_layer" keeps only the output-layer
-    block [Wk, bk], the closed form (softmax - onehot) x penultimate
-    activation.  The array is ``grads`` when given, every entry
-    overwritten, else allocated once: each layer's outer product
-    delta x input is written by ``einsum(..., out=)`` into a view of its
-    column block, and its bias block is delta itself.
+    all layers; row i of the C-ordered (N, P) buffer ``grads`` becomes
+    example i's gradient laid out as ``MlpParams.flat``.  "last_layer"
+    keeps only the output-layer block [Wk, bk], the closed form
+    (softmax - onehot) x penultimate activation, and computes no hidden
+    layer's delta.  Each layer's outer product delta x input is written by
+    ``einsum(..., out=)`` into its ``MlpParams`` weight view of ``grads``,
+    and its bias view is delta itself.
     """
     if scope not in ("full", "last_layer"):
         raise ValueError(f"unknown gradient scope {scope!r}")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    first = 0 if scope == "full" else params.num_layers - 1
+    out = MlpParams(grads, params.layer_dims[first:])
     activations, pre, _, delta = _output_delta(params, X, y)
-    sizes = [w.size + b.size for w, b in zip(params.weights, params.biases)]
-    shape = (len(y), sizes[-1] if scope == "last_layer" else sum(sizes))
-    if grads is None:
-        grads = np.empty(shape)
-    elif grads.shape != shape or grads.dtype != np.float64 or not grads.flags.c_contiguous:
-        raise ValueError(f"gradient buffer must be a C-ordered float64 {shape} array")
-    stop = grads.shape[1]
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
-        shape = params.weights[layer].shape
-        bias = stop - shape[0]
-        start = bias - shape[0] * shape[1]
-        dw = grads[:, start:bias].reshape(len(y), *shape)
-        assert np.shares_memory(dw, grads), "weight block must be a view of the gradient matrix"
-        np.einsum("bo,bi->boi", delta, inputs, out=dw)
-        grads[:, bias:stop] = delta
-        if scope == "last_layer":
+        np.einsum("bo,bi->boi", delta, inputs, out=out.weights[layer - first])
+        out.biases[layer - first][...] = delta
+        if layer == first:
             break
-        stop = start
     return grads
 
 
@@ -189,18 +177,16 @@ def embed_batch_at_params(
     """Embed a batch at explicit parameter draws (columns = examples).
 
     The D x N result is allocated once, C-contiguous, and ``GradientMatrix``
-    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d).  In
-    random_projection mode, for each block S of the draw's sign matrix as
-    ``sign_projection`` yields it, grads @ S.T goes into one reused
-    (N, B) product buffer and its transpose into the block's rows; the
-    draw's rows are then divided by sqrt(proj_dim) in place.  In
+    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d).  One (N, P)
+    gradient buffer, P the draw's parameter count (the output layer's in
+    last_layer mode), is allocated before the first draw and refilled for
+    every draw.  In random_projection mode, for each block S of the draw's
+    sign matrix as ``sign_projection`` yields it, grads @ S.T goes into one
+    reused (N, B) product buffer and its transpose into the block's rows;
+    the draw's rows are then divided by sqrt(proj_dim) in place.  In
     last_layer mode the rows are the transposed output-layer gradients.
-    One (N, P) gradient buffer is refilled for every draw.  A projection
-    of at most _PROJECT_BLOCK_ROWS rows is one block: the single product,
-    with its bits.  Larger ones are chunked along the sign rows only,
-    never the examples (see the module docstring).  The peak is the
-    dictionary, the gradient buffer, one sign block and its product
-    (``embedding_peak_bytes``).
+    The gradient buffer is dropped before ``GradientMatrix`` squares the
+    dictionary for its column norms.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -208,18 +194,19 @@ def embed_batch_at_params(
         raise ValueError("batch must be non-empty")
     num_examples = len(features)
     if config.mode == "random_projection":
-        rows = config.proj_dim
+        scope, rows, width = "full", config.proj_dim, draws[0].flat.size
         products = np.empty(num_examples * min(rows, _PROJECT_BLOCK_ROWS))
     else:
-        rows = draws[0].weights[-1].size + draws[0].biases[-1].size
+        scope = "last_layer"
+        rows = width = draws[0].weights[-1].size + draws[0].biases[-1].size
     out = np.empty((len(draws) * rows, num_examples))
-    grads = None
+    grads = np.empty((num_examples, width))
     for j, params in enumerate(draws):
         block = out[j * rows:(j + 1) * rows]
+        _batch_gradients(params, features, labels, scope, grads)
         if config.mode == "random_projection":
-            grads = _batch_gradients(params, features, labels, "full", grads)
             start = 0
-            for signs in sign_projection(rows, grads.shape[1], config.projection_seed + j):
+            for signs in sign_projection(rows, width, config.projection_seed + j):
                 # contiguous for a short last block too, like the single product's output
                 product = products[:num_examples * len(signs)].reshape(num_examples, len(signs))
                 np.matmul(grads, signs.T, out=product)
@@ -228,7 +215,6 @@ def embed_batch_at_params(
             del signs  # a view of the sign buffer: the next draw's generator makes its own
             block /= np.sqrt(config.proj_dim)
         else:
-            grads = _batch_gradients(params, features, labels, "last_layer", grads)
             block[...] = grads.T
     del grads  # before the column norms take their D x N temporary
     return GradientMatrix(out)

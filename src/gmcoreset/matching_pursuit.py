@@ -40,36 +40,6 @@ GRAM_MAX_RATIO = 4
 TIE_RTOL = 1e-9
 
 
-# GradientMatrix squares this many dictionary entries at a time (512 KB) for
-# its column norms.  At D = 8000, N = 4000 on a 2-core host the blocks took
-# 43 ms against 122 ms for np.linalg.norm and its 256 MB of squares; at
-# D = 1024, N = 400 they took 0.38 ms against 0.53 ms.
-NORM_BLOCK_ENTRIES = 1 << 16
-
-
-def _column_norms(data: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(data, axis=0)`` of a C-ordered matrix, bit for bit, without its
-    D x N array of squares.
-
-    numpy reduces axis 0 of a C-ordered matrix with N >= 2 columns row by
-    row, so the squares are summed in blocks of rows in a buffer whose row
-    0 carries the running sum.  One column, or a matrix of one block, is
-    left to ``np.linalg.norm``.
-    """
-    D, N = data.shape
-    rows = max(NORM_BLOCK_ENTRIES // N, 1)
-    if N == 1 or D <= rows:
-        return np.linalg.norm(data, axis=0)
-    buf = np.empty((rows + 1, N))
-    acc = np.add.reduce(np.multiply(data[:rows], data[:rows], out=buf[1:]), axis=0)
-    for start in range(rows, D, rows):
-        block = data[start : start + rows]
-        buf[0] = acc
-        np.multiply(block, block, out=buf[1 : len(block) + 1])
-        np.add.reduce(buf[: len(block) + 1], axis=0, out=acc)
-    return np.sqrt(acc, out=acc)
-
-
 class SingularGramError(ValueError):
     """The Gram matrix of the selected columns is numerically singular."""
 
@@ -96,7 +66,7 @@ class GradientMatrix:
         if not np.all(np.isfinite(self.data)):
             raise ValueError("dictionary contains non-finite entries")
         with np.errstate(over="ignore"):  # omp_select raises on a norm that overflows
-            self.column_norms = _column_norms(self.data)
+            self.column_norms = np.linalg.norm(self.data, axis=0)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -45,21 +45,26 @@ class MlpParams:
     [W1, b1, ..., Wk, bk] in C order.
 
     ``weights[l]`` (fan_out x fan_in) and ``biases[l]`` are views into
-    ``flat``: writing through them writes the vector.
+    ``flat``: writing through them writes the vector.  ``flat`` may also be
+    a C-ordered (N, P) matrix with that layout in each row; the views then
+    have shapes (N, fan_out, fan_in) and (N, fan_out).
     """
 
     def __init__(self, flat: np.ndarray, layer_dims: list[tuple[int, int]]):
+        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layer_dims)
+        if flat.ndim not in (1, 2) or flat.shape[-1] != size or flat.dtype != np.float64:
+            raise ValueError(f"expected {size} float64 parameters per row, got {flat.dtype} {flat.shape}")
+        if not flat.flags.c_contiguous:
+            raise ValueError("parameter rows must be C-ordered, so that views write into them")
         self.flat = flat
         self.weights: list[np.ndarray] = []
         self.biases: list[np.ndarray] = []
-        offset = 0
+        rows, offset = flat.shape[:-1], 0
         for fan_in, fan_out in layer_dims:
-            self.weights.append(flat[offset : offset + fan_in * fan_out].reshape(fan_out, fan_in))
-            offset += fan_in * fan_out
-            self.biases.append(flat[offset : offset + fan_out])
-            offset += fan_out
-        if flat.shape != (offset,) or flat.dtype != np.float64:
-            raise ValueError(f"expected {offset} float64 parameters, got {flat.dtype} {flat.shape}")
+            bias = offset + fan_in * fan_out
+            self.weights.append(flat[..., offset:bias].reshape(*rows, fan_out, fan_in))
+            self.biases.append(flat[..., bias : bias + fan_out])
+            offset = bias + fan_out
 
     @classmethod
     def zeros(cls, layer_dims: list[tuple[int, int]]) -> "MlpParams":
@@ -67,7 +72,7 @@ class MlpParams:
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
-        return [(w.shape[1], w.shape[0]) for w in self.weights]
+        return [(w.shape[-1], w.shape[-2]) for w in self.weights]
 
     @property
     def num_layers(self) -> int:
@@ -204,16 +209,18 @@ def weighted_gradient(
 def adam_step(params: MlpParams, grads: MlpParams, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected Adam update of ``params`` and ``state``, in place.
 
-    A non-finite gradient, or one whose second-moment term (1 - beta2) * g * g
-    overflows, raises before anything is changed.
+    A non-finite gradient, or one whose square 2 * g * g overflows, raises
+    before anything is changed.
     """
     g = grads.flat
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    # (1 - b2) * g * g grows with |g| and rounding keeps that order, so some
-    # entry overflows exactly when the largest does; Python floats overflow
-    # to inf without a warning, and a nan anywhere makes ``big`` nan
+    # The bias-corrected second moment v / (1 - b2**t) is a weighted mean of
+    # past g * g, so it stays finite if every g * g does with room for
+    # rounding, here a factor of 2.  g * g grows with |g| and rounding keeps
+    # that order, so testing the largest entry tests them all; Python floats
+    # overflow to inf without a warning, and a nan anywhere makes ``big`` nan
     big = float(np.maximum.reduce(np.abs(g)))
-    if not math.isfinite((1.0 - b2) * big * big):
+    if not math.isfinite(2.0 * big * big):
         if not math.isfinite(big):
             raise FloatingPointError("non-finite gradient in Adam update")
         raise FloatingPointError(

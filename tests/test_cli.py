@@ -72,6 +72,11 @@ def test_overrides_beat_file_values_beat_defaults():
     assert cfg["batch_size"] == 100    # default
 
 
+def test_schema_defaults_are_the_dataclass_defaults():
+    config = cli.experiment_config(resolve_config({}, {}))
+    assert config == harness.ExperimentConfig(memory_sizes=harness.DEFAULT_MEMORY_SIZES)
+
+
 # --- select ----------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gmcoreset import nn
+from gmcoreset import grad_embed, nn
 from gmcoreset.grad_embed import (
     _PROJECT_BLOCK_ROWS,
     _SIGN_BLOCK_ROWS,
@@ -282,7 +282,28 @@ def test_batch_gradients_equal_concatenating_form(hidden, scope):
     arch, X, y = small_batch(22, n=50, arch=nn.MlpArch(9, hidden, 4))
     params = nn.init_sample(arch, 1)
     expected = batch_gradients_by_concatenation(params, X, y, scope)
-    assert np.array_equal(_batch_gradients(params, X, y, scope), expected)
+    grads = np.full(expected.shape, np.nan)
+    assert np.array_equal(_batch_gradients(params, X, y, scope, grads), expected)
+
+
+def test_last_layer_gradients_compute_no_hidden_layer_delta(monkeypatch):
+    # _backprop computes a hidden layer's delta only when asked for the
+    # next item, so the layers drawn from it are the deltas computed.
+    arch, X, y = small_batch(26, n=10, arch=nn.MlpArch(9, (16, 12), 4))
+    params = nn.init_sample(arch, 2)
+    drawn = []
+
+    def counting_backprop(*args):
+        for item in nn._backprop(*args):
+            drawn.append(item[0])
+            yield item
+
+    monkeypatch.setattr(grad_embed, "_backprop", counting_backprop)
+    grads = np.empty((len(y), last_layer_size(arch)))
+    _batch_gradients(params, X, y, "last_layer", grads)
+    assert drawn == [params.num_layers - 1]
+    _batch_gradients(params, X, y, "full", np.empty((len(y), num_params(arch))))
+    assert drawn == [2, 2, 1, 0]
 
 
 def test_embedding_holds_one_gradient_and_one_sign_matrix_at_a_time():

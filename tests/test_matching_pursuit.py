@@ -32,28 +32,6 @@ def test_gradient_matrix_caches_norms():
     assert np.allclose(G.column_norms, [5.0, 2.0])
 
 
-@pytest.mark.parametrize(
-    "shape",
-    # one block; streaming shape (a short last block); exact blocks; one tall column; few columns
-    [(37, 5), (1, 7), (1024, 400), (1000, 300), (1311, 64), (70000, 1), (100000, 2)],
-)
-def test_column_norms_equal_numpy_norm_bit_for_bit(shape):
-    rng = np.random.default_rng(sum(shape))
-    data = rng.standard_normal(shape) * rng.uniform(0.1, 10.0, size=shape[1])
-    assert np.array_equal(GradientMatrix(data).column_norms, np.linalg.norm(data, axis=0))
-
-
-def test_column_norms_allocate_no_matrix_of_squares():
-    data = np.random.default_rng(0).standard_normal((2048, 512))  # 8 MB
-    tracemalloc.start()
-    try:
-        GradientMatrix(data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < data.nbytes / 4  # the finiteness check's booleans are data.nbytes / 8
-
-
 def test_gradient_matrix_rejects_non_finite():
     with pytest.raises(ValueError):
         GradientMatrix(np.array([[1.0, np.nan]]))

@@ -213,18 +213,18 @@ def test_adam_rejects_a_gradient_whose_second_moment_overflows():
     assert state.step == 1
 
 
-def largest_entry_with_a_finite_second_moment():
-    """The largest float g whose (1 - beta2) * g * g is finite."""
-    c = 1.0 - nn.ADAM_BETA2
-    g = math.sqrt(sys.float_info.max) / math.sqrt(c)
-    while math.isfinite(c * g * g):
+def largest_accepted_entry():
+    """The largest float g whose 2 * g * g is finite: ``adam_step`` keeps a
+    factor of 2 of the float64 range for the rounding of v / (1 - beta2**t)."""
+    g = math.sqrt(sys.float_info.max / 2.0)
+    while math.isfinite(2.0 * g * g):
         g = math.nextafter(g, math.inf)
-    while not math.isfinite(c * g * g):
+    while not math.isfinite(2.0 * g * g):
         g = math.nextafter(g, 0.0)
     return g
 
 
-BIG = largest_entry_with_a_finite_second_moment()
+BIG = largest_accepted_entry()
 
 
 @pytest.mark.parametrize("entry, overflows", [
@@ -234,28 +234,31 @@ BIG = largest_entry_with_a_finite_second_moment()
 ], ids=["largest", "next-up", "minus-largest", "minus-next-up", "inf", "minus-inf", "nan",
         "zero", "subnormal"])
 def test_adam_raises_exactly_when_a_second_moment_term_is_not_finite(entry, overflows):
+    # At step 1, 1 - beta2**t = 1 - beta2 makes v / (1 - beta2**t) largest,
+    # g * g itself.  An accepted step must not warn: the suite turns
+    # RuntimeWarnings into errors.
     arch = nn.MlpArch(3, (4,), 2)
-    params = nn.init_sample(arch, 0)
-    state = nn.AdamState.zeros(params)
-    grads = nn.MlpParams(np.full_like(params.flat, 0.5), arch.layer_dims())
-    nn.adam_step(params, grads, state, nn.TrainConfig())
-    grads.weights[0][1, 2] = entry
-    g = grads.flat
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert (not np.isfinite((1.0 - nn.ADAM_BETA2) * g * g).all()) == overflows
-    before = params.flat.copy(), state.m.copy(), state.v.copy()
-    if not overflows:
-        # near the boundary the bias-corrected v / (1 - beta2**t) can still
-        # overflow, which warns and does not raise
-        with np.errstate(over="ignore"):
+    for steps_before in (0, 1):
+        params = nn.init_sample(arch, 0)
+        state = nn.AdamState.zeros(params)
+        grads = nn.MlpParams(np.full_like(params.flat, 0.5), arch.layer_dims())
+        for _ in range(steps_before):
             nn.adam_step(params, grads, state, nn.TrainConfig())
-        assert state.step == 2 and np.isfinite(state.v).all()
-        return
-    with pytest.raises(FloatingPointError):
-        nn.adam_step(params, grads, state, nn.TrainConfig())
-    for kept, now in zip(before, (params.flat, state.m, state.v)):
-        assert np.array_equal(kept, now)
-    assert state.step == 1
+        grads.weights[0][1, 2] = entry
+        before = params.flat.copy(), state.m.copy(), state.v.copy()
+        if not overflows:
+            nn.adam_step(params, grads, state, nn.TrainConfig())
+            assert state.step == steps_before + 1
+            assert np.isfinite(params.flat).all() and np.isfinite(state.v).all()
+            if abs(entry) == BIG:  # a step against the gradient, not the zero of an inf scale
+                assert (before[0][5] - params.weights[0][1, 2]) * np.sign(entry) > 0.0
+            continue
+        message = "second moment overflows" if math.isfinite(entry) else "non-finite gradient"
+        with pytest.raises(FloatingPointError, match=message):
+            nn.adam_step(params, grads, state, nn.TrainConfig())
+        for kept, now in zip(before, (params.flat, state.m, state.v)):
+            assert np.array_equal(kept, now)
+        assert state.step == steps_before
 
 
 def test_adam_descends_a_quadratic():
@@ -372,6 +375,46 @@ def test_flat_is_laid_out_layer_by_layer():
 def test_params_reject_a_vector_of_the_wrong_length():
     with pytest.raises(ValueError, match="float64 parameters"):
         nn.MlpParams(np.zeros(5), [(1, 2)])
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 4)])
+def test_rows_of_a_matrix_have_the_views_of_their_own_vectors(hidden):
+    arch = nn.MlpArch(5, hidden, 3)
+    dims = arch.layer_dims()
+    matrix = np.random.default_rng(4).standard_normal((7, nn.MlpParams.zeros(dims).flat.size))
+    rows = nn.MlpParams(matrix, dims)
+    for i, row in enumerate(matrix):
+        own = nn.MlpParams(row, dims)
+        for a, b in zip(rows.weights + rows.biases, own.weights + own.biases):
+            assert a[i].shape == b.shape and np.array_equal(a[i], b)
+
+
+def test_writes_through_matrix_views_land_in_the_matrix():
+    dims = nn.MlpArch(5, (6, 4), 3).layer_dims()
+    matrix = np.zeros((7, nn.MlpParams.zeros(dims).flat.size))
+    rows = nn.MlpParams(matrix, dims)
+    for layer, (w, b) in enumerate(zip(rows.weights, rows.biases)):
+        w[...] = 10.0 * layer + 1.0
+        b[...] = 10.0 * layer + 2.0
+    expected = nn.MlpParams.zeros(dims)
+    for layer, (w, b) in enumerate(zip(expected.weights, expected.biases)):
+        w[...] = 10.0 * layer + 1.0
+        b[...] = 10.0 * layer + 2.0
+    assert np.array_equal(matrix, np.tile(expected.flat, (7, 1)))
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-slice", "wide-rows", "three-dims"])
+def test_params_reject_a_matrix_that_views_could_not_write_into(layout):
+    dims = nn.MlpArch(5, (6,), 3).layer_dims()
+    size = nn.MlpParams.zeros(dims).flat.size
+    matrix = {
+        "fortran": np.zeros((7, size), order="F"),
+        "column-slice": np.zeros((7, size + 3))[:, :size],
+        "wide-rows": np.zeros((7, size + 1)),
+        "three-dims": np.zeros((2, 7, size)),
+    }[layout]
+    with pytest.raises(ValueError, match="C-ordered|float64 parameters"):
+        nn.MlpParams(matrix, dims)
 
 
 # --- exactness against the per-layer form ------------------------------------------
