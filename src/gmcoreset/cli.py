@@ -279,7 +279,8 @@ def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScena
     """``cfg``'s sweep config and learner on ``data``, after the rules ``run`` and ``select`` share.
 
     One class, values ``ExperimentConfig`` rejects, memory sizes beyond the embedding dimension
-    and an embedding of ``pool_rows(memory_sizes)`` examples beyond physical memory raise.
+    and a method whose learner (``run`` only) plus embedding of ``pool_rows(memory_sizes)``
+    examples (gradient matching only) exceeds physical memory raise.
     """
     if data.num_classes < 2:
         raise ConfigError(SINGLE_CLASS)
@@ -288,12 +289,18 @@ def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScena
     sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
     config, rows = replace(config, memory_sizes=sizes), pool_rows(sizes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    for method in (m for m in config.methods if m in harness.GMC_METHODS):
-        need = embedding_peak_bytes(harness.method_embedding(config, method, 0), arch, rows)
-        if need > physical:
+    learner = 0  # select trains no model
+    if isinstance(data, scenarios.ContinualScenario):
+        learner = nn.learner_peak_bytes(arch, config.train.batch_size, data.test.num_examples)
+    for method in config.methods:
+        embedding = 0
+        if method in harness.GMC_METHODS:
+            embedding = embedding_peak_bytes(harness.method_embedding(config, method, 0), arch, rows)
+        if learner + embedding > physical:
             raise ConfigError(
-                f"embedding {rows} examples needs {need / 2**30:.3g} GiB, more than the "
-                f"{physical / 2**30:.3g} GiB of physical memory (reduce draws or proj_dim)"
+                f"{method} needs {learner / 2**30:.3g} GiB for its model and "
+                f"{embedding / 2**30:.3g} GiB to embed {rows} examples, more than the "
+                f"{physical / 2**30:.3g} GiB of physical memory (reduce hidden, draws or proj_dim)"
             )
     return config, arch
 

@@ -31,7 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matching_pursuit import GradientMatrix
-from .nn import MlpArch, MlpParams, _backprop, _output_delta, init_sample
+from .nn import (
+    MlpArch, MlpParams, _backprop, _output_delta, init_sample, param_count, pass_bytes,
+)
 
 
 @dataclass(frozen=True)
@@ -77,40 +79,61 @@ _SIGN_BLOCK_ROWS = 64
 # 1024-row blocks 14.4 s, 1076 MB; 512-row blocks 15.2 s, 989 MB.
 _PROJECT_BLOCK_ROWS = 1024
 
+# Python objects in ``embedding_peak_bytes``, since a tiny model's draws are
+# mostly these: each draw's MlpParams holds 2L + 3 objects of at most
+# _OBJECT_BYTES (itself, its two lists, its weight and bias views), and the
+# call's own frames, array headers and random generators take at most
+# _CALL_BYTES.
+_OBJECT_BYTES = 256
+_CALL_BYTES = 2**12
 
-def last_layer_size(arch: MlpArch) -> int:
-    """Output-layer parameter count: k * penultimate_width + k."""
-    return arch.num_classes * arch.penultimate_width + arch.num_classes
+
+def _draw_layout(
+    config: EmbeddingConfig, layer_dims: list[tuple[int, int]]
+) -> tuple[int, int, int, int]:
+    """One draw's (first kept layer, gradient width P, dictionary rows, sign-block rows B).
+
+    random_projection keeps every layer and projects its P gradient
+    coordinates onto proj_dim sign rows, B = min(proj_dim,
+    _PROJECT_BLOCK_ROWS) at a time; last_layer keeps the output layer,
+    whose P coordinates are the draw's rows (B = 0).
+    """
+    if config.mode == "random_projection":
+        block = min(config.proj_dim, _PROJECT_BLOCK_ROWS)
+        return 0, param_count(layer_dims), config.proj_dim, block
+    first = len(layer_dims) - 1
+    width = param_count(layer_dims[first:])
+    return first, width, width, 0
 
 
 def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
     """Total embedding dimension D for the given architecture."""
-    if config.mode == "random_projection":
-        return config.draws * config.proj_dim
-    return config.draws * last_layer_size(arch)
+    _, _, rows, _ = _draw_layout(config, arch.layer_dims())
+    return config.draws * rows
 
 
 def embedding_peak_bytes(config: EmbeddingConfig, arch: MlpArch, num_examples: int) -> int:
     """Bytes ``embed_batch`` holds at its peak for ``num_examples`` examples.
 
-    8 * (D * N + N * P + B * (P + N)): the D x N dictionary and one draw's
-    (N, P) gradient buffer (P the parameter count, or the output layer's
-    in last_layer mode), plus, in random_projection mode, one block of
-    B = min(proj_dim, _PROJECT_BLOCK_ROWS) sign rows and its (N, B)
-    product, all float64.  The column norms' D x N squares come after the
-    gradient buffer is dropped, so they stay within this while D <= P, as
-    in random_projection mode at the shipped sizes; in last_layer mode
-    with several draws (D = draws * P) they exceed it by 8 * N * (D - P).
-    Pure arithmetic, so it can bound a config before anything is
-    allocated.
+    Counted from ``_draw_layout``'s P, B and D = draws * rows, in float64
+    unless noted.  Held throughout: the ``draws`` parameter vectors and
+    their Python objects, the D x N dictionary and the (N, B) product
+    buffer.  During the draw loop, beside them: one draw's (N, P) gradient
+    buffer, its forward and backward pass (``pass_bytes``) and, in
+    random_projection mode, one block of B sign rows with the int64 draw
+    buffer of up to _SIGN_BLOCK_ROWS rows that fills it.  After the loop:
+    the D x N squares ``GradientMatrix`` takes for its column norms and
+    their two N-vector reductions (its one-byte finiteness mask comes and
+    goes before them).  The peak is the larger of the two phases.  Pure
+    arithmetic, so it can bound a config before anything is allocated.
     """
-    if config.mode == "random_projection":
-        params = sum((fan_in + 1) * fan_out for fan_in, fan_out in arch.layer_dims())
-        block = min(config.proj_dim, _PROJECT_BLOCK_ROWS)
-    else:
-        params, block = last_layer_size(arch), 0
-    dim = embedding_dim(config, arch)
-    return 8 * (dim * num_examples + num_examples * params + block * (params + num_examples))
+    dims = arch.layer_dims()
+    first, width, rows, block = _draw_layout(config, dims)
+    N, dim = num_examples, config.draws * rows
+    loop = 8 * width * (N + block + min(block, _SIGN_BLOCK_ROWS)) + pass_bytes(dims, N, first)
+    draw = 8 * param_count(dims) + _OBJECT_BYTES * (2 * len(dims) + 3)
+    held = _CALL_BYTES + config.draws * draw + 8 * (dim + block) * N
+    return held + max(loop, 8 * (dim + 2) * N)
 
 
 def sign_projection(proj_dim: int, input_dim: int, seed: int) -> Iterator[np.ndarray]:
@@ -142,22 +165,19 @@ def sign_projection(proj_dim: int, input_dim: int, seed: int) -> Iterator[np.nda
 
 
 def _batch_gradients(
-    params: MlpParams, X: np.ndarray, y: np.ndarray, scope: str, grads: np.ndarray
+    params: MlpParams, X: np.ndarray, y: np.ndarray, first: int, grads: np.ndarray
 ) -> np.ndarray:
-    """Per-example loss gradients, one row per example, written into ``grads``.
+    """Per-example loss gradients of layers ``first`` on, one row per example, into ``grads``.
 
-    scope "full" backpropagates the single-example cross-entropy through
-    all layers; row i of the C-ordered (N, P) buffer ``grads`` becomes
-    example i's gradient laid out as ``MlpParams.flat``.  "last_layer"
-    keeps only the output-layer block [Wk, bk], the closed form
-    (softmax - onehot) x penultimate activation, and computes no hidden
-    layer's delta.  Each layer's outer product delta x input is written by
-    ``einsum(..., out=)`` into its ``MlpParams`` weight view of ``grads``,
-    and its bias view is delta itself.
+    Row i of the C-ordered (N, P) buffer ``grads`` becomes example i's
+    gradient of those layers laid out as ``MlpParams.flat``.  ``first = 0``
+    backpropagates the single-example cross-entropy through all layers;
+    the output layer alone is the closed form (softmax - onehot) x
+    penultimate activation, and computes no hidden layer's delta.  Each
+    layer's outer product delta x input is written by ``einsum(...,
+    out=)`` into its ``MlpParams`` weight view of ``grads``, and its bias
+    view is delta itself.
     """
-    if scope not in ("full", "last_layer"):
-        raise ValueError(f"unknown gradient scope {scope!r}")
-    first = 0 if scope == "full" else params.num_layers - 1
     out = MlpParams(grads, params.layer_dims[first:])
     activations, pre, _, delta = _output_delta(params, X, y)
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
@@ -178,13 +198,13 @@ def embed_batch_at_params(
 
     The D x N result is allocated once, C-contiguous, and ``GradientMatrix``
     keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d).  One (N, P)
-    gradient buffer, P the draw's parameter count (the output layer's in
-    last_layer mode), is allocated before the first draw and refilled for
-    every draw.  In random_projection mode, for each block S of the draw's
-    sign matrix as ``sign_projection`` yields it, grads @ S.T goes into one
-    reused (N, B) product buffer and its transpose into the block's rows;
-    the draw's rows are then divided by sqrt(proj_dim) in place.  In
-    last_layer mode the rows are the transposed output-layer gradients.
+    gradient buffer of the draw's kept layers (``_draw_layout``) is
+    allocated before the first draw and refilled for every draw.  In
+    random_projection mode, for each block S of the draw's sign matrix as
+    ``sign_projection`` yields it, grads @ S.T goes into one reused (N, B)
+    product buffer and its transpose into the block's rows; the draw's
+    rows are then divided by sqrt(proj_dim) in place.  In last_layer mode
+    the rows are the transposed output-layer gradients.
     The gradient buffer is dropped before ``GradientMatrix`` squares the
     dictionary for its column norms.
     """
@@ -193,17 +213,13 @@ def embed_batch_at_params(
     if len(features) == 0:
         raise ValueError("batch must be non-empty")
     num_examples = len(features)
-    if config.mode == "random_projection":
-        scope, rows, width = "full", config.proj_dim, draws[0].flat.size
-        products = np.empty(num_examples * min(rows, _PROJECT_BLOCK_ROWS))
-    else:
-        scope = "last_layer"
-        rows = width = draws[0].weights[-1].size + draws[0].biases[-1].size
+    first, width, rows, block_rows = _draw_layout(config, draws[0].layer_dims)
+    products = np.empty(num_examples * block_rows)
     out = np.empty((len(draws) * rows, num_examples))
     grads = np.empty((num_examples, width))
     for j, params in enumerate(draws):
         block = out[j * rows:(j + 1) * rows]
-        _batch_gradients(params, features, labels, scope, grads)
+        _batch_gradients(params, features, labels, first, grads)
         if config.mode == "random_projection":
             start = 0
             for signs in sign_projection(rows, width, config.projection_seed + j):

@@ -35,9 +35,30 @@ class MlpArch:
         sizes = (self.input_dim, *self.hidden, self.num_classes)
         return [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
 
-    @property
-    def penultimate_width(self) -> int:
-        return self.hidden[-1] if self.hidden else self.input_dim
+
+def param_count(layer_dims: list[tuple[int, int]]) -> int:
+    """Length of the flat layout [W1, b1, ..., Wk, bk] of these layers."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in layer_dims)
+
+
+def pass_bytes(layer_dims: list[tuple[int, int]], rows: int, first: int = 0) -> int:
+    """Bytes one forward and backward pass over ``rows`` examples, down to
+    layer ``first``, holds at once.
+
+    Per example, in float64: every hidden layer's pre-activation and
+    activation; the logits, the shifted logits and softmax (then the output
+    delta); two deltas of the widest hidden layer from ``first`` on (the
+    one being computed and the last); four scalars (row max, row sum, the
+    label's index and entry); and one byte per logit and per unit of that
+    layer (the finiteness and ReLU masks).  Beside them one ufunc buffer:
+    numpy casts or broadcasts an operand in chunks of at most
+    ``np.getbufsize()`` elements.
+    """
+    hidden = [fan_out for _, fan_out in layer_dims[:-1]]
+    classes = layer_dims[-1][1]
+    widest = max(hidden[first:], default=0)
+    per_row = 8 * (2 * sum(hidden) + 3 * classes + 2 * widest + 4) + classes + widest
+    return rows * per_row + 8 * min(np.getbufsize(), rows * max(hidden + [classes]))
 
 
 class MlpParams:
@@ -51,7 +72,7 @@ class MlpParams:
     """
 
     def __init__(self, flat: np.ndarray, layer_dims: list[tuple[int, int]]):
-        size = sum(fan_in * fan_out + fan_out for fan_in, fan_out in layer_dims)
+        size = param_count(layer_dims)
         if flat.ndim not in (1, 2) or flat.shape[-1] != size or flat.dtype != np.float64:
             raise ValueError(f"expected {size} float64 parameters per row, got {flat.dtype} {flat.shape}")
         if not flat.flags.c_contiguous:
@@ -68,7 +89,7 @@ class MlpParams:
 
     @classmethod
     def zeros(cls, layer_dims: list[tuple[int, int]]) -> "MlpParams":
-        return cls(np.zeros(sum(fi * fo + fo for fi, fo in layer_dims)), layer_dims)
+        return cls(np.zeros(param_count(layer_dims)), layer_dims)
 
     @property
     def layer_dims(self) -> list[tuple[int, int]]:
@@ -118,6 +139,22 @@ class AdamState:
 
     def copy(self) -> "AdamState":
         return AdamState(self.m.copy(), self.v.copy(), self.step)
+
+
+def learner_peak_bytes(arch: MlpArch, batch_size: int, test_rows: int) -> int:
+    """Bytes that training and evaluating one model hold at their peak, beyond the data.
+
+    Ten float64 vectors of ``param_count`` entries: the caller's parameters
+    and Adam moments, ``train_steps``' copies of the three and its gradient,
+    and ``adam_step``'s g * g, update and scale.  Beside them a minibatch's
+    gathered features, labels and weights with its pass (``pass_bytes``),
+    and the evaluation's pass over ``test_rows`` examples, both counted.
+    Pure arithmetic, so it can bound a config before anything is allocated.
+    """
+    dims = arch.layer_dims()
+    batch = max(batch_size, 2)  # replay pairs a batch row with a memory row at batch_size 1
+    minibatch = 8 * batch * (arch.input_dim + 2) + pass_bytes(dims, batch)
+    return 80 * param_count(dims) + minibatch + pass_bytes(dims, test_rows)
 
 
 def init_sample(arch: MlpArch, seed: int) -> MlpParams:

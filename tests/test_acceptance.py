@@ -13,11 +13,7 @@ from scipy.stats import chisquare
 
 from gmcoreset import nn
 from gmcoreset.cli import main
-from gmcoreset.grad_embed import (
-    EmbeddingConfig,
-    embed_batch_at_params,
-    last_layer_size,
-)
+from gmcoreset.grad_embed import EmbeddingConfig, embed_batch_at_params
 from gmcoreset.harness import ExperimentConfig, run_cell
 from gmcoreset.matching_pursuit import (
     GradientMatrix,
@@ -114,7 +110,7 @@ def test_criterion_04_last_layer_shortcut():
         short = embed_batch_at_params(
             [params], x[None, :], [y], EmbeddingConfig(draws=1, mode="last_layer")
         ).data[:, 0]
-        assert np.abs(full[-last_layer_size(arch):] - short).max() <= 1e-12
+        assert np.abs(full[-nn.param_count(arch.layer_dims()[-1:]):] - short).max() <= 1e-12
     report(4, "closed-form output-layer gradient equals the backprop block")
 
 

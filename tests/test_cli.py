@@ -438,6 +438,16 @@ def test_run_rejects_an_embedding_beyond_physical_memory_before_any_cell(
     assert not out.exists()
 
 
+def test_run_rejects_a_model_beyond_physical_memory_before_any_cell(tmp_path, capsys, monkeypatch):
+    # hidden 100000,100000 has about 1e10 parameters: never run such a config unpatched
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace("hidden = 8", "hidden = 100000,100000"))
+    out = tmp_path / "o"
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", cfg, "--out", str(out), "--method", "reservoir"]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line, flags, message", [
     ("", ["--memory-sizes", "0"], "memory sizes must be >= 1"),
     ("", ["--seed", "-1"], "seeds must be >= 0"),

@@ -1,7 +1,10 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmcoreset import grad_embed, nn
 from gmcoreset.grad_embed import (
@@ -13,7 +16,6 @@ from gmcoreset.grad_embed import (
     embed_batch_at_params,
     embedding_dim,
     embedding_peak_bytes,
-    last_layer_size,
     sign_projection,
 )
 
@@ -134,7 +136,7 @@ def test_last_layer_scope_is_tail_of_full_gradient(seed):
     full = per_example_gradient(params, (X[0], int(y[0])), scope="full")
     config = EmbeddingConfig(draws=1, mode="last_layer")
     short = embed_batch_at_params([params], X, y, config).data[:, 0]
-    assert np.abs(full[-last_layer_size(arch):] - short).max() <= 1e-12
+    assert np.abs(full[-nn.param_count(arch.layer_dims()[-1:]):] - short).max() <= 1e-12
 
 
 def test_non_finite_activation_reports_example_index():
@@ -164,11 +166,24 @@ def test_paper_scale_dimensions():
     assert G.data.shape[0] == 8000
 
 
-def test_last_layer_embedding_dimension():
-    arch = nn.MlpArch(6, (9, 7), 4)
-    config = EmbeddingConfig(draws=3, mode="last_layer")
-    G = embed_batch(*small_batch(1, n=2, arch=arch)[1:], arch=arch, config=config)
-    assert G.data.shape[0] == 3 * (4 * 7 + 4) == embedding_dim(config, arch)
+def test_last_layer_embedding_dimension(monkeypatch):
+    # last_layer keeps the output layer: for hidden = () layer 0, the whole model
+    kept = []
+
+    def recording(params, X, y, first, grads):
+        kept.append((first, grads.shape[1]))
+        return _batch_gradients(params, X, y, first, grads)
+
+    monkeypatch.setattr(grad_embed, "_batch_gradients", recording)
+    for mode, hidden in itertools.product(["random_projection", "last_layer"], [(9, 7), ()]):
+        arch = nn.MlpArch(6, hidden, 4)
+        config = EmbeddingConfig(draws=3, mode=mode, proj_dim=5)
+        kept.clear()
+        G = embed_batch(*small_batch(1, n=2, arch=arch)[1:], arch=arch, config=config)
+        first = len(hidden) if mode == "last_layer" else 0
+        assert kept == [(first, nn.param_count(arch.layer_dims()[first:]))] * config.draws
+        rows = 5 if mode == "random_projection" else 4 * (hidden or (6,))[-1] + 4
+        assert G.data.shape[0] == 3 * rows == embedding_dim(config, arch)
 
 
 def test_columns_match_componentwise_recomputation():
@@ -281,9 +296,10 @@ def test_embedding_after_a_short_last_sign_block_agrees_to_rounding():
 def test_batch_gradients_equal_concatenating_form(hidden, scope):
     arch, X, y = small_batch(22, n=50, arch=nn.MlpArch(9, hidden, 4))
     params = nn.init_sample(arch, 1)
+    first = 0 if scope == "full" else len(hidden)
     expected = batch_gradients_by_concatenation(params, X, y, scope)
     grads = np.full(expected.shape, np.nan)
-    assert np.array_equal(_batch_gradients(params, X, y, scope, grads), expected)
+    assert np.array_equal(_batch_gradients(params, X, y, first, grads), expected)
 
 
 def test_last_layer_gradients_compute_no_hidden_layer_delta(monkeypatch):
@@ -299,10 +315,10 @@ def test_last_layer_gradients_compute_no_hidden_layer_delta(monkeypatch):
             yield item
 
     monkeypatch.setattr(grad_embed, "_backprop", counting_backprop)
-    grads = np.empty((len(y), last_layer_size(arch)))
-    _batch_gradients(params, X, y, "last_layer", grads)
+    grads = np.empty((len(y), nn.param_count(arch.layer_dims()[-1:])))
+    _batch_gradients(params, X, y, params.num_layers - 1, grads)
     assert drawn == [params.num_layers - 1]
-    _batch_gradients(params, X, y, "full", np.empty((len(y), num_params(arch))))
+    _batch_gradients(params, X, y, 0, np.empty((len(y), num_params(arch))))
     assert drawn == [2, 2, 1, 0]
 
 
@@ -347,19 +363,49 @@ def test_embedding_holds_one_gradient_buffer_and_one_sign_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.1 * (grad_bytes + out_bytes + sign_block_bytes + product_bytes + draw_bytes)
+    # the draw loop is the larger phase here: its gradients and sign block
+    # outweigh the dictionary's squares
+    draws_bytes = config.draws * (8 * num_params(arch) + grad_embed._OBJECT_BYTES * (2 * 3 + 3))
     assert embedding_peak_bytes(config, arch, num_examples) == (
-        grad_bytes + out_bytes + sign_block_bytes + product_bytes
+        grad_embed._CALL_BYTES + draws_bytes + out_bytes + product_bytes
+        + grad_bytes + sign_block_bytes + draw_bytes + nn.pass_bytes(arch.layer_dims(), num_examples)
     )
 
 
 def test_embedding_peak_of_a_huge_config_is_arithmetic():
+    # at 1e11 draws the dictionary's squares are the larger phase
     arch = nn.MlpArch(4, (8,), 3)
     P, N = num_params(arch), 100
+    draw_bytes = 8 * P + grad_embed._OBJECT_BYTES * (2 * 2 + 3)
     projected = EmbeddingConfig(draws=10**11, proj_dim=2000)
-    assert embedding_peak_bytes(projected, arch, N) == 8 * (
-        10**11 * 2000 * N + N * P + _PROJECT_BLOCK_ROWS * (P + N)
-    )
     last = EmbeddingConfig(draws=10**11, mode="last_layer")
-    assert embedding_peak_bytes(last, arch, N) == 8 * (
-        embedding_dim(last, arch) * N + N * last_layer_size(arch)
-    )
+    last_rows = nn.param_count(arch.layer_dims()[-1:])
+    for config, rows, block in [(projected, 2000, _PROJECT_BLOCK_ROWS), (last, last_rows, 0)]:
+        dim = 10**11 * rows
+        assert embedding_peak_bytes(config, arch, N) == (
+            grad_embed._CALL_BYTES + 10**11 * draw_bytes + 8 * (dim + block) * N + 8 * (dim + 2) * N
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mode=st.sampled_from(["random_projection", "last_layer"]),
+    draws=st.integers(1, 4),
+    proj_dim=st.integers(1, 2 * _PROJECT_BLOCK_ROWS),
+    hidden=st.lists(st.integers(1, 48), max_size=2).map(tuple),
+    num_examples=st.integers(200, 500),
+    num_classes=st.integers(2, 5),
+)
+def test_embedding_peak_bytes_bounds_the_traced_peak_within_half_again(
+    mode, draws, proj_dim, hidden, num_examples, num_classes
+):
+    arch = nn.MlpArch(8, hidden, num_classes)
+    config = EmbeddingConfig(draws=draws, mode=mode, proj_dim=proj_dim)
+    _, X, y = small_batch(27, n=num_examples, arch=arch)
+    tracemalloc.start()
+    try:
+        embed_batch(X, y, arch, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= embedding_peak_bytes(config, arch, num_examples) <= 1.5 * peak

@@ -1,5 +1,6 @@
 import concurrent.futures
 import pickle
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -51,6 +52,27 @@ def tiny_scenario():
 def single_batch_scenario():
     data = synth_blobs(seed=1, n_per_class=20, num_classes=2, dims=4)
     return make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=1)
+
+
+# --- resources ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("paradigm", harness.PARADIGMS)
+@pytest.mark.parametrize("hidden", [(64, 64), (256,)])
+def test_run_cell_peak_stays_within_the_learner_bound(paradigm, hidden):
+    data = synth_blobs(seed=0, n_per_class=50, num_classes=4, dims=8)
+    scenario = make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=2)
+    config = tiny_config(paradigm=paradigm, hidden=hidden)
+    arch = nn.MlpArch(scenario.num_features, hidden, scenario.num_classes)
+    tracemalloc.start()
+    try:
+        run_cell(scenario, "reservoir", 20, config, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the ten parameter-sized vectors the bound counts are all there at once
+    assert 80 * nn.param_count(arch.layer_dims()) <= peak
+    assert peak <= nn.learner_peak_bytes(arch, config.train.batch_size, scenario.test.num_examples)
 
 
 # --- retrain-from-scratch paradigm ----------------------------------------------
