@@ -291,7 +291,9 @@ def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScena
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     learner = 0  # select trains no model
     if isinstance(data, scenarios.ContinualScenario):
-        learner = nn.learner_peak_bytes(arch, config.train.batch_size, data.test.num_examples)
+        learner = nn.learner_peak_bytes(
+            arch, config.train.batch_size, data.test.num_examples, config.paradigm == "replay"
+        )
     for method in config.methods:
         embedding = 0
         if method in harness.GMC_METHODS:

@@ -254,7 +254,8 @@ def run_cell(
     rehearsal = Rehearsal(config, method, memory_size, arch, seed)
     epochs = config.replay_epochs or max(1, config.train.epochs // scenario.num_tasks)
     params = nn.init_sample(arch, seed)  # gdumb's first draw, seed ^ 0, is replay's only one
-    adam = nn.AdamState.zeros(params)
+    # replay's Adam moments carry over from task to task; gdumb's nn.train starts afresh
+    adam = None if config.paradigm == "gdumb" else nn.AdamState.zeros(params)
     rows: list[ResultRow] = []
     for t, batch in enumerate(scenario.batches):
         started = time.perf_counter()

@@ -46,18 +46,17 @@ def pass_bytes(layer_dims: list[tuple[int, int]], rows: int, first: int = 0) -> 
     layer ``first``, holds at once.
 
     Per example, in float64: every hidden layer's pre-activation and
-    activation; the logits, the shifted logits and softmax (then the output
-    delta); two deltas of the widest hidden layer from ``first`` on (the
-    one being computed and the last); four scalars (row max, row sum, the
-    label's index and entry); and one byte per logit and per unit of that
-    layer (the finiteness and ReLU masks).  Beside them one ufunc buffer:
-    numpy casts or broadcasts an operand in chunks of at most
-    ``np.getbufsize()`` elements.
+    activation (a hidden layer's delta takes its pre-activation's place);
+    the logits, the shifted logits and softmax (then the output delta); four
+    scalars (row max, row sum, the label's index and entry); and one byte
+    per logit and per unit of the widest hidden layer from ``first`` on (the
+    finiteness and ReLU masks).  Beside them one ufunc buffer: numpy casts
+    or broadcasts an operand in chunks of at most ``np.getbufsize()``
+    elements.
     """
     hidden = [fan_out for _, fan_out in layer_dims[:-1]]
     classes = layer_dims[-1][1]
-    widest = max(hidden[first:], default=0)
-    per_row = 8 * (2 * sum(hidden) + 3 * classes + 2 * widest + 4) + classes + widest
+    per_row = 8 * (2 * sum(hidden) + 3 * classes + 4) + classes + max(hidden[first:], default=0)
     return rows * per_row + 8 * min(np.getbufsize(), rows * max(hidden + [classes]))
 
 
@@ -141,12 +140,16 @@ class AdamState:
         return AdamState(self.m.copy(), self.v.copy(), self.step)
 
 
-def learner_peak_bytes(arch: MlpArch, batch_size: int, test_rows: int) -> int:
+def learner_peak_bytes(
+    arch: MlpArch, batch_size: int, test_rows: int, carries_moments: bool
+) -> int:
     """Bytes that training and evaluating one model hold at their peak, beyond the data.
 
-    Ten float64 vectors of ``param_count`` entries: the caller's parameters
-    and Adam moments, ``train_steps``' copies of the three and its gradient,
-    and ``adam_step``'s g * g, update and scale.  Beside them a minibatch's
+    Eight float64 vectors of ``param_count`` entries: the caller's
+    parameters, ``train_steps``' copies of them and of the Adam moments,
+    its gradient, and ``adam_step``'s g * g, update and scale; two more
+    when the caller ``carries_moments``, its own Adam moments, from one
+    training call to the next, as replay does.  Beside them a minibatch's
     gathered features, labels and weights with its pass (``pass_bytes``),
     and the evaluation's pass over ``test_rows`` examples, both counted.
     Pure arithmetic, so it can bound a config before anything is allocated.
@@ -154,7 +157,8 @@ def learner_peak_bytes(arch: MlpArch, batch_size: int, test_rows: int) -> int:
     dims = arch.layer_dims()
     batch = max(batch_size, 2)  # replay pairs a batch row with a memory row at batch_size 1
     minibatch = 8 * batch * (arch.input_dim + 2) + pass_bytes(dims, batch)
-    return 80 * param_count(dims) + minibatch + pass_bytes(dims, test_rows)
+    vectors = 10 if carries_moments else 8
+    return 8 * vectors * param_count(dims) + minibatch + pass_bytes(dims, test_rows)
 
 
 def init_sample(arch: MlpArch, seed: int) -> MlpParams:
@@ -209,12 +213,17 @@ def _output_delta(params: MlpParams, X: np.ndarray, y: np.ndarray):
 
 
 def _backprop(params: MlpParams, activations, pre, delta):
-    """Lazily yield (layer, delta, input) from the output layer down: dW = delta^T input."""
+    """Lazily yield (layer, delta, input) from the output layer down: dW = delta^T input.
+
+    A hidden layer's delta is written over its pre-activation, whose last
+    reader it is, so ``pre`` is used up and every yielded delta stays valid.
+    """
     layer = params.num_layers - 1
     yield layer, delta, activations[layer]
     for layer in range(layer - 1, -1, -1):
-        delta = delta @ params.weights[layer + 1]
-        delta *= pre[layer] > 0.0
+        active = pre[layer] > 0.0
+        delta = np.matmul(delta, params.weights[layer + 1], out=pre[layer])
+        delta *= active
         yield layer, delta, activations[layer]
 
 

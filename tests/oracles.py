@@ -353,6 +353,43 @@ def embed_batch_by_concatenation(draws, features, labels, config) -> GradientMat
     return GradientMatrix(np.concatenate(blocks, axis=1).T)
 
 
+# The memory bound of the layout that held each draw's whole (N, P)
+# gradient matrix and streamed its sign matrix in blocks of 1024 rows,
+# kept verbatim with the constants and pass count it read: the blocked
+# layout's ``grad_embed.embedding_peak_bytes`` must never exceed it.
+_PROJECT_BLOCK_ROWS = 1024
+_SIGN_BLOCK_ROWS = 64
+_OBJECT_BYTES = 256
+_CALL_BYTES = 2**12
+
+
+def pass_bytes_with_two_deltas(layer_dims: list[tuple[int, int]], rows: int, first: int = 0) -> int:
+    hidden = [fan_out for _, fan_out in layer_dims[:-1]]
+    classes = layer_dims[-1][1]
+    widest = max(hidden[first:], default=0)
+    per_row = 8 * (2 * sum(hidden) + 3 * classes + 2 * widest + 4) + classes + widest
+    return rows * per_row + 8 * min(np.getbufsize(), rows * max(hidden + [classes]))
+
+
+def _draw_layout_with_the_gradients_whole(config, layer_dims):
+    if config.mode == "random_projection":
+        block = min(config.proj_dim, _PROJECT_BLOCK_ROWS)
+        return 0, nn.param_count(layer_dims), config.proj_dim, block
+    first = len(layer_dims) - 1
+    width = nn.param_count(layer_dims[first:])
+    return first, width, width, 0
+
+
+def embedding_peak_bytes_with_the_gradients_whole(config, arch, num_examples: int) -> int:
+    dims = arch.layer_dims()
+    first, width, rows, block = _draw_layout_with_the_gradients_whole(config, dims)
+    N, dim = num_examples, config.draws * rows
+    loop = 8 * width * (N + block + min(block, _SIGN_BLOCK_ROWS)) + pass_bytes_with_two_deltas(dims, N, first)
+    draw = 8 * nn.param_count(dims) + _OBJECT_BYTES * (2 * len(dims) + 3)
+    held = _CALL_BYTES + config.draws * draw + 8 * (dim + block) * N
+    return held + max(loop, 8 * (dim + 2) * N)
+
+
 def class_balance_by_rescan(n: int, rng):
     """The rescanning eviction rule of ``memory.class_balance_update``:
     class counts and the largest class's members are rebuilt from the

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from gmcoreset import grad_embed, nn
 from gmcoreset.grad_embed import (
-    _PROJECT_BLOCK_ROWS,
+    _BLOCK_ROWS,
     _SIGN_BLOCK_ROWS,
     EmbeddingConfig,
     _batch_gradients,
+    _kept_layers,
     embed_batch,
     embed_batch_at_params,
     embedding_dim,
@@ -22,6 +23,7 @@ from gmcoreset.grad_embed import (
 from oracles import (
     batch_gradients_by_concatenation,
     embed_batch_by_concatenation,
+    embedding_peak_bytes_with_the_gradients_whole,
     num_params,
     per_example_gradient,
     project,
@@ -54,7 +56,7 @@ def test_sign_matrix_entries_and_reproducibility():
         (_SIGN_BLOCK_ROWS - 1, 40),  # fewer rows than one block
         (2 * _SIGN_BLOCK_ROWS, 40),  # a whole number of blocks
         (2 * _SIGN_BLOCK_ROWS + 5, 40),  # a partial last block
-        (2 * _PROJECT_BLOCK_ROWS + 5, 40),  # several yielded blocks, a partial last one
+        (4 * _BLOCK_ROWS + 5, 40),  # several yielded blocks, a partial last one
         (_SIGN_BLOCK_ROWS + 3, 333),  # odd input dimension
         (1, 333),
         (1, 1),
@@ -67,9 +69,18 @@ def test_sign_matrix_equals_one_shot_draw(proj_dim, input_dim):
 
 
 def test_sign_blocks_are_views_of_one_buffer():
-    blocks = list(sign_projection(2 * _PROJECT_BLOCK_ROWS + 5, 7, seed=3))
-    assert [len(b) for b in blocks] == [_PROJECT_BLOCK_ROWS, _PROJECT_BLOCK_ROWS, 5]
+    blocks = list(sign_projection(2 * _BLOCK_ROWS + 5, 7, seed=3))
+    assert [len(b) for b in blocks] == [_BLOCK_ROWS, _BLOCK_ROWS, 5]
     assert all(np.shares_memory(b, blocks[0]) for b in blocks)
+
+
+@pytest.mark.parametrize("block_rows", [_SIGN_BLOCK_ROWS, 3 * _SIGN_BLOCK_ROWS, 2 * _BLOCK_ROWS + 5])
+def test_sign_matrix_is_the_same_in_any_block_rows(block_rows):
+    proj_dim, input_dim = 2 * _BLOCK_ROWS + 5, 7
+    blocks = [b.copy() for b in sign_projection(proj_dim, input_dim, 3, block_rows)]
+    assert [len(b) for b in blocks[:-1]] == [block_rows] * (len(blocks) - 1)
+    expected = sign_projection_one_shot(proj_dim, input_dim, 3)
+    assert np.array_equal(np.concatenate(blocks), expected)
 
 
 def test_project_single_row():
@@ -168,20 +179,27 @@ def test_paper_scale_dimensions():
 
 def test_last_layer_embedding_dimension(monkeypatch):
     # last_layer keeps the output layer: for hidden = () layer 0, the whole model
-    kept = []
+    firsts, widths = [], []
 
-    def recording(params, X, y, first, grads):
-        kept.append((first, grads.shape[1]))
-        return _batch_gradients(params, X, y, first, grads)
+    def recording_layers(params, X, y, first):
+        firsts.append(first)
+        return _kept_layers(params, X, y, first)
 
-    monkeypatch.setattr(grad_embed, "_batch_gradients", recording)
+    def recording_gradients(kept, start, grads):
+        widths.append(grads.shape[1])
+        return _batch_gradients(kept, start, grads)
+
+    monkeypatch.setattr(grad_embed, "_kept_layers", recording_layers)
+    monkeypatch.setattr(grad_embed, "_batch_gradients", recording_gradients)
     for mode, hidden in itertools.product(["random_projection", "last_layer"], [(9, 7), ()]):
         arch = nn.MlpArch(6, hidden, 4)
         config = EmbeddingConfig(draws=3, mode=mode, proj_dim=5)
-        kept.clear()
+        firsts.clear()
+        widths.clear()
         G = embed_batch(*small_batch(1, n=2, arch=arch)[1:], arch=arch, config=config)
         first = len(hidden) if mode == "last_layer" else 0
-        assert kept == [(first, nn.param_count(arch.layer_dims()[first:]))] * config.draws
+        assert firsts == [first] * config.draws
+        assert widths == [nn.param_count(arch.layer_dims()[first:])] * config.draws
         rows = 5 if mode == "random_projection" else 4 * (hidden or (6,))[-1] + 4
         assert G.data.shape[0] == 3 * rows == embedding_dim(config, arch)
 
@@ -252,18 +270,82 @@ def test_embedding_config_rejects_negative_seed(field):
 # --- in-place construction: bit-identical to the concatenating form ---------------
 
 
-@pytest.mark.parametrize("num_examples", [1, 7, 1200])
-@pytest.mark.parametrize("draws", [1, 3])
-@pytest.mark.parametrize("mode", ["random_projection", "last_layer"])
-def test_embedding_equals_concatenating_form(num_examples, draws, mode):
-    arch, X, y = small_batch(21, n=num_examples, arch=nn.MlpArch(9, (16, 12), 4))
-    config = EmbeddingConfig(draws=draws, mode=mode, proj_dim=37, projection_seed=3, init_seed=5)
+def blocked_embedding(num_examples, draws, mode, proj_dim, hidden=(16, 12)):
+    arch, X, y = small_batch(21, n=num_examples, arch=nn.MlpArch(9, hidden, 4))
+    config = EmbeddingConfig(draws=draws, mode=mode, proj_dim=proj_dim, projection_seed=3, init_seed=5)
     params = [nn.init_sample(arch, config.init_seed + j) for j in range(draws)]
     G = embed_batch_at_params(params, X, y, config)
-    expected = embed_batch_by_concatenation(params, X, y, config)
+    return G, embed_batch_by_concatenation(params, X, y, config)
+
+
+# With proj_dim = 37 every batch of 37 examples or more holds the sign matrix
+# whole and streams the examples in blocks of _BLOCK_ROWS: 1200 ends in a
+# 176-row block, 560 in a 48-row one; 1 and 7 hold the gradients whole.
+@pytest.mark.parametrize("num_examples", [1, 7, 511, 512, 560, 1200])
+@pytest.mark.parametrize("draws", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["random_projection", "last_layer"])
+def test_embedding_equals_concatenating_form(num_examples, draws, mode):
+    G, expected = blocked_embedding(num_examples, draws, mode, proj_dim=37)
     assert G.data.flags.c_contiguous
     assert np.array_equal(G.data, expected.data)
     assert np.array_equal(G.column_norms, expected.column_norms)
+
+
+# proj_dim = 1232 exceeds every batch here, so the gradients are held whole
+# and the sign matrix streamed: blocks of 512, 512 and 208 rows.
+@pytest.mark.parametrize("num_examples", [511, 512, 513, 1030, 1200])
+@pytest.mark.parametrize("draws", [1, 2, 3])
+def test_embedding_with_the_gradients_whole_equals_concatenating_form(num_examples, draws):
+    G, expected = blocked_embedding(num_examples, draws, "random_projection", proj_dim=1232)
+    assert np.array_equal(G.data, expected.data)
+    assert np.array_equal(G.column_norms, expected.column_norms)
+
+
+@pytest.mark.parametrize(
+    "num_examples, last_blocks",
+    [
+        # one example over a whole number of blocks: the last block takes 16
+        # more rows from the block before it, since numpy hands a one-row
+        # product to gemv, which rounds differently
+        (513, [(0, 496), (496, 513)]),
+        (1025, [(512, 1008), (1008, 1025)]),
+        (1040, [(512, 1024), (1024, 1040)]),  # a 16-row block of its own
+    ],
+)
+def test_embedding_after_a_one_example_remainder_equals_concatenating_form(num_examples, last_blocks):
+    assert grad_embed._example_blocks(num_examples, _BLOCK_ROWS)[-2:] == last_blocks
+    for mode in ["random_projection", "last_layer"]:
+        G, expected = blocked_embedding(num_examples, 2, mode, proj_dim=304, hidden=(64, 32))
+        assert np.array_equal(G.data, expected.data)
+
+
+@pytest.mark.parametrize("num_examples", [513, 1030])
+@pytest.mark.parametrize("draws", [1, 3])
+def test_embedding_after_a_short_last_example_block_of_a_small_model_agrees_to_rounding(
+    num_examples, draws
+):
+    # A last block of 17 or 22 examples: its gradient rows are copied
+    # exactly, but its product with the 37 sign rows of a 416-parameter
+    # model (under 1200 entries and 1e6 multiply-adds) goes to OpenBLAS's
+    # small-matrix kernel, which may round differently from the single
+    # product's GEMM kernel.
+    G, expected = blocked_embedding(num_examples, draws, "last_layer", proj_dim=37)
+    assert np.array_equal(G.data, expected.data)
+    G, expected = blocked_embedding(num_examples, draws, "random_projection", proj_dim=37)
+    scale = np.abs(expected.data).max()
+    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+
+
+def test_embedding_in_example_blocks_off_the_sign_tiles_agrees_to_rounding():
+    # 300 sign rows end in 4 that fill no whole 8-row register tile; the
+    # kernel may then round those rows' entries of a block of examples
+    # differently from the single product (as it does between BLAS thread
+    # counts).  A proj_dim that is a multiple of 8 matches bit for bit.
+    G, expected = blocked_embedding(1024, 2, "random_projection", proj_dim=300, hidden=(64, 32))
+    scale = np.abs(expected.data).max()
+    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+    G, expected = blocked_embedding(1024, 2, "random_projection", proj_dim=296, hidden=(64, 32))
+    assert np.array_equal(G.data, expected.data)
 
 
 def several_sign_blocks(proj_dim):
@@ -277,7 +359,7 @@ def several_sign_blocks(proj_dim):
 def test_embedding_in_several_sign_blocks_equals_one_product():
     # Two whole blocks and a partial third of 48 rows; the oracle projects
     # by the whole sign matrix in one product.
-    G, expected = several_sign_blocks(2 * _PROJECT_BLOCK_ROWS + 48)
+    G, expected = several_sign_blocks(2 * _BLOCK_ROWS + 48)
     assert np.array_equal(G.data, expected.data)
     assert np.array_equal(G.column_norms, expected.column_norms)
 
@@ -286,7 +368,7 @@ def test_embedding_after_a_short_last_sign_block_agrees_to_rounding():
     # A 37-row last block fills no whole register tile of the BLAS kernel,
     # which may then round its last rows differently from the single
     # product (as the single product does between BLAS thread counts).
-    G, expected = several_sign_blocks(2 * _PROJECT_BLOCK_ROWS + 37)
+    G, expected = several_sign_blocks(2 * _BLOCK_ROWS + 37)
     scale = np.abs(expected.data).max()
     assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
 
@@ -298,8 +380,12 @@ def test_batch_gradients_equal_concatenating_form(hidden, scope):
     params = nn.init_sample(arch, 1)
     first = 0 if scope == "full" else len(hidden)
     expected = batch_gradients_by_concatenation(params, X, y, scope)
+    kept = _kept_layers(params, X, y, first)
     grads = np.full(expected.shape, np.nan)
-    assert np.array_equal(_batch_gradients(params, X, y, first, grads), expected)
+    assert np.array_equal(_batch_gradients(kept, 0, grads), expected)
+    for start, stop in [(0, 16), (16, 17), (17, 50)]:
+        grads = np.full((stop - start, expected.shape[1]), np.nan)
+        assert np.array_equal(_batch_gradients(kept, start, grads), expected[start:stop])
 
 
 def test_last_layer_gradients_compute_no_hidden_layer_delta(monkeypatch):
@@ -315,10 +401,9 @@ def test_last_layer_gradients_compute_no_hidden_layer_delta(monkeypatch):
             yield item
 
     monkeypatch.setattr(grad_embed, "_backprop", counting_backprop)
-    grads = np.empty((len(y), nn.param_count(arch.layer_dims()[-1:])))
-    _batch_gradients(params, X, y, params.num_layers - 1, grads)
+    _kept_layers(params, X, y, params.num_layers - 1)
     assert drawn == [params.num_layers - 1]
-    _batch_gradients(params, X, y, 0, np.empty((len(y), num_params(arch))))
+    _kept_layers(params, X, y, 0)
     assert drawn == [2, 2, 1, 0]
 
 
@@ -349,12 +434,12 @@ def test_embedding_holds_one_gradient_buffer_and_one_sign_block():
     # (N, proj_dim) product or a fresh gradient array per draw exceeds it.
     arch = nn.MlpArch(20, (64, 64), 10)
     num_examples = 1000
-    config = EmbeddingConfig(draws=2, proj_dim=2 * _PROJECT_BLOCK_ROWS + 13)
+    config = EmbeddingConfig(draws=2, proj_dim=2 * _BLOCK_ROWS + 13)
     _, X, y = small_batch(25, n=num_examples, arch=arch)
     grad_bytes = 8 * num_examples * num_params(arch)
     out_bytes = 8 * embedding_dim(config, arch) * num_examples
-    sign_block_bytes = 8 * _PROJECT_BLOCK_ROWS * num_params(arch)
-    product_bytes = 8 * num_examples * _PROJECT_BLOCK_ROWS
+    sign_block_bytes = 8 * _BLOCK_ROWS * num_params(arch)
+    product_bytes = 8 * num_examples * _BLOCK_ROWS
     draw_bytes = 8 * _SIGN_BLOCK_ROWS * num_params(arch)
     tracemalloc.start()
     try:
@@ -372,6 +457,37 @@ def test_embedding_holds_one_gradient_buffer_and_one_sign_block():
     )
 
 
+def test_embedding_holds_the_sign_matrix_and_one_gradient_block():
+    # With more examples than sign rows the traced peak stays near the
+    # dictionary, the whole sign matrix with its int64 draw buffer, one
+    # block of _BLOCK_ROWS gradient rows with its product, and the pass's
+    # arrays; the draw's whole (N, P) gradient matrix alone exceeds it.
+    arch = nn.MlpArch(20, (64, 64), 10)
+    num_examples, config = 2000, EmbeddingConfig(draws=2, proj_dim=300)
+    _, X, y = small_batch(28, n=num_examples, arch=arch)
+    P = num_params(arch)
+    out_bytes = 8 * embedding_dim(config, arch) * num_examples
+    sign_bytes = 8 * config.proj_dim * P
+    grad_block_bytes = 8 * _BLOCK_ROWS * P
+    product_bytes = 8 * _BLOCK_ROWS * config.proj_dim
+    draw_bytes = 8 * _SIGN_BLOCK_ROWS * P
+    pass_bytes = nn.pass_bytes(arch.layer_dims(), num_examples)
+    tracemalloc.start()
+    try:
+        embed_batch(X, y, arch, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * num_examples * P
+    held = out_bytes + sign_bytes + grad_block_bytes + product_bytes + draw_bytes + pass_bytes
+    assert peak < 1.1 * held
+    draws_bytes = config.draws * (8 * P + grad_embed._OBJECT_BYTES * (2 * 3 + 3))
+    assert embedding_peak_bytes(config, arch, num_examples) == (
+        grad_embed._CALL_BYTES + draws_bytes + out_bytes + product_bytes
+        + grad_block_bytes + sign_bytes + draw_bytes + pass_bytes
+    )
+
+
 def test_embedding_peak_of_a_huge_config_is_arithmetic():
     # at 1e11 draws the dictionary's squares are the larger phase
     arch = nn.MlpArch(4, (8,), 3)
@@ -380,7 +496,7 @@ def test_embedding_peak_of_a_huge_config_is_arithmetic():
     projected = EmbeddingConfig(draws=10**11, proj_dim=2000)
     last = EmbeddingConfig(draws=10**11, mode="last_layer")
     last_rows = nn.param_count(arch.layer_dims()[-1:])
-    for config, rows, block in [(projected, 2000, _PROJECT_BLOCK_ROWS), (last, last_rows, 0)]:
+    for config, rows, block in [(projected, 2000, _BLOCK_ROWS), (last, last_rows, 0)]:
         dim = 10**11 * rows
         assert embedding_peak_bytes(config, arch, N) == (
             grad_embed._CALL_BYTES + 10**11 * draw_bytes + 8 * (dim + block) * N + 8 * (dim + 2) * N
@@ -391,9 +507,9 @@ def test_embedding_peak_of_a_huge_config_is_arithmetic():
 @given(
     mode=st.sampled_from(["random_projection", "last_layer"]),
     draws=st.integers(1, 4),
-    proj_dim=st.integers(1, 2 * _PROJECT_BLOCK_ROWS),
+    proj_dim=st.integers(1, 4 * _BLOCK_ROWS),
     hidden=st.lists(st.integers(1, 48), max_size=2).map(tuple),
-    num_examples=st.integers(200, 500),
+    num_examples=st.integers(200, 1100),
     num_classes=st.integers(2, 5),
 )
 def test_embedding_peak_bytes_bounds_the_traced_peak_within_half_again(
@@ -409,3 +525,23 @@ def test_embedding_peak_bytes_bounds_the_traced_peak_within_half_again(
     finally:
         tracemalloc.stop()
     assert peak <= embedding_peak_bytes(config, arch, num_examples) <= 1.5 * peak
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode=st.sampled_from(["random_projection", "last_layer"]),
+    draws=st.integers(1, 8),
+    proj_dim=st.integers(1, 5000),
+    input_dim=st.integers(1, 3000),
+    hidden=st.lists(st.integers(1, 2000), max_size=4).map(tuple),
+    num_examples=st.integers(1, 50_000),
+    num_classes=st.integers(2, 100),
+)
+def test_embedding_peak_bytes_never_exceeds_the_whole_gradient_layout(
+    mode, draws, proj_dim, input_dim, hidden, num_examples, num_classes
+):
+    arch = nn.MlpArch(input_dim, hidden, num_classes)
+    config = EmbeddingConfig(draws=draws, mode=mode, proj_dim=proj_dim)
+    assert embedding_peak_bytes(config, arch, num_examples) <= (
+        embedding_peak_bytes_with_the_gradients_whole(config, arch, num_examples)
+    )

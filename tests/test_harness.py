@@ -70,9 +70,13 @@ def test_run_cell_peak_stays_within_the_learner_bound(paradigm, hidden):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the ten parameter-sized vectors the bound counts are all there at once
-    assert 80 * nn.param_count(arch.layer_dims()) <= peak
-    assert peak <= nn.learner_peak_bytes(arch, config.train.batch_size, scenario.test.num_examples)
+    # the parameter-sized vectors the bound counts are all there at once:
+    # ten in replay, which carries its Adam moments across tasks, eight in gdumb
+    replay = paradigm == "replay"
+    assert 8 * (10 if replay else 8) * nn.param_count(arch.layer_dims()) <= peak
+    assert peak <= nn.learner_peak_bytes(
+        arch, config.train.batch_size, scenario.test.num_examples, replay
+    )
 
 
 # --- retrain-from-scratch paradigm ----------------------------------------------
