@@ -243,20 +243,21 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
 def final_accuracy_table(rows, aggregates) -> str:
     """Method x memory-size final accuracy (mean±sd over seeds) per scenario and paradigm.
 
-    A (method, size) with rows but no final-task row, a cell that failed
-    mid-run, reads "failed".
+    A (method, size) with fewer final-task seeds than the header counts, where
+    some seed's cell failed mid-run, reads "failed".
     """
     blocks = []
     for scenario, paradigm in sorted({(r.scenario, r.paradigm) for r in rows}):
         own = [r for r in rows if (r.scenario, r.paradigm) == (scenario, paradigm)]
+        seeds = len({r.seed for r in own})
         cells = {
             (a.method, a.memory_size): f"{a.mean_acc:.3f}±{a.std_acc:.3f}"
-            for a in aggregates if (a.scenario, a.paradigm) == (scenario, paradigm)
+            for a in aggregates
+            if (a.scenario, a.paradigm, a.num_seeds) == (scenario, paradigm, seeds)
         }
         sizes = sorted({r.memory_size for r in own})
         lines = [
-            f"final accuracy, {scenario} scenario, {paradigm} "
-            f"({len({r.seed for r in own})} seeds)",
+            f"final accuracy, {scenario} scenario, {paradigm} ({seeds} seeds)",
             f"{'method':18s} " + " ".join(f"{s:>13d}" for s in sizes),
         ]
         for method in sorted({r.method for r in own}):

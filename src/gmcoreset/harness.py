@@ -126,20 +126,6 @@ class SweepResult:
     failures: list[CellFailure]
 
 
-class PartialRunError(RuntimeError):
-    """A task failed mid-run; carries the rows completed so far."""
-
-    def __init__(self, rows: list[ResultRow], task_index: int, cause: Exception):
-        super().__init__(f"task {task_index} failed: {cause}")
-        self.rows = rows
-        self.task_index = task_index
-        self.cause = cause
-
-    def __reduce__(self):
-        # rebuilt from all three arguments, so it survives the trip from a worker process
-        return PartialRunError, (self.rows, self.task_index, self.cause)
-
-
 def method_embedding(config: ExperimentConfig, method: str, seed: int) -> EmbeddingConfig:
     """Per-run embedding: the method pins what ``GMC_PINS`` says, the seed shifts the draws."""
     emb = replace(config.embedding, **GMC_PINS.get(method, {}))
@@ -248,8 +234,12 @@ def run_cell(
     memory_size: int,
     config: ExperimentConfig,
     seed: int,
-) -> list[ResultRow]:
-    """One (method, memory size, seed) cell of ``config.paradigm``, one row per task."""
+) -> tuple[list[ResultRow], CellFailure | None]:
+    """One (method, memory size, seed) cell of ``config.paradigm``: a row per completed task,
+    and the ``CellFailure`` of the task that raised, or None.
+
+    A cell that cannot start, such as one whose memory size the method cannot hold, raises.
+    """
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
     rehearsal = Rehearsal(config, method, memory_size, arch, seed)
     epochs = config.replay_epochs or max(1, config.train.epochs // scenario.num_tasks)
@@ -275,12 +265,12 @@ def run_cell(
                 rehearsal.update(batch, params)
             accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
         except Exception as exc:
-            raise PartialRunError(rows, t, exc) from exc
+            return rows, CellFailure(method, memory_size, seed, t, str(exc))
         rows.append(ResultRow(
             scenario.kind, config.paradigm, method, memory_size, seed, t,
             accuracy, time.perf_counter() - started,
         ))
-    return rows
+    return rows, None
 
 
 def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) -> SweepResult:
@@ -301,15 +291,16 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
     failures: list[CellFailure] = []
 
     def collect(cell, result):
-        """Add the rows ``result()`` returns; a failed cell keeps those it completed."""
+        """Add the rows and failure ``result()`` returns; a cell that could not start, or
+        whose worker process was lost, fails at task -1."""
         try:
-            rows.extend(result())
+            done, failure = result()
         except Exception as error:
-            partial = isinstance(error, PartialRunError)
-            rows.extend(error.rows if partial else [])
             _, method, size, _, seed = cell
-            task, cause = (error.task_index, error.cause) if partial else (-1, error)
-            failures.append(CellFailure(method, size, seed, task, str(cause)))
+            done, failure = [], CellFailure(method, size, seed, -1, str(error))
+        rows.extend(done)
+        if failure:
+            failures.append(failure)
 
     workers = min(jobs, len(cells))
     if workers > 1:

@@ -186,10 +186,12 @@ def _trend_config():
 
 
 def _final_accuracies(scenario, method, config):
-    return np.array([
-        run_cell(scenario, method, 100, config, seed)[-1].test_accuracy
-        for seed in config.seeds
-    ])
+    finals = []
+    for seed in config.seeds:
+        rows, failure = run_cell(scenario, method, 100, config, seed)
+        assert failure is None
+        finals.append(rows[-1].test_accuracy)
+    return np.array(finals)
 
 
 def test_criterion_08_sorted_scenario_trend():
@@ -248,7 +250,8 @@ def test_criterion_10_class_incremental_bookkeeping():
         train=nn.TrainConfig(batch_size=8, epochs=3, seed=0), hidden=(8,),
         embedding=EmbeddingConfig(draws=1, proj_dim=16),
     )
-    rows = run_cell(scenario, "class_balance", 8, config, seed=0)
+    rows, failure = run_cell(scenario, "class_balance", 8, config, seed=0)
+    assert failure is None
     assert [r.task_index for r in rows] == [0, 1]
     report(10, "greedy balancing is exact and one row is emitted per task")
 

@@ -191,7 +191,8 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
         train=nn.TrainConfig(batch_size=10, epochs=3, seed=0),
         embedding=EmbeddingConfig(draws=2, proj_dim=16), hidden=(8,),
     )
-    rows = run_cell(scen, "gmc", 10, config, seed)
+    rows, failure = run_cell(scen, "gmc", 10, config, seed)
+    assert failure is None
 
     csv_path = tmp_path / "batch.csv"
     save_csv(Dataset(batch.features, batch.labels), str(csv_path))
@@ -660,6 +661,25 @@ def test_report_table_marks_a_cell_without_a_final_row(tmp_path, capsys):
     assert table[0] == "final accuracy, sorted scenario, gdumb (2 seeds)"
     assert table[1].split() == ["method", "10", "20"]
     assert table[2].split() == ["gmc", "0.750±0.000", "failed"]
+
+
+def test_report_marks_failed_when_one_seed_stops_before_the_final_task(tmp_path, capsys):
+    out = str(tmp_path / "fake")
+    lines = [
+        f"sorted,gdumb,reservoir,10,{seed},{task},0.5," for seed in range(3) for task in range(2)
+    ]
+    for seed in (0, 2):
+        lines += [f"sorted,gdumb,gmc,10,{seed},{task},0.75," for task in range(2)]
+    lines.append("sorted,gdumb,gmc,10,1,0,0.5,")  # failed at task 1
+    write_results(out, lines, num_batches=2)
+    assert main(["report", out]) == 0
+    table = capsys.readouterr().out.splitlines()
+    assert table[0] == "final accuracy, sorted scenario, gdumb (3 seeds)"
+    assert table[2].split() == ["gmc", "failed"]
+    assert table[3].split() == ["reservoir", "0.500±0.000"]
+    # the CSV keeps the mean of the seeds that finished, with their count
+    final = open(os.path.join(out, "report_final_accuracy.csv")).read().splitlines()
+    assert final[1:] == ["sorted,gdumb,gmc,10,0.75,0.0,2", "sorted,gdumb,reservoir,10,0.5,0.0,3"]
 
 
 def test_report_marks_failed_when_every_cell_stops_before_the_final_task(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import concurrent.futures
-import pickle
 import tracemalloc
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -66,7 +66,8 @@ def test_run_cell_peak_stays_within_the_learner_bound(paradigm, hidden):
     arch = nn.MlpArch(scenario.num_features, hidden, scenario.num_classes)
     tracemalloc.start()
     try:
-        run_cell(scenario, "reservoir", 20, config, 0)
+        _, failure = run_cell(scenario, "reservoir", 20, config, 0)
+        assert failure is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -88,7 +89,8 @@ def test_full_capacity_single_batch_matches_plain_training(single_batch_scenario
     batch = scen.batches[0]
     config = tiny_config(methods=(method,), memory_sizes=(batch.num_examples,))
     seed = 3
-    rows = run_cell(scen, method, batch.num_examples, config, seed)
+    rows, failure = run_cell(scen, method, batch.num_examples, config, seed)
+    assert failure is None
     assert len(rows) == 1
 
     arch = nn.MlpArch(scen.num_features, config.hidden, scen.num_classes)
@@ -107,7 +109,8 @@ def test_gdumb_emits_one_row_per_task():
     data = synth_blobs(seed=2, n_per_class=40, num_classes=10, dims=6)
     scen = make_class_incremental(*train_test_split(data, 0.2, 0), classes_per_task=2)
     config = tiny_config()
-    rows = run_cell(scen, "reservoir", 20, config, seed=1)
+    rows, failure = run_cell(scen, "reservoir", 20, config, seed=1)
+    assert failure is None
     assert [r.task_index for r in rows] == [0, 1, 2, 3, 4]
     assert all(r.paradigm == "gdumb" and r.method == "reservoir" for r in rows)
     assert all(r.wall_time > 0 for r in rows)
@@ -123,14 +126,17 @@ def test_gdumb_memory_never_exceeds_capacity(tiny_scenario, monkeypatch):
         return out
 
     monkeypatch.setattr(mem, "reservoir_update", spy)
-    run_cell(tiny_scenario, "reservoir", 7, tiny_config(memory_sizes=(7,)), seed=0)
+    config = tiny_config(memory_sizes=(7,))
+    _, failure = run_cell(tiny_scenario, "reservoir", 7, config, seed=0)
+    assert failure is None
     assert observed and all(size <= 7 for size in observed)
 
 
 def test_gdumb_accuracy_is_a_function_of_memory_and_seed(tiny_scenario):
     config = tiny_config()
     seed = 5
-    rows = run_cell(tiny_scenario, "reservoir", 20, config, seed)
+    rows, failure = run_cell(tiny_scenario, "reservoir", 20, config, seed)
+    assert failure is None
 
     # rebuild the memory stream independently, retrain from it and compare
     # against the recorded accuracy of the middle task
@@ -159,7 +165,8 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
         return original(memory, feats, labels, params, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
-    rows = run_cell(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
+    rows, failure = run_cell(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
+    assert failure is None
     assert len(rows) == tiny_scenario.num_tasks
     assert len(seen_params) == tiny_scenario.num_tasks
     # the first update sees the fresh draw; later ones see trained iterates
@@ -176,7 +183,8 @@ def test_gdumb_empty_memory_evaluates_the_fresh_draw(tiny_scenario, monkeypatch)
     )
     monkeypatch.setattr(nn, "train", lambda *args: trained.append(args))
     seed = 5
-    rows = run_cell(tiny_scenario, "reservoir", 10, tiny_config(), seed)
+    rows, failure = run_cell(tiny_scenario, "reservoir", 10, tiny_config(), seed)
+    assert failure is None
     assert trained == []
     arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
     test = tiny_scenario.test
@@ -199,7 +207,8 @@ def test_replay_single_batch_equals_plain_training(single_batch_scenario):
     scen = single_batch_scenario
     config = tiny_config(paradigm="replay")
     seed = 4
-    rows = run_cell(scen, "reservoir", 20, config, seed)
+    rows, failure = run_cell(scen, "reservoir", 20, config, seed)
+    assert failure is None
     assert len(rows) == 1
 
     arch = nn.MlpArch(scen.num_features, config.hidden, scen.num_classes)
@@ -220,8 +229,10 @@ def test_replay_repeated_batch_does_not_hurt():
         [single.batches[0], single.batches[0]], single.test, "sorted"
     )
     config = tiny_config(paradigm="replay", train=nn.TrainConfig(batch_size=10, epochs=6, seed=0))
-    one = run_cell(single, "reservoir", 100, config, seed=0)
-    two = run_cell(doubled, "reservoir", 100, config, seed=0)
+    one, failure = run_cell(single, "reservoir", 100, config, seed=0)
+    assert failure is None
+    two, failure = run_cell(doubled, "reservoir", 100, config, seed=0)
+    assert failure is None
     assert two[-1].test_accuracy >= one[-1].test_accuracy - 1e-12
 
 
@@ -234,7 +245,9 @@ def test_replay_never_reinitializes_the_model(tiny_scenario, monkeypatch):
         return original(arch, seed)
 
     monkeypatch.setattr(nn, "init_sample", spy)
-    run_cell(tiny_scenario, "sliding_window", 10, tiny_config(paradigm="replay"), seed=2)
+    config = tiny_config(paradigm="replay")
+    _, failure = run_cell(tiny_scenario, "sliding_window", 10, config, seed=2)
+    assert failure is None
     assert len(calls) == 1  # one draw for the whole stream
 
 
@@ -247,7 +260,8 @@ def test_gdumb_reinitializes_every_task(tiny_scenario, monkeypatch):
         return original(arch, seed)
 
     monkeypatch.setattr(nn, "init_sample", spy)
-    run_cell(tiny_scenario, "sliding_window", 10, tiny_config(), seed=2)
+    _, failure = run_cell(tiny_scenario, "sliding_window", 10, tiny_config(), seed=2)
+    assert failure is None
     # one warm-up draw plus one fresh draw per task, seeded seed xor task
     assert calls[1:] == [2 ^ 0, 2 ^ 1, 2 ^ 2]
 
@@ -261,7 +275,9 @@ def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch)
         return original(memory, feats, labels, params, config)
 
     monkeypatch.setattr(mem, "local_gmc_update", spy)
-    run_cell(tiny_scenario, "gmc_local", 10, tiny_config(paradigm="replay"), seed=0)
+    config = tiny_config(paradigm="replay")
+    _, failure = run_cell(tiny_scenario, "gmc_local", 10, config, seed=0)
+    assert failure is None
     assert len(seen_params) == tiny_scenario.num_tasks
     for earlier, later in zip(seen_params, seen_params[1:]):
         assert np.abs(earlier - later).max() > 0  # training moved the iterate
@@ -395,7 +411,8 @@ def count_steps(monkeypatch, module, name):
 def test_gdumb_trains_once_per_task_for_epochs_times_batches_steps(tiny_scenario, monkeypatch):
     steps = count_steps(monkeypatch, nn, "train")
     n, config = 15, tiny_config(memory_sizes=(15,))
-    run_cell(tiny_scenario, "reservoir", n, config, seed=0)
+    _, failure = run_cell(tiny_scenario, "reservoir", n, config, seed=0)
+    assert failure is None
     seen = np.cumsum([b.num_examples for b in tiny_scenario.batches])
     batch, epochs = config.train.batch_size, config.train.epochs
     assert steps == [epochs * -(-min(n, s) // batch) for s in seen]
@@ -405,7 +422,8 @@ def test_replay_steps_epochs_times_minibatches_per_task(tiny_scenario, monkeypat
     steps = count_steps(monkeypatch, harness, "_replay_task")
     monkeypatch.setattr(nn, "train", None)  # replay never calls it
     config = tiny_config(paradigm="replay", replay_epochs=2)
-    run_cell(tiny_scenario, "reservoir", 15, config, seed=0)
+    _, failure = run_cell(tiny_scenario, "reservoir", 15, config, seed=0)
+    assert failure is None
     sizes = [b.num_examples for b in tiny_scenario.batches]
     batch = config.train.batch_size
     # the first task trains on the batch alone, later ones on half batch, half memory
@@ -449,7 +467,8 @@ def test_every_learner_step_runs_inside_the_training_loop(
     if paradigm == "replay":
         monkeypatch.setattr(nn, "train", None)  # replay never calls it
     config = tiny_config(paradigm=paradigm, methods=(method,), memory_sizes=(10,))
-    harness.run_cell(tiny_scenario, method, 10, config, 0)
+    _, failure = harness.run_cell(tiny_scenario, method, 10, config, 0)
+    assert failure is None
     names = [name for name, _ in calls]
     assert names.count("adam_step") == names.count("weighted_gradient") > 0
     outer = ("train", "train_steps") if paradigm == "gdumb" else ("train_steps",)
@@ -498,6 +517,24 @@ def test_sweep_parallel_cells_match_serial(tiny_scenario):
     assert [r.test_accuracy for r in serial.rows] == [r.test_accuracy for r in parallel.rows]
 
 
+class InProcessExecutor:
+    """Stands in for ProcessPoolExecutor: runs each submitted cell at once, in this process."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
 @pytest.mark.parametrize("methods, jobs, pools", [
     (("reservoir", "sliding_window", "class_balance"), 64, [3]),
     (("reservoir", "sliding_window", "class_balance"), 2, [2]),
@@ -506,22 +543,9 @@ def test_sweep_parallel_cells_match_serial(tiny_scenario):
 def test_sweep_starts_no_more_workers_than_cells(tiny_scenario, monkeypatch, methods, jobs, pools):
     started = []
 
-    class RecordingExecutor:
-        """Records max_workers and runs each submitted cell at once, in this process."""
-
+    class RecordingExecutor(InProcessExecutor):
         def __init__(self, max_workers):
             started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     config = tiny_config(methods=methods, memory_sizes=(10,), seeds=(0,))
@@ -553,13 +577,43 @@ def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch
     assert len(reservoir_rows) == 1 and len(window_rows) == 3
 
 
-def test_partial_run_error_survives_pickling():
-    rows = [harness.ResultRow("sorted", "replay", "gmc", 10, 0, 0, 0.5, 0.1)]
-    error = harness.PartialRunError(rows, 1, ValueError("weights sum to zero"))
-    again = pickle.loads(pickle.dumps(error))
-    assert type(again) is harness.PartialRunError
-    assert again.rows == rows and again.task_index == 1
-    assert str(again) == str(error) and str(again.cause) == str(error.cause)
+def test_sweep_fails_a_lost_worker_process_at_task_minus_one(tiny_scenario, monkeypatch):
+    lost = "A process in the process pool was terminated abruptly"
+
+    class LosingExecutor(InProcessExecutor):
+        """The sliding_window cell's worker process dies; the others run."""
+
+        def submit(self, fn, *args):
+            if args[1] != "sliding_window":
+                return super().submit(fn, *args)
+            future = Future()
+            future.set_exception(BrokenProcessPool(lost))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", LosingExecutor)
+    config = tiny_config(
+        methods=("reservoir", "sliding_window", "class_balance"), memory_sizes=(10,), seeds=(0,)
+    )
+    result = sweep(config, tiny_scenario, jobs=2)
+    assert [(f.method, f.memory_size, f.seed, f.task_index, f.message)
+            for f in result.failures] == [("sliding_window", 10, 0, -1, lost)]
+    assert [(r.method, r.task_index) for r in result.rows] == [
+        (method, t) for method in ("class_balance", "reservoir") for t in range(3)
+    ]
+
+
+def test_sweep_fails_a_cell_that_cannot_start_at_task_minus_one(tiny_scenario):
+    # gmc's embedding dimension is 2 * 24 = 48, so it cannot hold 100 examples; reservoir can
+    config = tiny_config(methods=("gmc", "reservoir"), memory_sizes=(100,), seeds=(0,))
+    serial, parallel = (sweep(config, tiny_scenario, jobs=jobs) for jobs in (1, 2))
+    [failure] = serial.failures
+    assert (failure.method, failure.memory_size, failure.seed, failure.task_index) == (
+        "gmc", 100, 0, -1
+    )
+    assert "exceed the embedding dimension 48" in failure.message
+    assert parallel.failures == serial.failures
+    assert [(r.method, r.task_index) for r in serial.rows] == [("reservoir", t) for t in range(3)]
+    assert [r.test_accuracy for r in parallel.rows] == [r.test_accuracy for r in serial.rows]
 
 
 def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
@@ -585,7 +639,9 @@ def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
 
 
 def test_aggregate_rows_skip_partial_runs(tiny_scenario):
-    rows = run_cell(tiny_scenario, "reservoir", 10, tiny_config(memory_sizes=(10,)), 0)
+    config = tiny_config(memory_sizes=(10,))
+    rows, failure = run_cell(tiny_scenario, "reservoir", 10, config, 0)
+    assert failure is None
     partial = rows[:-1]
     final = tiny_scenario.num_tasks - 1
     assert [a for a in aggregate_rows(partial) if a.task_index == final] == []

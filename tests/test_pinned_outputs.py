@@ -75,6 +75,15 @@ def pinned_bytes(name):
         return fh.read()
 
 
+def run_pinned(config, paradigm, out, jobs=1):
+    """`run` on the pinned configuration: its exit code and what it wrote to stderr."""
+    errors = io.StringIO()
+    with contextlib.redirect_stderr(errors):
+        code = main(["run", "--config", str(config), "--paradigm", paradigm,
+                     "--jobs", str(jobs), "--out", str(out)])
+    return code, errors.getvalue()
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     """paradigm -> (run's exit code, results directory, what `report --memory-size 10` prints)"""
@@ -84,7 +93,7 @@ def runs(tmp_path_factory):
     outcomes = {}
     for paradigm in PARADIGMS:
         out = root / paradigm
-        code = main(["run", "--config", str(config), "--paradigm", paradigm, "--out", str(out)])
+        code, _ = run_pinned(config, paradigm, out)
         printed = io.StringIO()
         with contextlib.redirect_stdout(printed):
             assert main(["report", str(out), "--memory-size", "10"]) == 0
@@ -97,6 +106,19 @@ def test_run_reproduces_pinned_raw_csv(runs, paradigm, code):
     got, out, _ = runs[paradigm]
     assert got == code
     assert (out / "raw.csv").read_bytes() == pinned_bytes(f"run-{paradigm}.csv")
+
+
+def test_parallel_replay_run_reproduces_the_serial_run(tmp_path):
+    config = tmp_path / "pin.cfg"
+    config.write_text(RUN_CONFIG)
+    serial, parallel = (run_pinned(config, "replay", tmp_path / f"jobs{jobs}", jobs)
+                        for jobs in (1, 2))
+    assert serial == parallel
+    code, errors = parallel
+    assert code == 1
+    [line] = errors.splitlines()
+    assert line.startswith("cell failed: method=gmc_local memory_size=10 seed=1 task=1: ")
+    assert (tmp_path / "jobs2" / "raw.csv").read_bytes() == pinned_bytes("run-replay.csv")
 
 
 @pytest.mark.parametrize("name", RESULTS_FILES)
