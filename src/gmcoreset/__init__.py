@@ -16,7 +16,6 @@ from .memory import (
     class_balance_update,
     facility_location_update,
     gmc_update,
-    local_gmc_update,
     reservoir_update,
     sliding_window_update,
 )

@@ -23,7 +23,7 @@ from functools import partial
 
 from . import harness, nn, scenarios
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
-from .matching_pursuit import omp_select
+from .matching_pursuit import GradientMatrix, omp_select
 
 
 def _parse_bool(text: str) -> bool:
@@ -333,7 +333,7 @@ def cmd_select(args) -> int:
         data, _ = scenarios.standardize_features(data, data)
     try:
         embedding = harness.method_embedding(config, method, 0)
-        G = embed_batch(data.features, data.labels, arch, embedding)
+        G = GradientMatrix(embed_batch(data.features, data.labels, arch, embedding))
         selection = omp_select(G, G.data.sum(axis=1), size)
         write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
         if selection.truncated:

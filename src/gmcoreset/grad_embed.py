@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matching_pursuit import GradientMatrix
 from .nn import (
     MlpArch, MlpParams, _backprop, _output_delta, init_sample, param_count, pass_bytes,
 )
@@ -130,7 +129,8 @@ def embedding_dim(config: EmbeddingConfig, arch: MlpArch) -> int:
 
 
 def embedding_peak_bytes(config: EmbeddingConfig, arch: MlpArch, num_examples: int) -> int:
-    """Bytes ``embed_batch`` holds at its peak for ``num_examples`` examples.
+    """Bytes ``embed_batch`` and a ``GradientMatrix`` of its result hold at
+    their peak for ``num_examples`` examples.
 
     Counted from ``_draw_layout``'s P, S, R and D = draws * rows, in
     float64 unless noted.  Held throughout: the ``draws`` parameter vectors
@@ -141,8 +141,9 @@ def embedding_peak_bytes(config: EmbeddingConfig, arch: MlpArch, num_examples: i
     rows that fills them.  After the loop: the D x N squares
     ``GradientMatrix`` takes for its column norms and their two N-vector
     reductions (its one-byte finiteness mask comes and goes before them).
-    The peak is the larger of the two phases.  Pure arithmetic, so it can
-    bound a config before anything is allocated.
+    The peak is the larger of the two phases; the second also counts the
+    draws and the product buffer, which ``embed_batch`` has freed by then.
+    Pure arithmetic, so it can bound a config before anything is allocated.
     """
     dims = arch.layer_dims()
     first, width, rows, signs, grads = _draw_layout(config, dims, num_examples)
@@ -239,11 +240,11 @@ def embed_batch_at_params(
     features: np.ndarray,
     labels: np.ndarray,
     config: EmbeddingConfig,
-) -> GradientMatrix:
-    """Embed a batch at explicit parameter draws (columns = examples).
+) -> np.ndarray:
+    """Embed a batch at explicit parameter draws: the D x N dictionary, column i example i's.
 
-    The D x N result is allocated once, C-contiguous, and ``GradientMatrix``
-    keeps it without a copy.  Draw j fills rows [j*d, (j+1)*d).  Each draw
+    The result is allocated once, C-contiguous, so ``GradientMatrix`` keeps
+    it without a copy.  Draw j fills rows [j*d, (j+1)*d).  Each draw
     runs one forward and backward pass over the batch and keeps its layers'
     deltas and inputs; from them each block of R examples' gradient rows
     (``_draw_layout``, ``_example_blocks``) is written once into one (R, P)
@@ -254,8 +255,7 @@ def embed_batch_at_params(
     (R, S) product buffer and its transpose into the dictionary; one of the
     two has a single block, so the gradient matrix is held whole (R = N) or
     the sign matrix is.  The draw's rows are then divided by sqrt(proj_dim)
-    in place.  The gradient buffer is dropped before ``GradientMatrix``
-    squares the dictionary for its column norms.
+    in place.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -291,8 +291,7 @@ def embed_batch_at_params(
             for at, gradients in examples:
                 block[:, at:at + len(gradients)] = gradients.T
         del kept, examples, gradients  # the pass's arrays, and a view of the gradient buffer
-    del grads  # before the column norms take their D x N temporary
-    return GradientMatrix(out)
+    return out
 
 
 def embed_batch(
@@ -300,8 +299,8 @@ def embed_batch(
     labels: np.ndarray,
     arch: MlpArch,
     config: EmbeddingConfig,
-) -> GradientMatrix:
-    """Embed a batch at ``config.draws`` initialization draws.
+) -> np.ndarray:
+    """Embed a batch at ``config.draws`` initialization draws (the D x N dictionary).
 
     Deterministic given (init_seed, projection_seed, batch order); the
     column of example i stacks its per-draw reduced gradients.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import memory as mem
 from . import nn
-from .grad_embed import EmbeddingConfig, embed_batch, embedding_dim
+from .grad_embed import EmbeddingConfig, embed_batch, embed_batch_at_params, embedding_dim
 from .scenarios import ContinualScenario, Dataset
 
 # What each gradient-matching method pins of the run's embedding; local
@@ -34,13 +34,25 @@ def _matched(r: Rehearsal, X, y, p):
     return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))
 
 
+def _matched_locally(r: Rehearsal, X, y, p):
+    """Embed the stored examples and the batch at ``p`` and match their whole column sum;
+    the next memory keeps neither columns nor target, so nothing is cached across updates."""
+    m = r.memory.size
+    features, labels = mem._stack_examples(r.memory, X, y)
+    columns = embed_batch_at_params([p], features, labels, r.embedding)
+    stored = replace(r.memory, embeddings=columns[:, :m], target=None)
+    matched = mem.gmc_update(stored, X, y, columns[:, m:])
+    matched.embeddings = matched.target = None
+    return matched
+
+
 # How each method offers a batch (X, y) to a Rehearsal r; local matching
 # embeds at the learner's params p.  Each entry looks its update up in
 # ``memory`` when called, so a rebound module attribute is the one that runs.
 UPDATES = {
     "gmc": _matched,
     "gmc_last_layer": _matched,
-    "gmc_local": lambda r, X, y, p: mem.local_gmc_update(r.memory, X, y, p, r.embedding),
+    "gmc_local": _matched_locally,
     "reservoir": lambda r, X, y, p: mem.reservoir_update(r.memory, X, y, r.rng),
     "class_balance": lambda r, X, y, p: mem.class_balance_update(r.memory, X, y, r.rng),
     "sliding_window": lambda r, X, y, p: mem.sliding_window_update(r.memory, X, y),

@@ -5,8 +5,8 @@ columns approximate the running sum of every embedding seen so far; the
 dictionary offered to the solver at each step is the stored coreset
 plus the incoming batch.  Baselines: reservoir sampling, greedy class
 balancing, a sliding window, and streaming facility location (sieve
-thresholds).  A "local" gradient-matching variant re-embeds stored raw
-examples at the current parameters instead of caching columns.
+thresholds).  This module only selects: the caller embeds, and hands
+the gradient-matching update its batch's columns.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grad_embed import EmbeddingConfig, embed_batch_at_params
 from .matching_pursuit import GradientMatrix, omp_select
-from .nn import MlpParams
 
 # Consecutive sieve thresholds differ by the factor 1 + SIEVE_EPSILON.
 SIEVE_EPSILON = 0.1
@@ -89,59 +87,38 @@ def gmc_update(
     memory: RehearsalMemory,
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
-    batch_embeddings: GradientMatrix,
+    batch_embeddings: np.ndarray,
 ) -> RehearsalMemory:
-    """Re-select the coreset against the updated running target.
+    """Re-select the coreset from [stored coreset columns, batch columns].
 
-    Adds the batch's column sum to the target, then runs matching
-    pursuit for up to ``memory.capacity`` columns of the dictionary
-    [stored coreset columns, batch columns].  Stored elements may be
-    dropped or re-weighted.
+    ``batch_embeddings`` holds the batch's D x b embedding columns.  The
+    target is ``memory.target`` plus their column sum, or, for a memory
+    without a running target, the column sum of the whole dictionary.
+    Matching pursuit picks up to ``memory.capacity`` of its columns, so
+    stored elements may be dropped or re-weighted.
     """
     if memory.size and memory.embeddings is None:
         raise ValueError("memory holds examples but not their embedding columns")
-    data = batch_embeddings.data
-    if memory.target is not None and memory.target.shape != (data.shape[0],):
+    if memory.target is not None and memory.target.shape != (batch_embeddings.shape[0],):
         raise ValueError(
-            f"batch embedding dimension {data.shape[0]} does not match the "
+            f"batch embedding dimension {batch_embeddings.shape[0]} does not match the "
             f"stored target dimension {memory.target.shape[0]}"
         )
-    target = data.sum(axis=1)
-    if memory.target is not None:
-        target = memory.target + target
-
-    dictionary = np.hstack([memory.embeddings, data]) if memory.size else data
-    pool = GradientMatrix(dictionary)
+    pool = GradientMatrix(
+        np.hstack([memory.embeddings, batch_embeddings]) if memory.size else batch_embeddings
+    )
+    if memory.target is None:
+        target = pool.data.sum(axis=1)
+    else:
+        target = memory.target + batch_embeddings.sum(axis=1)
     selection = omp_select(pool, target, min(memory.capacity, pool.shape[1]))
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
     return _next_memory(
         memory, batch_labels, all_features[idx], all_labels[idx], selection.weights,
-        embeddings=dictionary[:, idx], target=target,
+        embeddings=pool.data[:, idx], target=target,
     )
-
-
-def local_gmc_update(
-    memory: RehearsalMemory,
-    batch_features: np.ndarray,
-    batch_labels: np.ndarray,
-    current_params: MlpParams,
-    config: EmbeddingConfig,
-) -> RehearsalMemory:
-    """Gradient matching at the current iterate instead of initialization.
-
-    Embeddings of the stored examples and the batch are recomputed at
-    ``current_params`` (a single draw), so nothing is cached across
-    updates; the target is the column sum of this local embedding, and
-    up to ``memory.capacity`` columns are selected.
-    """
-    all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
-    pool = embed_batch_at_params([current_params], all_features, all_labels, config)
-    target = pool.data.sum(axis=1)
-    selection = omp_select(pool, target, min(memory.capacity, pool.shape[1]))
-    idx = selection.indices
-    return _next_memory(memory, batch_labels, all_features[idx], all_labels[idx], selection.weights)
 
 
 def _admit_each(memory, batch_features, batch_labels, evict) -> RehearsalMemory:

@@ -15,10 +15,11 @@ from gmcoreset.matching_pursuit import (
     GradientMatrix,
     SingularGramError,
     cholesky_append,
+    omp_select,
 )
 from gmcoreset import nn
-from gmcoreset.grad_embed import sign_projection
-from gmcoreset.memory import SIEVE_EPSILON, RehearsalMemory, _next_memory
+from gmcoreset.grad_embed import EmbeddingConfig, embed_batch_at_params, sign_projection
+from gmcoreset.memory import SIEVE_EPSILON, RehearsalMemory, _next_memory, _stack_examples
 from gmcoreset.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, MlpParams, _backprop, _output_delta
 
 
@@ -183,6 +184,31 @@ def replay_batches_per_minibatch(n: int, m: int, half: int, epochs: int, rng):
     )
 
 
+def local_gmc_update(
+    memory: RehearsalMemory,
+    batch_features: np.ndarray,
+    batch_labels: np.ndarray,
+    current_params: MlpParams,
+    config: EmbeddingConfig,
+) -> RehearsalMemory:
+    """Gradient matching at the current iterate instead of initialization.
+
+    Embeddings of the stored examples and the batch are recomputed at
+    ``current_params`` (a single draw), so nothing is cached across
+    updates; the target is the column sum of this local embedding, and
+    up to ``memory.capacity`` columns are selected.
+
+    The standalone form of ``harness.UPDATES["gmc_local"]``, which embeds
+    and then hands the selection to ``memory.gmc_update``.
+    """
+    all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
+    pool = GradientMatrix(embed_batch_at_params([current_params], all_features, all_labels, config))
+    target = pool.data.sum(axis=1)
+    selection = omp_select(pool, target, min(memory.capacity, pool.shape[1]))
+    idx = selection.indices
+    return _next_memory(memory, batch_labels, all_features[idx], all_labels[idx], selection.weights)
+
+
 def per_example_gradient(params, example: tuple[np.ndarray, int], scope: str = "full") -> np.ndarray:
     """Gradient of one example's cross-entropy loss, flattened.
 
@@ -334,7 +360,7 @@ def batch_gradients_by_concatenation(params, X: np.ndarray, y: np.ndarray, scope
     return np.concatenate(blocks[::-1], axis=1)
 
 
-def embed_batch_by_concatenation(draws, features, labels, config) -> GradientMatrix:
+def embed_batch_by_concatenation(draws, features, labels, config) -> np.ndarray:
     """The concatenating form of ``grad_embed.embed_batch_at_params``: the
     per-draw blocks are concatenated, transposed and copied into the
     dictionary, and the projection is divided out of place."""
@@ -350,7 +376,7 @@ def embed_batch_by_concatenation(draws, features, labels, config) -> GradientMat
             blocks.append(grads @ proj.T / np.sqrt(config.proj_dim))
         else:
             blocks.append(batch_gradients_by_concatenation(params, features, labels, "last_layer"))
-    return GradientMatrix(np.concatenate(blocks, axis=1).T)
+    return np.concatenate(blocks, axis=1).T
 
 
 # The memory bound of the layout that held each draw's whole (N, P)

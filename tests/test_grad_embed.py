@@ -19,6 +19,7 @@ from gmcoreset.grad_embed import (
     embedding_peak_bytes,
     sign_projection,
 )
+from gmcoreset.matching_pursuit import GradientMatrix
 
 from oracles import (
     batch_gradients_by_concatenation,
@@ -146,7 +147,7 @@ def test_last_layer_scope_is_tail_of_full_gradient(seed):
     params = nn.init_sample(arch, seed + 50)
     full = per_example_gradient(params, (X[0], int(y[0])), scope="full")
     config = EmbeddingConfig(draws=1, mode="last_layer")
-    short = embed_batch_at_params([params], X, y, config).data[:, 0]
+    short = embed_batch_at_params([params], X, y, config)[:, 0]
     assert np.abs(full[-nn.param_count(arch.layer_dims()[-1:]):] - short).max() <= 1e-12
 
 
@@ -166,7 +167,7 @@ def test_identical_examples_share_a_column():
     X[1], y[1] = X[0], y[0]
     config = EmbeddingConfig(draws=2, proj_dim=16, projection_seed=5, init_seed=6)
     G = embed_batch(X, y, arch, config)
-    assert np.array_equal(G.data[:, 0], G.data[:, 1])
+    assert np.array_equal(G[:, 0], G[:, 1])
 
 
 def test_paper_scale_dimensions():
@@ -174,7 +175,7 @@ def test_paper_scale_dimensions():
     config = EmbeddingConfig(draws=4, proj_dim=2000)
     assert embedding_dim(config, arch) == 8000
     G = embed_batch(*small_batch(0, n=2, arch=arch)[1:], arch=arch, config=config)
-    assert G.data.shape[0] == 8000
+    assert G.shape[0] == 8000
 
 
 def test_last_layer_embedding_dimension(monkeypatch):
@@ -201,7 +202,7 @@ def test_last_layer_embedding_dimension(monkeypatch):
         assert firsts == [first] * config.draws
         assert widths == [nn.param_count(arch.layer_dims()[first:])] * config.draws
         rows = 5 if mode == "random_projection" else 4 * (hidden or (6,))[-1] + 4
-        assert G.data.shape[0] == 3 * rows == embedding_dim(config, arch)
+        assert G.shape[0] == 3 * rows == embedding_dim(config, arch)
 
 
 def test_columns_match_componentwise_recomputation():
@@ -216,7 +217,7 @@ def test_columns_match_componentwise_recomputation():
             grad = per_example_gradient(params, (X[i], int(y[i])), scope="full")
             proj = sign_matrix(config.proj_dim, P, config.projection_seed + j)
             parts.append(project(grad, proj))
-        assert np.abs(G.data[:, i] - np.concatenate(parts)).max() <= 1e-12
+        assert np.abs(G[:, i] - np.concatenate(parts)).max() <= 1e-12
 
 
 def test_column_sum_equals_embedding_of_summed_gradients():
@@ -233,7 +234,7 @@ def test_column_sum_equals_embedding_of_summed_gradients():
         proj = sign_matrix(config.proj_dim, P, config.projection_seed + j)
         parts.append(project(total, proj))
     expected = np.concatenate(parts)
-    actual = G.data.sum(axis=1)
+    actual = G.sum(axis=1)
     assert np.abs(actual - expected).max() <= 1e-9 * max(1.0, np.abs(expected).max())
 
 
@@ -242,7 +243,7 @@ def test_embedding_is_deterministic():
     config = EmbeddingConfig(draws=2, proj_dim=10, projection_seed=7, init_seed=8)
     a = embed_batch(X, y, arch, config)
     b = embed_batch(X, y, arch, config)
-    assert np.array_equal(a.data, b.data)
+    assert np.array_equal(a, b)
 
 
 def test_embedding_at_explicit_params_matches_seeded_draws():
@@ -250,8 +251,8 @@ def test_embedding_at_explicit_params_matches_seeded_draws():
     config = EmbeddingConfig(draws=2, proj_dim=10, projection_seed=1, init_seed=2)
     draws = [nn.init_sample(arch, config.init_seed + j) for j in range(2)]
     assert np.array_equal(
-        embed_batch(X, y, arch, config).data,
-        embed_batch_at_params(draws, X, y, config).data,
+        embed_batch(X, y, arch, config),
+        embed_batch_at_params(draws, X, y, config),
     )
 
 
@@ -286,9 +287,9 @@ def blocked_embedding(num_examples, draws, mode, proj_dim, hidden=(16, 12)):
 @pytest.mark.parametrize("mode", ["random_projection", "last_layer"])
 def test_embedding_equals_concatenating_form(num_examples, draws, mode):
     G, expected = blocked_embedding(num_examples, draws, mode, proj_dim=37)
-    assert G.data.flags.c_contiguous
-    assert np.array_equal(G.data, expected.data)
-    assert np.array_equal(G.column_norms, expected.column_norms)
+    assert G.flags.c_contiguous
+    assert np.array_equal(G, expected)
+    assert np.array_equal(GradientMatrix(G).column_norms, GradientMatrix(expected).column_norms)
 
 
 # proj_dim = 1232 exceeds every batch here, so the gradients are held whole
@@ -297,8 +298,8 @@ def test_embedding_equals_concatenating_form(num_examples, draws, mode):
 @pytest.mark.parametrize("draws", [1, 2, 3])
 def test_embedding_with_the_gradients_whole_equals_concatenating_form(num_examples, draws):
     G, expected = blocked_embedding(num_examples, draws, "random_projection", proj_dim=1232)
-    assert np.array_equal(G.data, expected.data)
-    assert np.array_equal(G.column_norms, expected.column_norms)
+    assert np.array_equal(G, expected)
+    assert np.array_equal(GradientMatrix(G).column_norms, GradientMatrix(expected).column_norms)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +317,7 @@ def test_embedding_after_a_one_example_remainder_equals_concatenating_form(num_e
     assert grad_embed._example_blocks(num_examples, _BLOCK_ROWS)[-2:] == last_blocks
     for mode in ["random_projection", "last_layer"]:
         G, expected = blocked_embedding(num_examples, 2, mode, proj_dim=304, hidden=(64, 32))
-        assert np.array_equal(G.data, expected.data)
+        assert np.array_equal(G, expected)
 
 
 @pytest.mark.parametrize("num_examples", [513, 1030])
@@ -330,10 +331,10 @@ def test_embedding_after_a_short_last_example_block_of_a_small_model_agrees_to_r
     # small-matrix kernel, which may round differently from the single
     # product's GEMM kernel.
     G, expected = blocked_embedding(num_examples, draws, "last_layer", proj_dim=37)
-    assert np.array_equal(G.data, expected.data)
+    assert np.array_equal(G, expected)
     G, expected = blocked_embedding(num_examples, draws, "random_projection", proj_dim=37)
-    scale = np.abs(expected.data).max()
-    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+    scale = np.abs(expected).max()
+    assert np.abs(G - expected).max() <= 1e-14 * scale
 
 
 def test_embedding_in_example_blocks_off_the_sign_tiles_agrees_to_rounding():
@@ -342,10 +343,10 @@ def test_embedding_in_example_blocks_off_the_sign_tiles_agrees_to_rounding():
     # differently from the single product (as it does between BLAS thread
     # counts).  A proj_dim that is a multiple of 8 matches bit for bit.
     G, expected = blocked_embedding(1024, 2, "random_projection", proj_dim=300, hidden=(64, 32))
-    scale = np.abs(expected.data).max()
-    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+    scale = np.abs(expected).max()
+    assert np.abs(G - expected).max() <= 1e-14 * scale
     G, expected = blocked_embedding(1024, 2, "random_projection", proj_dim=296, hidden=(64, 32))
-    assert np.array_equal(G.data, expected.data)
+    assert np.array_equal(G, expected)
 
 
 def several_sign_blocks(proj_dim):
@@ -360,8 +361,8 @@ def test_embedding_in_several_sign_blocks_equals_one_product():
     # Two whole blocks and a partial third of 48 rows; the oracle projects
     # by the whole sign matrix in one product.
     G, expected = several_sign_blocks(2 * _BLOCK_ROWS + 48)
-    assert np.array_equal(G.data, expected.data)
-    assert np.array_equal(G.column_norms, expected.column_norms)
+    assert np.array_equal(G, expected)
+    assert np.array_equal(GradientMatrix(G).column_norms, GradientMatrix(expected).column_norms)
 
 
 def test_embedding_after_a_short_last_sign_block_agrees_to_rounding():
@@ -369,8 +370,8 @@ def test_embedding_after_a_short_last_sign_block_agrees_to_rounding():
     # which may then round its last rows differently from the single
     # product (as the single product does between BLAS thread counts).
     G, expected = several_sign_blocks(2 * _BLOCK_ROWS + 37)
-    scale = np.abs(expected.data).max()
-    assert np.abs(G.data - expected.data).max() <= 1e-14 * scale
+    scale = np.abs(expected).max()
+    assert np.abs(G - expected).max() <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("hidden", [(16, 12), (6,), ()])
@@ -520,7 +521,7 @@ def test_embedding_peak_bytes_bounds_the_traced_peak_within_half_again(
     _, X, y = small_batch(27, n=num_examples, arch=arch)
     tracemalloc.start()
     try:
-        embed_batch(X, y, arch, config)
+        GradientMatrix(embed_batch(X, y, arch, config))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

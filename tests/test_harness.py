@@ -2,6 +2,7 @@ import concurrent.futures
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gmcoreset.harness import (
     sweep,
 )
 from gmcoreset.harness import _train_seed
+from gmcoreset.matching_pursuit import GradientMatrix
 from gmcoreset.memory import (
     RehearsalMemory, SieveState, facility_location_update, reservoir_update,
 )
@@ -25,7 +27,7 @@ from gmcoreset.scenarios import (
     Dataset, make_class_incremental, make_sorted_scenario, synth_blobs, train_test_split,
 )
 
-from oracles import replay_batches_per_minibatch, replay_task_by_stacking
+from oracles import local_gmc_update, replay_batches_per_minibatch, replay_task_by_stacking
 
 
 def tiny_config(**kwargs):
@@ -158,13 +160,13 @@ def test_gdumb_accuracy_is_a_function_of_memory_and_seed(tiny_scenario):
 
 def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypatch):
     seen_params = []
-    original = mem.local_gmc_update
+    original = harness.embed_batch_at_params
 
-    def spy(memory, feats, labels, params, config):
-        seen_params.append(params.flat.copy())
-        return original(memory, feats, labels, params, config)
+    def spy(draws, feats, labels, config):
+        seen_params.append(draws[0].flat.copy())
+        return original(draws, feats, labels, config)
 
-    monkeypatch.setattr(mem, "local_gmc_update", spy)
+    monkeypatch.setattr(harness, "embed_batch_at_params", spy)
     rows, failure = run_cell(tiny_scenario, "gmc_local", 10, tiny_config(), seed=1)
     assert failure is None
     assert len(rows) == tiny_scenario.num_tasks
@@ -268,13 +270,13 @@ def test_gdumb_reinitializes_every_task(tiny_scenario, monkeypatch):
 
 def test_replay_local_matching_sees_each_new_iterate(tiny_scenario, monkeypatch):
     seen_params = []
-    original = mem.local_gmc_update
+    original = harness.embed_batch_at_params
 
-    def spy(memory, feats, labels, params, config):
-        seen_params.append(params.flat.copy())
-        return original(memory, feats, labels, params, config)
+    def spy(draws, feats, labels, config):
+        seen_params.append(draws[0].flat.copy())
+        return original(draws, feats, labels, config)
 
-    monkeypatch.setattr(mem, "local_gmc_update", spy)
+    monkeypatch.setattr(harness, "embed_batch_at_params", spy)
     config = tiny_config(paradigm="replay")
     _, failure = run_cell(tiny_scenario, "gmc_local", 10, config, seed=0)
     assert failure is None
@@ -677,7 +679,7 @@ def test_each_gmc_method_pins_its_embedding_mode(method, mode):
 UPDATE_NAMES = {
     "gmc": "gmc_update",
     "gmc_last_layer": "gmc_update",
-    "gmc_local": "local_gmc_update",
+    "gmc_local": "gmc_update",
     "reservoir": "reservoir_update",
     "class_balance": "class_balance_update",
     "sliding_window": "sliding_window_update",
@@ -696,3 +698,62 @@ def test_rehearsal_update_calls_the_memory_module_attribute(tiny_scenario, monke
     assert rehearsal.update(batch, nn.init_sample(arch, 0)) is recorded
     assert rehearsal.memory is recorded
     assert len(calls) == 1 and calls[0][1] is batch.features and calls[0][2] is batch.labels
+
+
+@pytest.mark.parametrize("method", harness.GMC_METHODS)
+def test_a_gmc_update_builds_one_gradient_matrix(tiny_scenario, monkeypatch, method):
+    # the update's dictionary is the only one: the embedding hands over a
+    # plain array, and gmc_update stacks it with the memory's columns once
+    built = []
+    original = GradientMatrix.__post_init__
+
+    def counting(self):
+        built.append(self.shape)
+        original(self)
+
+    monkeypatch.setattr(GradientMatrix, "__post_init__", counting)
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    rehearsal = harness.Rehearsal(tiny_config(methods=(method,)), method, 5, arch, seed=0)
+    params = nn.init_sample(arch, 0)
+    offered = 0
+    for batch in tiny_scenario.batches[:2]:
+        stored = rehearsal.memory.size
+        built.clear()
+        rehearsal.update(batch, params)
+        offered += batch.num_examples
+        assert len(built) == 1
+        assert built[0][1] == stored + batch.num_examples
+    assert rehearsal.memory.size == 5 and rehearsal.memory.seen == offered
+
+
+LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    capacity=st.integers(1, 6),
+    batch_sizes=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+)
+@example(seed=0, capacity=4, batch_sizes=[4, 3, 9])  # fills the memory exactly, then holds it full
+def test_local_matching_equals_the_standalone_local_update(seed, capacity, batch_sizes):
+    # UPDATES["gmc_local"] embeds in the harness and selects through
+    # gmc_update; the oracle does both in one function.  Both see the same
+    # iterate per update, starting from an empty memory.
+    rng = np.random.default_rng(seed)
+    config = EmbeddingConfig(draws=1, proj_dim=24, projection_seed=seed % 7)
+    rehearsal = SimpleNamespace(memory=RehearsalMemory(capacity), embedding=config)
+    expected = RehearsalMemory(capacity)
+    for b, size in enumerate(batch_sizes):
+        feats = rng.standard_normal((size, 3))
+        labels = rng.integers(0, 4, size=size)
+        params = nn.init_sample(LOCAL_ARCH, seed + b)
+        rehearsal.memory = harness.UPDATES["gmc_local"](rehearsal, feats, labels, params)
+        expected = local_gmc_update(expected, feats, labels, params, config)
+        actual = rehearsal.memory
+        assert np.array_equal(actual.features, expected.features)
+        assert np.array_equal(actual.labels, expected.labels)
+        assert np.array_equal(actual.weights, expected.weights)
+        assert (actual.seen, actual.classes_seen) == (expected.seen, expected.classes_seen)
+        assert actual.embeddings is None and actual.target is None
+        assert actual.capacity == capacity

@@ -1,10 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from gmcoreset import nn
+from gmcoreset import harness, nn
 from gmcoreset.grad_embed import EmbeddingConfig, embed_batch
 from gmcoreset.matching_pursuit import GradientMatrix, omp_select, selection_residual
 from gmcoreset.memory import (
@@ -14,7 +16,6 @@ from gmcoreset.memory import (
     class_balance_update,
     facility_location_update,
     gmc_update,
-    local_gmc_update,
     reservoir_update,
     sliding_window_update,
 )
@@ -39,7 +40,13 @@ def fake_batch(n, dims=3, label=0, seed=0):
 
 
 def random_embeddings(seed, D, N):
-    return GradientMatrix(np.random.default_rng(seed).standard_normal((D, N)))
+    return np.random.default_rng(seed).standard_normal((D, N))
+
+
+def local_update(memory, feats, labels, params, config):
+    """``harness.UPDATES["gmc_local"]`` on ``memory``, embedding at ``params``."""
+    rehearsal = SimpleNamespace(memory=memory, embedding=config)
+    return harness.UPDATES["gmc_local"](rehearsal, feats, labels, params)
 
 
 # --- gradient-matching updates ------------------------------------------------
@@ -50,16 +57,16 @@ def test_first_update_equals_offline_selection():
         G = random_embeddings(seed, 16, 12)
         feats, labels = fake_batch(12, seed=seed)
         memory = gmc_update(RehearsalMemory(4), feats, labels, G)
-        offline = omp_select(G, G.data.sum(axis=1), 4)
+        offline = omp_select(GradientMatrix(G), G.sum(axis=1), 4)
         assert memory.size == offline.size
-        assert np.array_equal(memory.embeddings, G.data[:, offline.indices])
+        assert np.array_equal(memory.embeddings, G[:, offline.indices])
         assert np.array_equal(memory.weights, offline.weights)
         assert np.array_equal(memory.features, feats[offline.indices])
 
 
 def test_identical_examples_collapse_to_one():
     col = np.random.default_rng(3).standard_normal(8)
-    G = GradientMatrix(np.tile(col[:, None], (1, 5)))
+    G = np.tile(col[:, None], (1, 5))
     feats, labels = fake_batch(5, seed=3)
     memory = gmc_update(RehearsalMemory(5), feats, labels, G)
     assert memory.size == 1
@@ -76,7 +83,7 @@ def test_target_accumulates_column_sums():
         G = random_embeddings(100 + t, 16, 10)
         feats, labels = fake_batch(10, seed=t)
         memory = gmc_update(memory, feats, labels, G)
-        total += G.data.sum(axis=1)
+        total += G.sum(axis=1)
     assert np.abs(memory.target - total).max() <= 1e-9 * max(1.0, np.abs(total).max())
     assert memory.seen == 30
 
@@ -85,15 +92,15 @@ def test_continual_pays_a_price_against_offline():
     # restricted dictionaries in the D >= N regime; greedy selection is not
     # monotone in the dictionary, so low-dimensional instances can invert this
     for seed in [3, 5, 6, 9, 15]:
-        G1 = GradientMatrix(np.random.default_rng([seed, 0]).standard_normal((64, 15)))
-        G2 = GradientMatrix(np.random.default_rng([seed, 1]).standard_normal((64, 15)))
+        G1 = np.random.default_rng([seed, 0]).standard_normal((64, 15))
+        G2 = np.random.default_rng([seed, 1]).standard_normal((64, 15))
         n = 5
         feats, labels = fake_batch(15, seed=seed)
         m1 = gmc_update(RehearsalMemory(n), feats, labels, G1)
         m2 = gmc_update(m1, feats, labels, G2)
-        target = G1.data.sum(axis=1) + G2.data.sum(axis=1)
+        target = G1.sum(axis=1) + G2.sum(axis=1)
         continual = np.linalg.norm(target - m2.embeddings @ m2.weights)
-        full = GradientMatrix(np.hstack([G1.data, G2.data]))
+        full = GradientMatrix(np.hstack([G1, G2]))
         offline_res = np.linalg.norm(
             selection_residual(full, target, omp_select(full, target, n))
         )
@@ -106,6 +113,16 @@ def test_gmc_update_rejects_dimension_change():
     )
     with pytest.raises(ValueError, match="dimension"):
         gmc_update(memory, *fake_batch(5), random_embeddings(0, 9, 5))
+
+
+def test_gmc_update_rejects_non_finite_columns_before_selecting():
+    # the update's GradientMatrix is the only finiteness check of an embedding
+    memory = gmc_update(RehearsalMemory(3), *fake_batch(5), random_embeddings(0, 8, 5))
+    bad = random_embeddings(1, 8, 5)
+    bad[2, 4] = np.inf
+    for start in (RehearsalMemory(3), memory):
+        with pytest.raises(ValueError, match="non-finite"):
+            gmc_update(start, *fake_batch(5, seed=1), bad)
 
 
 def test_gmc_update_rejects_a_memory_without_embedding_columns():
@@ -141,8 +158,8 @@ def local_setup():
 def test_local_update_is_deterministic(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, 7)
-    a = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
-    b = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
+    a = local_update(RehearsalMemory(4), feats, labels, params, config)
+    b = local_update(RehearsalMemory(4), feats, labels, params, config)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.weights, b.weights)
 
@@ -150,7 +167,7 @@ def test_local_update_is_deterministic(local_setup):
 def test_local_update_matches_single_draw_gmc(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, config.init_seed)  # the draw gmc would use
-    local = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
+    local = local_update(RehearsalMemory(4), feats, labels, params, config)
     G = embed_batch(feats, labels, arch, config)
     offline = gmc_update(RehearsalMemory(4), feats, labels, G)
     assert np.array_equal(local.features, offline.features)
@@ -164,13 +181,13 @@ def test_local_embeddings_track_the_iterate(local_setup):
     from gmcoreset.grad_embed import embed_batch_at_params
 
     after = embed_batch_at_params([moved], feats, labels, config)
-    assert np.abs(before.data - after.data).max() > 1e-6
+    assert np.abs(before - after).max() > 1e-6
 
 
 def test_local_update_does_not_cache_embeddings(local_setup):
     arch, config, feats, labels = local_setup
     params = nn.init_sample(arch, 0)
-    memory = local_gmc_update(RehearsalMemory(4), feats, labels, params, config)
+    memory = local_update(RehearsalMemory(4), feats, labels, params, config)
     assert memory.embeddings is None and memory.target is None
 
 
@@ -514,10 +531,8 @@ def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
 
 LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
 UPDATES = {
-    "gmc": lambda m, X, y, rng, sieve: gmc_update(
-        m, X, y, GradientMatrix(rng.standard_normal((16, len(y))))
-    ),
-    "gmc_local": lambda m, X, y, rng, sieve: local_gmc_update(
+    "gmc": lambda m, X, y, rng, sieve: gmc_update(m, X, y, rng.standard_normal((16, len(y)))),
+    "gmc_local": lambda m, X, y, rng, sieve: local_update(
         m, X, y, nn.init_sample(LOCAL_ARCH, 0), EmbeddingConfig(draws=1, proj_dim=24)
     ),
     "reservoir": lambda m, X, y, rng, sieve: reservoir_update(m, X, y, rng),
@@ -568,9 +583,9 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
         memories["sliding_window"] = sliding_window_update(
             memories["sliding_window"], feats, labels
         )
-        G = GradientMatrix(np.random.default_rng([seed, b]).standard_normal((8, size)))
+        G = np.random.default_rng([seed, b]).standard_normal((8, size))
         memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G)
-        memories["gmc_local"] = local_gmc_update(
+        memories["gmc_local"] = local_update(
             memories["gmc_local"], feats, labels, params, EmbeddingConfig(draws=1, proj_dim=8)
         )
         fl_memory = facility_location_update(fl_memory, feats, labels, sieve)
