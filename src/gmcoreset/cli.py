@@ -23,7 +23,7 @@ from functools import partial
 
 from . import harness, nn, scenarios
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
-from .matching_pursuit import GradientMatrix, omp_select
+from .memory import RehearsalMemory, gmc_update
 
 
 def _parse_bool(text: str) -> bool:
@@ -276,25 +276,27 @@ def resolve_args(args, file_values: dict[str, str] | None = None) -> dict:
     return resolve_config(file_values or {}, flags)
 
 
-def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScenario, pool_rows):
+def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScenario):
     """``cfg``'s sweep config and learner on ``data``, after the rules ``run`` and ``select`` share.
 
     One class, values ``ExperimentConfig`` rejects, memory sizes beyond the embedding dimension
-    and a method whose learner (``run`` only) plus embedding of ``pool_rows(memory_sizes)``
-    examples (gradient matching only) exceeds physical memory raise.
+    and a method whose learner (``run`` only) plus embedding of an update's pool, the rows its
+    memory holds plus those it is offered (gradient matching only), exceeds physical memory raise.
     """
     if data.num_classes < 2:
         raise ConfigError(SINGLE_CLASS)
     config = experiment_config(cfg)
     arch = nn.MlpArch(data.num_features, config.hidden, data.num_classes)
     sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
-    config, rows = replace(config, memory_sizes=sizes), pool_rows(sizes)
+    config = replace(config, memory_sizes=sizes)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    learner = 0  # select trains no model
     if isinstance(data, scenarios.ContinualScenario):
+        rows = max(sizes) + max(b.num_examples for b in data.batches)  # largest memory + batch
         learner = nn.learner_peak_bytes(
             arch, config.train.batch_size, data.test.num_examples, config.paradigm == "replay"
         )
+    else:
+        rows, learner = data.num_examples, 0  # every row, offered to an empty memory; no model
     for method in config.methods:
         embedding = 0
         if method in harness.GMC_METHODS:
@@ -317,8 +319,9 @@ def cmd_select(args) -> int:
     try:
         cfg = {**resolve_args(args), "methods": (method,)}
         data = _read_csv(cfg)
-        # one update of an empty memory embeds every row
-        config, arch = checked_config(cfg, data, lambda sizes: data.num_examples)
+        if cfg["standardize"]:
+            data, _ = scenarios.standardize_features(data, data)
+        config, arch = checked_config(cfg, data)
         (size,), out = config.memory_sizes, cfg["out"]
         if size > data.num_examples:
             raise ConfigError(f"coreset size {size} exceeds the dataset size {data.num_examples}")
@@ -329,12 +332,10 @@ def cmd_select(args) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg["standardize"]:
-        data, _ = scenarios.standardize_features(data, data)
     try:
         embedding = harness.method_embedding(config, method, 0)
-        G = GradientMatrix(embed_batch(data.features, data.labels, arch, embedding))
-        selection = omp_select(G, G.data.sum(axis=1), size)
+        columns = embed_batch(data.features, data.labels, arch, embedding)
+        selection, _ = gmc_update(RehearsalMemory(size), data.features, data.labels, columns)
         write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
         if selection.truncated:
             print(
@@ -358,9 +359,7 @@ def cmd_run(args) -> int:
         if cfg["jobs"] < 1:
             raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
-        # a gmc update embeds at most the memory plus the batch
-        batch_rows = max(b.num_examples for b in scenario.batches)
-        config, _ = checked_config(cfg, scenario, lambda sizes: max(sizes) + batch_rows)
+        config, _ = checked_config(cfg, scenario)
         cfg["memory_sizes"] = config.memory_sizes
         out_dir = cfg["out"]
         os.makedirs(out_dir, exist_ok=True)

@@ -31,7 +31,7 @@ GMC_METHODS = tuple(GMC_PINS)
 
 
 def _matched(r: Rehearsal, X, y, p):
-    return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))
+    return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))[1]
 
 
 def _matched_locally(r: Rehearsal, X, y, p):
@@ -41,7 +41,7 @@ def _matched_locally(r: Rehearsal, X, y, p):
     features, labels = mem._stack_examples(r.memory, X, y)
     columns = embed_batch_at_params([p], features, labels, r.embedding)
     stored = replace(r.memory, embeddings=columns[:, :m], target=None)
-    matched = mem.gmc_update(stored, X, y, columns[:, m:])
+    _, matched = mem.gmc_update(stored, X, y, columns[:, m:])
     matched.embeddings = matched.target = None
     return matched
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matching_pursuit import GradientMatrix, omp_select
+from .matching_pursuit import CoresetSelection, GradientMatrix, omp_select
 
 # Consecutive sieve thresholds differ by the factor 1 + SIEVE_EPSILON.
 SIEVE_EPSILON = 0.1
@@ -88,14 +88,15 @@ def gmc_update(
     batch_features: np.ndarray,
     batch_labels: np.ndarray,
     batch_embeddings: np.ndarray,
-) -> RehearsalMemory:
-    """Re-select the coreset from [stored coreset columns, batch columns].
+) -> tuple[CoresetSelection, RehearsalMemory]:
+    """Re-select the coreset from the pool [stored coreset columns, batch columns].
 
     ``batch_embeddings`` holds the batch's D x b embedding columns.  The
     target is ``memory.target`` plus their column sum, or, for a memory
-    without a running target, the column sum of the whole dictionary.
+    without a running target, the column sum of the whole pool.
     Matching pursuit picks up to ``memory.capacity`` of its columns, so
-    stored elements may be dropped or re-weighted.
+    stored elements may be dropped or re-weighted.  Returns that selection,
+    whose indices are pool columns, and the next memory.
     """
     if memory.size and memory.embeddings is None:
         raise ValueError("memory holds examples but not their embedding columns")
@@ -115,7 +116,7 @@ def gmc_update(
 
     all_features, all_labels = _stack_examples(memory, batch_features, batch_labels)
     idx = selection.indices
-    return _next_memory(
+    return selection, _next_memory(
         memory, batch_labels, all_features[idx], all_labels[idx], selection.weights,
         embeddings=pool.data[:, idx], target=target,
     )
@@ -294,10 +295,20 @@ def facility_location_update(
     set's test depends on its own state only, so one distance pass and
     one gather score every open set.  Returns the set with the best
     objective as the next memory, all weights 1: the fallback wins ties,
-    then the lowest threshold.
+    then the lowest threshold.  A row x whose (2 ||x||)^2 overflows raises
+    before ``state`` changes: every distance is at most ``bound``, so the
+    squared distances then stay finite.
     """
     eps, n = SIEVE_EPSILON, memory.capacity
-    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
+    batch = np.asarray(batch_features, dtype=np.float64)
+    with np.errstate(over="ignore"):  # raised just below
+        top = float(np.einsum("ij,ij->i", batch, batch).max(initial=0.0))
+    if not math.isfinite(4.0 * top):
+        raise ValueError(
+            f"facility location distances overflow: a row of squared norm {top:.3g} puts "
+            "squared distances past the float64 range (standardize the features)"
+        )
+    for x, y in zip(batch, np.asarray(batch_labels)):
         state.bound = max(state.bound, 2.0 * float(np.linalg.norm(x)))
         if state.bound <= 0.0:
             if len(state.fallback) < n:

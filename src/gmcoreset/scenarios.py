@@ -156,10 +156,18 @@ def standardize_features(train: Dataset, test: Dataset) -> tuple[Dataset, Datase
     """Shift/scale every feature to train-split mean 0 and variance 1.
 
     Constant features are left centered only.  The same transform is
-    applied to the test split.
+    applied to the test split.  A feature whose mean or spread overflows
+    raises ``ValueError``: dividing by an infinite spread would zero it.
     """
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if len(bad):
+        raise ValueError(
+            f"feature {bad[0]}'s mean or spread overflows to a non-finite value; "
+            "rescale the data before standardizing it"
+        )
     std = np.where(std > 0.0, std, 1.0)
 
     def apply(ds: Dataset) -> Dataset:

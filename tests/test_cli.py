@@ -247,6 +247,24 @@ def test_select_fails_loudly_when_gradient_norms_overflow(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_select_rejects_a_feature_whose_mean_overflows_before_embedding(
+    tmp_path, capsys, monkeypatch
+):
+    # values near 1e306 are finite, but 400 of them sum past the float64 range
+    rng = np.random.default_rng(0)
+    path = tmp_path / "huge.csv"
+    save_csv(Dataset(1e306 * (1.0 + rng.random((400, 3))), np.arange(400) % 2), str(path))
+    monkeypatch.setattr(cli, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    out = tmp_path / "coreset.csv"
+    code = main([
+        "select", str(path), "-n", "5", "--out", str(out), "--standardize",
+        "--label-column", "label", "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 2
+    assert "error: feature 0's mean or spread overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_select_reads_a_csv_named_synthetic(tmp_path, monkeypatch):
     # run's dataset key names the built-in generator "synthetic"; select's argument is a path
     data = synth_blobs(seed=0, n_per_class=10, num_classes=2, dims=4)
@@ -326,6 +344,29 @@ def test_run_fails_loudly_when_the_adam_second_moment_overflows(tmp_path, capsys
     err = capsys.readouterr().err
     assert "cell failed: method=reservoir memory_size=15 seed=0 task=0: " in err
     assert "Adam second moment overflows" in err
+
+
+def test_run_fails_loudly_when_facility_location_distances_overflow(tmp_path, capsys):
+    text = MINIMAL_CONFIG.replace("methods = reservoir", "methods = facility_location")
+    cfg = write_config(tmp_path, text.replace("synth_drift = 1.0", "synth_drift = 1e300")
+                       + "standardize = false\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "cell failed: method=facility_location memory_size=15 seed=0 task=0: " in err
+    assert "facility location distances overflow" in err
+
+
+def test_run_rejects_a_feature_whose_spread_overflows_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    # standardize is on: feature 0's spread overflows, and dividing by it would zero the feature
+    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace("synth_drift = 1.0", "synth_drift = 1e300")
+                       + "standardize = true\n")
+    out = tmp_path / "o"
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert "error: feature 0's mean or spread overflows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_unknown_key_exits_two(tmp_path, capsys):

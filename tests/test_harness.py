@@ -691,7 +691,9 @@ UPDATE_NAMES = {
 def test_rehearsal_update_calls_the_memory_module_attribute(tiny_scenario, monkeypatch, method):
     calls = []
     recorded = mem.RehearsalMemory(20)
-    monkeypatch.setattr(mem, UPDATE_NAMES[method], lambda *args: calls.append(args) or recorded)
+    # gmc_update returns (selection, next memory); the harness keeps the memory
+    result = (None, recorded) if UPDATE_NAMES[method] == "gmc_update" else recorded
+    monkeypatch.setattr(mem, UPDATE_NAMES[method], lambda *args: calls.append(args) or result)
     batch = tiny_scenario.batches[0]
     arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
     rehearsal = harness.Rehearsal(tiny_config(methods=(method,)), method, 20, arch, seed=0)

@@ -1,8 +1,9 @@
 """The package's layers: embedding and selection import nothing above themselves.
 
 Only ``harness`` and ``cli`` combine the embedding (``grad_embed``) with
-the selection rules (``memory``, ``matching_pursuit``).  Each check parses
-a module's source, so imports inside functions count too.
+the selection rules (``memory``), and only ``memory`` reaches the solver
+(``matching_pursuit``).  Each check parses a module's source, so imports
+inside functions count too.
 """
 
 import ast
@@ -18,6 +19,8 @@ PACKAGE = os.path.join(
 ALLOWED = {
     "memory": {"matching_pursuit"},
     "grad_embed": {"nn"},
+    "harness": {"grad_embed", "memory", "nn", "scenarios"},
+    "cli": {"grad_embed", "harness", "memory", "nn", "scenarios"},
 }
 
 
@@ -61,3 +64,10 @@ def test_package_imports_reads_every_import_form(tmp_path):
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_the_layers_below_it(module):
     assert package_imports(module) <= ALLOWED[module]
+
+
+def test_only_memory_imports_the_solver():
+    # __init__ re-exports the solver's public names; no other layer may reach it
+    modules = [name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")]
+    importers = {m for m in modules if "matching_pursuit" in package_imports(m)}
+    assert importers == {"__init__", "memory"}

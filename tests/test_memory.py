@@ -1,3 +1,4 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -56,8 +57,9 @@ def test_first_update_equals_offline_selection():
     for seed in range(5):
         G = random_embeddings(seed, 16, 12)
         feats, labels = fake_batch(12, seed=seed)
-        memory = gmc_update(RehearsalMemory(4), feats, labels, G)
+        selection, memory = gmc_update(RehearsalMemory(4), feats, labels, G)
         offline = omp_select(GradientMatrix(G), G.sum(axis=1), 4)
+        assert np.array_equal(selection.indices, offline.indices)
         assert memory.size == offline.size
         assert np.array_equal(memory.embeddings, G[:, offline.indices])
         assert np.array_equal(memory.weights, offline.weights)
@@ -68,7 +70,7 @@ def test_identical_examples_collapse_to_one():
     col = np.random.default_rng(3).standard_normal(8)
     G = np.tile(col[:, None], (1, 5))
     feats, labels = fake_batch(5, seed=3)
-    memory = gmc_update(RehearsalMemory(5), feats, labels, G)
+    _, memory = gmc_update(RehearsalMemory(5), feats, labels, G)
     assert memory.size == 1
     assert memory.weights[0] == pytest.approx(5.0)
     residual = memory.target - memory.embeddings @ memory.weights
@@ -82,7 +84,7 @@ def test_target_accumulates_column_sums():
     for t in range(3):
         G = random_embeddings(100 + t, 16, 10)
         feats, labels = fake_batch(10, seed=t)
-        memory = gmc_update(memory, feats, labels, G)
+        _, memory = gmc_update(memory, feats, labels, G)
         total += G.sum(axis=1)
     assert np.abs(memory.target - total).max() <= 1e-9 * max(1.0, np.abs(total).max())
     assert memory.seen == 30
@@ -96,8 +98,8 @@ def test_continual_pays_a_price_against_offline():
         G2 = np.random.default_rng([seed, 1]).standard_normal((64, 15))
         n = 5
         feats, labels = fake_batch(15, seed=seed)
-        m1 = gmc_update(RehearsalMemory(n), feats, labels, G1)
-        m2 = gmc_update(m1, feats, labels, G2)
+        _, m1 = gmc_update(RehearsalMemory(n), feats, labels, G1)
+        _, m2 = gmc_update(m1, feats, labels, G2)
         target = G1.sum(axis=1) + G2.sum(axis=1)
         continual = np.linalg.norm(target - m2.embeddings @ m2.weights)
         full = GradientMatrix(np.hstack([G1, G2]))
@@ -107,8 +109,33 @@ def test_continual_pays_a_price_against_offline():
         assert continual >= offline_res - 1e-10
 
 
+def test_gmc_update_returns_its_selection_over_the_pool():
+    # the selection indexes columns of the pool [memory | batch], whose
+    # picked rows, weights and columns are the next memory
+    _, memory = gmc_update(RehearsalMemory(4), *fake_batch(6), random_embeddings(0, 16, 6))
+    feats, labels = fake_batch(5, label=1, seed=1)
+    G = random_embeddings(1, 16, 5)
+    selection, matched = gmc_update(memory, feats, labels, G)
+    idx = selection.indices
+    assert selection.size == matched.size == 4 and not selection.truncated
+    assert np.array_equal(matched.features, np.vstack([memory.features, feats])[idx])
+    assert np.array_equal(matched.labels, np.concatenate([memory.labels, labels])[idx])
+    assert np.array_equal(matched.weights, selection.weights)
+    assert np.array_equal(matched.embeddings, np.hstack([memory.embeddings, G])[:, idx])
+
+
+def test_gmc_update_returns_a_truncated_selection():
+    # two distinct rows, each offered three times: no third independent column
+    feats, labels = fake_batch(2, seed=2)
+    feats, labels = np.tile(feats, (3, 1)), np.tile(labels, 3)
+    G = np.tile(random_embeddings(2, 8, 2), 3)
+    selection, memory = gmc_update(RehearsalMemory(4), feats, labels, G)
+    assert selection.truncated
+    assert memory.size == selection.size == 2 < memory.capacity
+
+
 def test_gmc_update_rejects_dimension_change():
-    memory = gmc_update(
+    _, memory = gmc_update(
         RehearsalMemory(3), *fake_batch(5), random_embeddings(0, 8, 5)
     )
     with pytest.raises(ValueError, match="dimension"):
@@ -117,7 +144,7 @@ def test_gmc_update_rejects_dimension_change():
 
 def test_gmc_update_rejects_non_finite_columns_before_selecting():
     # the update's GradientMatrix is the only finiteness check of an embedding
-    memory = gmc_update(RehearsalMemory(3), *fake_batch(5), random_embeddings(0, 8, 5))
+    _, memory = gmc_update(RehearsalMemory(3), *fake_batch(5), random_embeddings(0, 8, 5))
     bad = random_embeddings(1, 8, 5)
     bad[2, 4] = np.inf
     for start in (RehearsalMemory(3), memory):
@@ -137,7 +164,7 @@ def test_gmc_residual_never_exceeds_target_norm():
     memory = RehearsalMemory(4)
     for t in range(3):
         G = random_embeddings(50 + t, 32, 9)
-        memory = gmc_update(memory, *fake_batch(9, seed=t), G)
+        _, memory = gmc_update(memory, *fake_batch(9, seed=t), G)
         residual = np.linalg.norm(memory.target - memory.embeddings @ memory.weights)
         assert residual <= np.linalg.norm(memory.target) + 1e-12
 
@@ -169,7 +196,7 @@ def test_local_update_matches_single_draw_gmc(local_setup):
     params = nn.init_sample(arch, config.init_seed)  # the draw gmc would use
     local = local_update(RehearsalMemory(4), feats, labels, params, config)
     G = embed_batch(feats, labels, arch, config)
-    offline = gmc_update(RehearsalMemory(4), feats, labels, G)
+    _, offline = gmc_update(RehearsalMemory(4), feats, labels, G)
     assert np.array_equal(local.features, offline.features)
     assert np.allclose(local.weights, offline.weights)
 
@@ -386,6 +413,21 @@ def test_sieve_memory_respects_capacity_across_batches():
         assert memory.size <= 3
 
 
+def test_sieve_rejects_overflowing_distances_before_changing_its_state():
+    # every squared distance is at most bound^2 = (2 ||x||)^2: finite at 6e153, not at 7e153
+    state, memory = SieveState(), RehearsalMemory(3)
+    memory = facility_location_update(memory, *fake_batch(5), state)
+    feats, labels = fake_batch(4, seed=1)
+    feats[2, 0] = 7e153
+    before = copy.deepcopy(vars(state))
+    with pytest.raises(ValueError, match="facility location distances overflow"):
+        facility_location_update(memory, feats, labels, state)
+    for key, value in vars(state).items():
+        assert np.array_equal(value, before[key]), key
+    feats[2, 0] = 6e153
+    assert facility_location_update(memory, feats, labels, state).size <= 3
+
+
 def test_sieve_keeps_the_first_best_set_fallback_first():
     def sieve(values, fallback):
         """Thresholds j = 3, 4, ... holding one point labelled j each, of objectives ``values``,
@@ -531,7 +573,7 @@ def test_sieve_measures_each_item_once_against_the_store(monkeypatch):
 
 LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
 UPDATES = {
-    "gmc": lambda m, X, y, rng, sieve: gmc_update(m, X, y, rng.standard_normal((16, len(y)))),
+    "gmc": lambda m, X, y, rng, sieve: gmc_update(m, X, y, rng.standard_normal((16, len(y))))[1],
     "gmc_local": lambda m, X, y, rng, sieve: local_update(
         m, X, y, nn.init_sample(LOCAL_ARCH, 0), EmbeddingConfig(draws=1, proj_dim=24)
     ),
@@ -584,7 +626,7 @@ def test_every_strategy_respects_capacity(seed, n, batch_sizes):
             memories["sliding_window"], feats, labels
         )
         G = np.random.default_rng([seed, b]).standard_normal((8, size))
-        memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G)
+        _, memories["gmc"] = gmc_update(memories["gmc"], feats, labels, G)
         memories["gmc_local"] = local_update(
             memories["gmc_local"], feats, labels, params, EmbeddingConfig(draws=1, proj_dim=8)
         )
