@@ -20,6 +20,9 @@ import os
 import sys
 from dataclasses import astuple, replace
 from functools import partial
+from typing import NamedTuple
+
+import numpy as np
 
 from . import harness, nn, scenarios
 from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
@@ -221,11 +224,6 @@ def write_key_values(path: str, values: dict, comments=()) -> None:
         fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in values.items())
 
 
-def final_records(aggregates) -> list[tuple]:
-    """``AGG_HEADER``'s fields of final-task aggregates: all but the task index."""
-    return [(*row[:4], *row[5:]) for row in map(astuple, aggregates)]
-
-
 def read_raw_csv(path: str) -> list[harness.ResultRow]:
     rows = []
     with open(path, newline="") as fh:
@@ -238,6 +236,36 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
                 float(rec["wall_time_s"]) if rec["wall_time_s"] else 0.0,
             ))
     return rows
+
+
+class AggregateRow(NamedTuple):
+    """``PER_TASK_HEADER``'s fields: one (scenario, paradigm, method, memory size, task)."""
+    scenario: str
+    paradigm: str
+    method: str
+    memory_size: int
+    task_index: int
+    mean_acc: float
+    std_acc: float
+    num_seeds: int
+
+
+def aggregate_rows(rows: list[harness.ResultRow]) -> list[AggregateRow]:
+    """Accuracy over seeds per (scenario, paradigm, method, memory size, task).
+
+    The mean, the ddof-1 standard deviation (0.0 for a single seed) and
+    the seed count, sorted by key.
+    """
+    grouped: dict[tuple, list[float]] = {}
+    for r in rows:
+        key = (r.scenario, r.paradigm, r.method, r.memory_size, r.task_index)
+        grouped.setdefault(key, []).append(r.test_accuracy)
+    out = []
+    for key in sorted(grouped):
+        accs = np.asarray(grouped[key])
+        std = float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
+        out.append(AggregateRow(*key, float(accs.mean()), std, len(accs)))
+    return out
 
 
 def final_accuracy_table(rows, aggregates) -> str:
@@ -320,7 +348,7 @@ def cmd_select(args) -> int:
         cfg = {**resolve_args(args), "methods": (method,)}
         data = _read_csv(cfg)
         if cfg["standardize"]:
-            data, _ = scenarios.standardize_features(data, data)
+            (data,) = scenarios.standardize_features(data)
         config, arch = checked_config(cfg, data)
         (size,), out = config.memory_sizes, cfg["out"]
         if size > data.num_examples:
@@ -367,16 +395,13 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    result = harness.sweep(config, scenario, jobs=cfg["jobs"])
+    rows, failures = harness.sweep(config, scenario, jobs=cfg["jobs"])
     out = partial(os.path.join, out_dir)
-    rows = [astuple(r) for r in result.rows]
+    rows = [astuple(r) for r in rows]
     # raw.csv leaves the wall time empty, so an identical configuration reproduces it byte for
     # byte; timings.csv holds the measured times
     write_csv(out("raw.csv"), RAW_HEADER, [(*r[:-1], None) for r in rows])
     write_csv(out("timings.csv"), RAW_HEADER, rows)
-    final = scenario.num_tasks - 1
-    finals = [a for a in harness.aggregate_rows(result.rows) if a.task_index == final]
-    write_csv(out("aggregate.csv"), AGG_HEADER, final_records(finals))
     table = scenarios.class_frequencies(scenario)
     header = ",".join(["task_index", *(f"class_{c}" for c in range(table.shape[1]))])
     write_csv(out("class_frequencies.csv"), header, ((t, *row) for t, row in enumerate(table)))
@@ -394,13 +419,13 @@ def cmd_run(args) -> int:
     write_key_values(
         out("manifest.txt"), cfg, ["resolved run configuration; reusable as --config", *source]
     )
-    for failure in result.failures:
+    for failure in failures:
         print(
             f"cell failed: method={failure.method} memory_size={failure.memory_size} "
             f"seed={failure.seed} task={failure.task_index}: {failure.message}",
             file=sys.stderr,
         )
-    return 1 if result.failures else 0
+    return 1 if failures else 0
 
 
 def cmd_report(args) -> int:
@@ -431,14 +456,14 @@ def cmd_report(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    aggregates = harness.aggregate_rows(rows)
+    out = partial(os.path.join, out_dir)
+    aggregates = aggregate_rows(rows)
     finals = [a for a in aggregates if a.task_index == final]
-    write_csv(os.path.join(out_dir, "report_final_accuracy.csv"), AGG_HEADER, final_records(finals))
+    # AGG_HEADER's fields: all but the task index
+    write_csv(out("report_final_accuracy.csv"), AGG_HEADER, [(*a[:4], *a[5:]) for a in finals])
     print(final_accuracy_table(rows, finals))
-    write_csv(
-        os.path.join(out_dir, "report_per_task.csv"), PER_TASK_HEADER,
-        [astuple(a) for a in aggregates if a.memory_size == size],
-    )
+    per_task = [a for a in aggregates if a.memory_size == size]
+    write_csv(out("report_per_task.csv"), PER_TASK_HEADER, per_task)
     return 0
 
 

@@ -112,30 +112,12 @@ class ResultRow:
 
 
 @dataclass
-class AggregateRow:
-    scenario: str
-    paradigm: str
-    method: str
-    memory_size: int
-    task_index: int
-    mean_acc: float
-    std_acc: float
-    num_seeds: int
-
-
-@dataclass
 class CellFailure:
     method: str
     memory_size: int
     seed: int
     task_index: int
     message: str
-
-
-@dataclass
-class SweepResult:
-    rows: list[ResultRow]
-    failures: list[CellFailure]
 
 
 def method_embedding(config: ExperimentConfig, method: str, seed: int) -> EmbeddingConfig:
@@ -285,10 +267,13 @@ def run_cell(
     return rows, None
 
 
-def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) -> SweepResult:
-    """Run the full grid; cells are independent and may run in parallel.
+def sweep(
+    config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1
+) -> tuple[list[ResultRow], list[CellFailure]]:
+    """Run the full grid: its cells' rows and failures, as ``run_cell`` returns one cell's.
 
-    At most min(jobs, number of cells) worker processes start.  Rows are
+    Cells are independent and may run in parallel; at most
+    min(jobs, number of cells) worker processes start.  Rows are
     sorted into a canonical order so the output is deterministic for a
     given seed set regardless of execution order; per-cell failures are
     recorded and the sweep continues.
@@ -328,22 +313,4 @@ def sweep(config: ExperimentConfig, scenario: ContinualScenario, jobs: int = 1) 
             collect(cell, lambda: run_cell(*cell))
 
     rows.sort(key=lambda r: (r.scenario, r.paradigm, r.method, r.memory_size, r.seed, r.task_index))
-    return SweepResult(rows, failures)
-
-
-def aggregate_rows(rows: list[ResultRow]) -> list[AggregateRow]:
-    """Accuracy over seeds per (scenario, paradigm, method, memory size, task).
-
-    The mean, the ddof-1 standard deviation (0.0 for a single seed) and
-    the seed count, sorted by key.
-    """
-    grouped: dict[tuple, list[float]] = {}
-    for r in rows:
-        key = (r.scenario, r.paradigm, r.method, r.memory_size, r.task_index)
-        grouped.setdefault(key, []).append(r.test_accuracy)
-    out = []
-    for key in sorted(grouped):
-        accs = np.asarray(grouped[key])
-        std = float(accs.std(ddof=1)) if len(accs) > 1 else 0.0
-        out.append(AggregateRow(*key, float(accs.mean()), std, len(accs)))
-    return out
+    return rows, failures

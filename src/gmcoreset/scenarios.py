@@ -152,12 +152,14 @@ def train_test_split(
     return dataset.subset(np.sort(perm[n_test:])), dataset.subset(np.sort(perm[:n_test]))
 
 
-def standardize_features(train: Dataset, test: Dataset) -> tuple[Dataset, Dataset]:
+def standardize_features(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     """Shift/scale every feature to train-split mean 0 and variance 1.
 
     Constant features are left centered only.  The same transform is
-    applied to the test split.  A feature whose mean or spread overflows
-    raises ``ValueError``: dividing by an infinite spread would zero it.
+    applied to each of ``others``, such as the test split, and each
+    dataset returned holds one new feature array.  A feature whose mean
+    or spread overflows raises ``ValueError``: dividing by an infinite
+    spread would zero it.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
         mean = train.features.mean(axis=0)
@@ -171,9 +173,11 @@ def standardize_features(train: Dataset, test: Dataset) -> tuple[Dataset, Datase
     std = np.where(std > 0.0, std, 1.0)
 
     def apply(ds: Dataset) -> Dataset:
-        return Dataset((ds.features - mean) / std, ds.labels)
+        features = ds.features - mean
+        features /= std
+        return Dataset(features, ds.labels)
 
-    return apply(train), apply(test)
+    return tuple(map(apply, (train, *others)))
 
 
 def _contiguous_batches(data: Dataset, order: np.ndarray, num_batches: int) -> list[Dataset]:

@@ -3,8 +3,10 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmcoreset import cli, harness, memory as mem, nn
+from gmcoreset import cli, harness, nn, scenarios
 from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
 from gmcoreset.harness import _train_seed, method_embedding, run_cell
@@ -279,6 +281,21 @@ def test_select_reads_a_csv_named_synthetic(tmp_path, monkeypatch):
     assert sorted(int(r[0]) for r in rows) == list(range(data.num_examples))
 
 
+def test_select_standardizes_into_one_new_array(tmp_path, monkeypatch):
+    built = []
+
+    def recording(*datasets):
+        standardized = standardize_features(*datasets)
+        built.append(len(standardized))
+        return standardized
+
+    monkeypatch.setattr(scenarios, "standardize_features", recording)
+    path, _ = write_blob_csv(tmp_path)
+    out = str(tmp_path / "coreset.csv")
+    assert main(["select", path, "-n", "5", "--out", out, "--proj-dim", "16"]) == 0
+    assert built == [1]  # the CSV's rows, with no second array of them thrown away
+
+
 def test_select_missing_file_is_a_usage_error(tmp_path, capsys):
     code = main(["select", str(tmp_path / "nope.csv"), "-n", "3", "--out", "o.csv"])
     assert code == 2
@@ -291,11 +308,9 @@ def test_run_minimal_config_writes_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = str(tmp_path / "results")
     assert main(["run", "--config", cfg, "--out", out]) == 0
-    for name in (
-        "raw.csv", "aggregate.csv", "manifest.txt",
-        "class_frequencies.csv", "timings.csv", "scenario.txt",
-    ):
-        assert os.path.exists(os.path.join(out, name)), name
+    assert sorted(os.listdir(out)) == [
+        "class_frequencies.csv", "manifest.txt", "raw.csv", "scenario.txt", "timings.csv",
+    ]
     raw = open(os.path.join(out, "raw.csv")).read().splitlines()
     assert raw[0] == cli.RAW_HEADER
     assert len(raw) == 1 + 3  # header + one row per task
@@ -737,27 +752,46 @@ def test_report_marks_failed_when_every_cell_stops_before_the_final_task(tmp_pat
     assert len(open(os.path.join(out, "report_per_task.csv")).read().splitlines()) == 1 + 2
 
 
-def test_report_final_accuracy_matches_the_runs_aggregate(tmp_path, monkeypatch):
-    original = mem.reservoir_update
-    calls = {"count": 0}
+FINAL_TASK = 2
 
-    def flaky(memory, feats, labels, rng):
-        calls["count"] += 1
-        if calls["count"] == 2:  # the first cell, reservoir at seed 0, fails at task 1
-            raise RuntimeError("synthetic fault")
-        return original(memory, feats, labels, rng)
 
-    monkeypatch.setattr(mem, "reservoir_update", flaky)
-    cfg = write_config(tmp_path, MINIMAL_CONFIG.replace(
-        "methods = reservoir", "methods = reservoir,sliding_window"
-    ).replace("seeds = 0", "seeds = 0,1"))
-    out = str(tmp_path / "results")
-    assert main(["run", "--config", cfg, "--out", out]) == 1
-    assert main(["report", out]) == 0
-    aggregate = open(os.path.join(out, "aggregate.csv")).read()
-    assert aggregate == open(os.path.join(out, "report_final_accuracy.csv")).read()
-    assert aggregate.splitlines()[1].startswith("sorted,gdumb,reservoir,15,")
-    assert aggregate.splitlines()[1].endswith(",0.0,1")  # seed 1 only
+@settings(max_examples=60, deadline=None)
+@given(
+    cells=st.dictionaries(
+        st.tuples(
+            st.sampled_from(["gdumb", "replay"]), st.sampled_from(["gmc", "reservoir"]),
+            st.sampled_from([10, 20]), st.integers(0, 4),
+        ),
+        # a cell's accuracy after each task it completed; a short list stopped early
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=FINAL_TASK + 1),
+        min_size=1,
+    ),
+    order=st.randoms(use_true_random=False),
+)
+def test_aggregate_rows_match_numpy_over_any_row_order_and_seeds(cells, order):
+    rows = [
+        harness.ResultRow("sorted", paradigm, method, size, seed, task, accuracy, 0.0)
+        for (paradigm, method, size, seed), accuracies in cells.items()
+        for task, accuracy in enumerate(accuracies)
+    ]
+    order.shuffle(rows)
+    aggregates = cli.aggregate_rows(rows)
+    keys = {(r.scenario, r.paradigm, r.method, r.memory_size, r.task_index) for r in rows}
+    assert [a[:5] for a in aggregates] == sorted(keys)
+    for a in aggregates:
+        accuracies = [
+            r.test_accuracy for r in rows
+            if (r.paradigm, r.method, r.memory_size, r.task_index)
+            == (a.paradigm, a.method, a.memory_size, a.task_index)
+        ]
+        assert a.num_seeds == len(accuracies)
+        assert a.mean_acc == np.mean(accuracies)
+        assert a.std_acc == (np.std(accuracies, ddof=1) if len(accuracies) > 1 else 0.0)
+        if a.task_index == FINAL_TASK:  # a cell that stopped before it adds no row
+            assert a.num_seeds == sum(
+                len(accuracies) > FINAL_TASK for key, accuracies in cells.items()
+                if key[:3] == (a.paradigm, a.method, a.memory_size)
+            )
 
 
 def test_report_missing_input_exits_one(tmp_path, capsys):

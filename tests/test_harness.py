@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from gmcoreset import harness, memory as mem, nn
 from gmcoreset.grad_embed import EmbeddingConfig
+from gmcoreset.cli import aggregate_rows
 from gmcoreset.harness import (
     ExperimentConfig,
-    aggregate_rows,
     method_embedding,
     run_cell,
     sweep,
@@ -484,18 +484,18 @@ def test_sweep_row_and_aggregate_counts(tiny_scenario):
     config = tiny_config(
         methods=("reservoir", "sliding_window"), memory_sizes=(10, 20), seeds=(0, 1)
     )
-    result = sweep(config, tiny_scenario)
-    assert len(result.rows) == 2 * 2 * 2 * 3
-    assert len(aggregate_rows(result.rows)) == 4 * 3
-    assert len([a for a in aggregate_rows(result.rows) if a.task_index == 2]) == 4
-    assert not result.failures
+    rows, failures = sweep(config, tiny_scenario)
+    assert len(rows) == 2 * 2 * 2 * 3
+    assert len(aggregate_rows(rows)) == 4 * 3
+    assert len([a for a in aggregate_rows(rows) if a.task_index == 2]) == 4
+    assert not failures
 
 
 def test_sweep_aggregates_match_recomputation(tiny_scenario):
     config = tiny_config(methods=("reservoir",), memory_sizes=(10,), seeds=(0, 1, 2))
-    result = sweep(config, tiny_scenario)
-    finals = [r.test_accuracy for r in result.rows if r.task_index == 2]
-    [agg] = [a for a in aggregate_rows(result.rows) if a.task_index == 2]
+    rows, _ = sweep(config, tiny_scenario)
+    finals = [r.test_accuracy for r in rows if r.task_index == 2]
+    [agg] = [a for a in aggregate_rows(rows) if a.task_index == 2]
     assert agg.mean_acc == pytest.approx(np.mean(finals), abs=1e-12)
     assert agg.std_acc == pytest.approx(np.std(finals, ddof=1), abs=1e-12)
     assert agg.num_seeds == 3
@@ -503,9 +503,9 @@ def test_sweep_aggregates_match_recomputation(tiny_scenario):
 
 def test_sweep_is_deterministic(tiny_scenario):
     config = tiny_config(methods=("reservoir",), memory_sizes=(10,), seeds=(0, 1))
-    a = sweep(config, tiny_scenario)
-    b = sweep(config, tiny_scenario)
-    for ra, rb in zip(a.rows, b.rows):
+    a, _ = sweep(config, tiny_scenario)
+    b, _ = sweep(config, tiny_scenario)
+    for ra, rb in zip(a, b):
         assert (ra.method, ra.memory_size, ra.seed, ra.task_index) == (
             rb.method, rb.memory_size, rb.seed, rb.task_index
         )
@@ -514,9 +514,9 @@ def test_sweep_is_deterministic(tiny_scenario):
 
 def test_sweep_parallel_cells_match_serial(tiny_scenario):
     config = tiny_config(methods=("reservoir", "sliding_window"), memory_sizes=(10,), seeds=(0,))
-    serial = sweep(config, tiny_scenario, jobs=1)
-    parallel = sweep(config, tiny_scenario, jobs=2)
-    assert [r.test_accuracy for r in serial.rows] == [r.test_accuracy for r in parallel.rows]
+    serial, _ = sweep(config, tiny_scenario, jobs=1)
+    parallel, _ = sweep(config, tiny_scenario, jobs=2)
+    assert [r.test_accuracy for r in serial] == [r.test_accuracy for r in parallel]
 
 
 class InProcessExecutor:
@@ -551,9 +551,9 @@ def test_sweep_starts_no_more_workers_than_cells(tiny_scenario, monkeypatch, met
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     config = tiny_config(methods=methods, memory_sizes=(10,), seeds=(0,))
-    result = sweep(config, tiny_scenario, jobs=jobs)
+    rows, failures = sweep(config, tiny_scenario, jobs=jobs)
     assert started == pools
-    assert len(result.rows) == len(methods) * 3 and not result.failures
+    assert len(rows) == len(methods) * 3 and not failures
 
 
 def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch):
@@ -568,14 +568,14 @@ def test_sweep_records_partial_failures_and_continues(tiny_scenario, monkeypatch
 
     monkeypatch.setattr(mem, "reservoir_update", flaky)
     config = tiny_config(methods=("reservoir", "sliding_window"), memory_sizes=(10,), seeds=(0,))
-    result = sweep(config, tiny_scenario)
-    assert len(result.failures) == 1
-    failure = result.failures[0]
+    rows, failures = sweep(config, tiny_scenario)
+    assert len(failures) == 1
+    failure = failures[0]
     assert failure.method == "reservoir" and failure.task_index == 1
     assert failure.message == "synthetic fault"
     # the failing cell kept its first row; the healthy cell has all three
-    reservoir_rows = [r for r in result.rows if r.method == "reservoir"]
-    window_rows = [r for r in result.rows if r.method == "sliding_window"]
+    reservoir_rows = [r for r in rows if r.method == "reservoir"]
+    window_rows = [r for r in rows if r.method == "sliding_window"]
     assert len(reservoir_rows) == 1 and len(window_rows) == 3
 
 
@@ -596,10 +596,10 @@ def test_sweep_fails_a_lost_worker_process_at_task_minus_one(tiny_scenario, monk
     config = tiny_config(
         methods=("reservoir", "sliding_window", "class_balance"), memory_sizes=(10,), seeds=(0,)
     )
-    result = sweep(config, tiny_scenario, jobs=2)
+    rows, failures = sweep(config, tiny_scenario, jobs=2)
     assert [(f.method, f.memory_size, f.seed, f.task_index, f.message)
-            for f in result.failures] == [("sliding_window", 10, 0, -1, lost)]
-    assert [(r.method, r.task_index) for r in result.rows] == [
+            for f in failures] == [("sliding_window", 10, 0, -1, lost)]
+    assert [(r.method, r.task_index) for r in rows] == [
         (method, t) for method in ("class_balance", "reservoir") for t in range(3)
     ]
 
@@ -607,15 +607,17 @@ def test_sweep_fails_a_lost_worker_process_at_task_minus_one(tiny_scenario, monk
 def test_sweep_fails_a_cell_that_cannot_start_at_task_minus_one(tiny_scenario):
     # gmc's embedding dimension is 2 * 24 = 48, so it cannot hold 100 examples; reservoir can
     config = tiny_config(methods=("gmc", "reservoir"), memory_sizes=(100,), seeds=(0,))
-    serial, parallel = (sweep(config, tiny_scenario, jobs=jobs) for jobs in (1, 2))
-    [failure] = serial.failures
+    (serial, serial_failures), (parallel, parallel_failures) = (
+        sweep(config, tiny_scenario, jobs=jobs) for jobs in (1, 2)
+    )
+    [failure] = serial_failures
     assert (failure.method, failure.memory_size, failure.seed, failure.task_index) == (
         "gmc", 100, 0, -1
     )
     assert "exceed the embedding dimension 48" in failure.message
-    assert parallel.failures == serial.failures
-    assert [(r.method, r.task_index) for r in serial.rows] == [("reservoir", t) for t in range(3)]
-    assert [r.test_accuracy for r in parallel.rows] == [r.test_accuracy for r in serial.rows]
+    assert parallel_failures == serial_failures
+    assert [(r.method, r.task_index) for r in serial] == [("reservoir", t) for t in range(3)]
+    assert [r.test_accuracy for r in parallel] == [r.test_accuracy for r in serial]
 
 
 def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
@@ -628,14 +630,14 @@ def test_parallel_sweep_keeps_every_cell_after_a_failure(tiny_scenario):
 
     def rows(result):
         return [(r.method, r.memory_size, r.seed, r.task_index, r.test_accuracy)
-                for r in result.rows]
+                for r in result[0]]
 
     def failures(result):
         return [(f.method, f.memory_size, f.seed, f.task_index, f.message)
-                for f in result.failures]
+                for f in result[1]]
 
     assert [failure[:4] for failure in failures(serial)] == [("gmc_local", 20, 2, 2)]
-    assert len(serial.rows) == 2 + 3 * 3
+    assert len(serial[0]) == 2 + 3 * 3
     assert rows(parallel) == rows(serial)
     assert failures(parallel) == failures(serial)
 

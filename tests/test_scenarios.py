@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -247,6 +249,18 @@ def test_standardize_uses_train_statistics(blob_data):
     scale = train.features.std(axis=0)
     shift = train.features.mean(axis=0)
     assert np.allclose(stest.features, (test.features - shift) / scale)
+
+
+def test_standardize_builds_one_new_array_per_dataset():
+    data = synth_blobs(seed=0, n_per_class=500, num_classes=4, dims=50)
+    tracemalloc.start()
+    (standardized,) = standardize_features(data)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    # the result and small per-feature statistics; no temporary of its size held beside it
+    assert peak < 1.5 * data.features.nbytes
+    expected = (data.features - data.features.mean(axis=0)) / data.features.std(axis=0)
+    assert np.array_equal(standardized.features, expected)
 
 
 @settings(max_examples=25, deadline=None)
