@@ -18,6 +18,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import astuple, replace
 from functools import partial
 from typing import NamedTuple
@@ -25,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import harness, nn, scenarios
-from .grad_embed import EmbeddingConfig, embed_batch, embedding_peak_bytes
-from .memory import RehearsalMemory, gmc_update
+from .grad_embed import EmbeddingConfig, embedding_peak_bytes
 
 
 def _parse_bool(text: str) -> bool:
@@ -102,6 +102,16 @@ class ConfigError(ValueError):
     pass
 
 
+@contextmanager
+def up_front():
+    """Re-raise a ``ValueError`` or ``OSError`` of a command's up-front checks as a
+    ``ConfigError``, for which ``main`` exits 2."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise ConfigError(exc) from exc
+
+
 # The gradients of a one-class softmax classifier vanish, so there is
 # nothing to match and nothing to learn.
 SINGLE_CLASS = "the dataset holds a single class, whose gradients all vanish; need >= 2 classes"
@@ -169,6 +179,8 @@ def load_dataset(cfg: dict) -> scenarios.Dataset:
 
 
 def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
+    if cfg["data_seed"] < 0:
+        raise ConfigError(f"data_seed must be >= 0, got {cfg['data_seed']}")
     data = load_dataset(cfg)
     train, test = scenarios.train_test_split(data, cfg["test_fraction"], cfg["data_seed"])
     if cfg["standardize"]:
@@ -208,6 +220,22 @@ def experiment_config(cfg: dict) -> harness.ExperimentConfig:
 RAW_HEADER = "scenario,paradigm,method,memory_size,seed,task_index,test_accuracy,wall_time_s"
 AGG_HEADER = "scenario,paradigm,method,memory_size,mean_final_acc,std_final_acc,num_seeds"
 PER_TASK_HEADER = "scenario,paradigm,method,memory_size,task_index,mean_acc,std_acc,num_seeds"
+
+
+RUN_FILES = ("raw.csv", "timings.csv", "class_frequencies.csv", "scenario.txt", "manifest.txt")
+REPORT_FILES = ("report_final_accuracy.csv", "report_per_task.csv")
+
+
+def results_dir(out_dir: str, names) -> partial:
+    """Make ``out_dir`` and return its path joiner, unless a result file that ``names``
+    lists is there as anything but a writable regular file."""
+    out = partial(os.path.join, out_dir)
+    for name in names:
+        path = out(name)
+        if os.path.lexists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
+            raise ConfigError(f"--out {out_dir}: {name} exists and is not a writable file")
+    os.makedirs(out_dir, exist_ok=True)
+    return out
 
 
 def write_csv(path: str, header: str, records) -> None:
@@ -344,7 +372,7 @@ SELECT_METHODS = {pins["mode"]: m for m, pins in harness.GMC_PINS.items() if len
 
 def cmd_select(args) -> int:
     method = SELECT_METHODS[args.embedding]
-    try:
+    with up_front():
         cfg = {**resolve_args(args), "methods": (method,)}
         data = _read_csv(cfg)
         if cfg["standardize"]:
@@ -357,29 +385,22 @@ def cmd_select(args) -> int:
             raise ConfigError(f"--out {out} is a directory")
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ConfigError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        embedding = harness.method_embedding(config, method, 0)
-        columns = embed_batch(data.features, data.labels, arch, embedding)
-        selection, _ = gmc_update(RehearsalMemory(size), data.features, data.labels, columns)
-        write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
-        if selection.truncated:
-            print(
-                f"note: wrote {len(selection.indices)} of the {size} rows asked for; "
-                f"the gradient embeddings of the other rows depend linearly on them",
-                file=sys.stderr,
-            )
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # the coreset is the selection of the first update of a seed-0 run's empty memory
+    rehearsal = harness.Rehearsal(config, method, size, arch, 0)
+    selection, _ = harness.match_batch(rehearsal, data.features, data.labels)
+    write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
+    if selection.truncated:
+        print(
+            f"note: wrote {len(selection.indices)} of the {size} rows asked for; "
+            f"the gradient embeddings of the other rows depend linearly on them",
+            file=sys.stderr,
+        )
     return 0
 
 
 def cmd_run(args) -> int:
-    file_values: dict[str, str] = {}
-    try:
+    with up_front():
+        file_values = {}
         if args.config:
             with open(args.config) as fh:
                 file_values = parse_config_text(fh.read(), args.config)
@@ -389,14 +410,9 @@ def cmd_run(args) -> int:
         scenario = build_scenario(cfg)
         config, _ = checked_config(cfg, scenario)
         cfg["memory_sizes"] = config.memory_sizes
-        out_dir = cfg["out"]
-        os.makedirs(out_dir, exist_ok=True)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        out = results_dir(cfg["out"], RUN_FILES)
 
     rows, failures = harness.sweep(config, scenario, jobs=cfg["jobs"])
-    out = partial(os.path.join, out_dir)
     rows = [astuple(r) for r in rows]
     # raw.csv leaves the wall time empty, so an identical configuration reproduces it byte for
     # byte; timings.csv holds the measured times
@@ -431,32 +447,25 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     raw_path = os.path.join(args.results_dir, "raw.csv")
     scenario_path = os.path.join(args.results_dir, "scenario.txt")
-    try:
-        rows = read_raw_csv(raw_path)
-        if not rows:
-            raise ValueError(f"{raw_path}: no result rows")
-        with open(scenario_path) as fh:
+    # a missing or malformed results file is no configuration error: it exits 1
+    rows = read_raw_csv(raw_path)
+    if not rows:
+        raise ValueError(f"{raw_path}: no result rows")
+    with open(scenario_path) as fh:
+        try:
             final = int(parse_config_text(fh.read(), scenario_path)["num_batches"]) - 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    sizes = sorted({r.memory_size for r in rows})
-    size = sizes[-1] if args.memory_size is None else args.memory_size
-    if size not in sizes:
-        print(
-            f"error: memory size {size} is not in {raw_path}, "
-            f"which holds sizes {','.join(map(str, sizes))}",
-            file=sys.stderr,
-        )
-        return 2
-    out_dir = args.out or args.results_dir
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        except ConfigError as exc:
+            raise ValueError(exc) from exc
+    with up_front():
+        sizes = sorted({r.memory_size for r in rows})
+        size = sizes[-1] if args.memory_size is None else args.memory_size
+        if size not in sizes:
+            raise ConfigError(
+                f"memory size {size} is not in {raw_path}, "
+                f"which holds sizes {','.join(map(str, sizes))}"
+            )
+        out = results_dir(args.out or args.results_dir, REPORT_FILES)
 
-    out = partial(os.path.join, out_dir)
     aggregates = aggregate_rows(rows)
     finals = [a for a in aggregates if a.task_index == final]
     # AGG_HEADER's fields: all but the task index
@@ -503,12 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a command; the one place a failure becomes an exit code, after one ``error:``
+    line: 2 for a ``ConfigError`` of the up-front checks, 1 for any other exception."""
     args = build_parser().parse_args(argv)
-    if args.command == "select":
-        return cmd_select(args)
-    if args.command == "run":
-        return cmd_run(args)
-    return cmd_report(args)
+    try:
+        return {"select": cmd_select, "run": cmd_run, "report": cmd_report}[args.command](args)
+    except Exception as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

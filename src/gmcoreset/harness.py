@@ -30,8 +30,10 @@ GMC_PINS = {
 GMC_METHODS = tuple(GMC_PINS)
 
 
-def _matched(r: Rehearsal, X, y, p):
-    return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))[1]
+def match_batch(r: Rehearsal, X, y):
+    """Embed the batch (X, y) at ``r``'s draws: ``memory.gmc_update``'s (selection, next
+    memory) of ``r.memory`` and the batch."""
+    return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))
 
 
 def _matched_locally(r: Rehearsal, X, y, p):
@@ -50,8 +52,8 @@ def _matched_locally(r: Rehearsal, X, y, p):
 # embeds at the learner's params p.  Each entry looks its update up in
 # ``memory`` when called, so a rebound module attribute is the one that runs.
 UPDATES = {
-    "gmc": _matched,
-    "gmc_last_layer": _matched,
+    "gmc": lambda r, X, y, p: match_batch(r, X, y)[1],
+    "gmc_last_layer": lambda r, X, y, p: match_batch(r, X, y)[1],
     "gmc_local": _matched_locally,
     "reservoir": lambda r, X, y, p: mem.reservoir_update(r.memory, X, y, r.rng),
     "class_balance": lambda r, X, y, p: mem.class_balance_update(r.memory, X, y, r.rng),
@@ -236,7 +238,9 @@ def run_cell(
     """
     arch = nn.MlpArch(scenario.num_features, config.hidden, scenario.num_classes)
     rehearsal = Rehearsal(config, method, memory_size, arch, seed)
-    epochs = config.replay_epochs or max(1, config.train.epochs // scenario.num_tasks)
+    # replay splits the epochs over the tasks, at least one each, but 0 trains nothing
+    total = config.train.epochs
+    epochs = config.replay_epochs or min(total, max(1, total // scenario.num_tasks))
     params = nn.init_sample(arch, seed)  # gdumb's first draw, seed ^ 0, is replay's only one
     # replay's Adam moments carry over from task to task; gdumb's nn.train starts afresh
     adam = None if config.paradigm == "gdumb" else nn.AdamState.zeros(params)

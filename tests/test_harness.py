@@ -432,6 +432,28 @@ def test_replay_steps_epochs_times_minibatches_per_task(tiny_scenario, monkeypat
     assert steps == [2 * -(-sizes[0] // batch)] + [2 * -(-s // (batch // 2)) for s in sizes[1:]]
 
 
+def adam_steps(monkeypatch, scenario, paradigm, epochs):
+    steps = count_steps(monkeypatch, harness, "run_cell")
+    config = tiny_config(paradigm=paradigm, train=nn.TrainConfig(batch_size=10, epochs=epochs))
+    _, failure = harness.run_cell(scenario, "reservoir", 15, config, 0)
+    assert failure is None
+    return steps.pop()
+
+
+@pytest.mark.parametrize("paradigm", harness.PARADIGMS)
+def test_zero_epochs_take_no_adam_step_in_either_paradigm(tiny_scenario, monkeypatch, paradigm):
+    assert adam_steps(monkeypatch, tiny_scenario, paradigm, epochs=0) == 0
+
+
+def test_replay_trains_each_task_at_least_one_epoch_below_one_epoch_per_task(
+    tiny_scenario, monkeypatch
+):
+    # three tasks: one epoch in all floors to one per task, as three in all give
+    assert tiny_scenario.num_tasks == 3
+    one = adam_steps(monkeypatch, tiny_scenario, "replay", epochs=1)
+    assert one == adam_steps(monkeypatch, tiny_scenario, "replay", epochs=3) > 0
+
+
 def record_training_scopes(monkeypatch):
     """Patch the learner so each gradient and Adam call records which of
     ``nn.train`` / ``nn.train_steps`` are open around it."""

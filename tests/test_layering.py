@@ -1,6 +1,6 @@
 """The package's layers: embedding and selection import nothing above themselves.
 
-Only ``harness`` and ``cli`` combine the embedding (``grad_embed``) with
+Only ``harness`` combines the embedding (``grad_embed``) with
 the selection rules (``memory``), and only ``memory`` reaches the solver
 (``matching_pursuit``).  Each check parses a module's source, so imports
 inside functions count too.
@@ -20,16 +20,19 @@ ALLOWED = {
     "memory": {"matching_pursuit"},
     "grad_embed": {"nn"},
     "harness": {"grad_embed", "memory", "nn", "scenarios"},
-    "cli": {"grad_embed", "harness", "memory", "nn", "scenarios"},
+    "cli": {"grad_embed", "harness", "nn", "scenarios"},
 }
+
+
+def parsed(module: str, package: str = PACKAGE) -> ast.Module:
+    with open(os.path.join(package, f"{module}.py")) as fh:
+        return ast.parse(fh.read(), filename=f"{module}.py")
 
 
 def package_imports(module: str, package: str = PACKAGE) -> set[str]:
     """The package modules ``module``'s source imports, by their names in the package."""
-    with open(os.path.join(package, f"{module}.py")) as fh:
-        tree = ast.parse(fh.read(), filename=f"{module}.py")
     found = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(parsed(module, package)):
         if isinstance(node, ast.Import):
             found.update(
                 alias.name.split(".")[1] for alias in node.names
@@ -64,6 +67,22 @@ def test_package_imports_reads_every_import_form(tmp_path):
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_the_layers_below_it(module):
     assert package_imports(module) <= ALLOWED[module]
+
+
+def called_names(module: str) -> set[str]:
+    """The names ``module``'s source calls, bare or as an attribute."""
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(parsed(module))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_harness_calls_both_the_embedding_and_the_selection():
+    modules = [name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")]
+    both = {m for m in modules if {"embed_batch", "gmc_update"} <= called_names(m)}
+    assert both == {"harness"}
+    assert not {"embed_batch", "gmc_update"} & called_names("cli")
 
 
 def test_only_memory_imports_the_solver():
