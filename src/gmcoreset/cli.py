@@ -99,7 +99,7 @@ CONFIG_SCHEMA = {
 
 
 class ConfigError(ValueError):
-    pass
+    """An up-front check's failure, for which ``main`` exits 2; only ``up_front`` makes one."""
 
 
 @contextmanager
@@ -125,7 +125,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ValueError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
@@ -137,7 +137,7 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> di
     or starting or ending with whitespace."""
     unknown = sorted(set(file_values) - set(CONFIG_SCHEMA))
     if unknown:
-        raise ConfigError("unknown configuration keys: " + ", ".join(unknown))
+        raise ValueError("unknown configuration keys: " + ", ".join(unknown))
     resolved = {}
     for key, (parser, default) in CONFIG_SCHEMA.items():
         if key in overrides and overrides[key] is not None:
@@ -149,14 +149,14 @@ def resolve_config(file_values: dict[str, str], overrides: dict[str, str]) -> di
             continue
         raw = str(raw)
         if "#" in raw or len((raw + ".").splitlines()) > 1 or raw != raw.strip():
-            raise ConfigError(
+            raise ValueError(
                 f"bad value for {key!r}: {raw!r} would not read back from the manifest "
                 "(it holds '#' or a line break, or starts or ends with whitespace)"
             )
         try:
             resolved[key] = parser(raw)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}")
+            raise ValueError(f"bad value for {key!r}: {exc}")
     return resolved
 
 
@@ -180,7 +180,7 @@ def load_dataset(cfg: dict) -> scenarios.Dataset:
 
 def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
     if cfg["data_seed"] < 0:
-        raise ConfigError(f"data_seed must be >= 0, got {cfg['data_seed']}")
+        raise ValueError(f"data_seed must be >= 0, got {cfg['data_seed']}")
     data = load_dataset(cfg)
     train, test = scenarios.train_test_split(data, cfg["test_fraction"], cfg["data_seed"])
     if cfg["standardize"]:
@@ -194,7 +194,7 @@ def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
         return scenarios.make_iid_incremental(
             train, test, cfg["num_batches"], seed=cfg["data_seed"]
         )
-    raise ConfigError(f"unknown scenario kind {cfg['scenario']!r}")
+    raise ValueError(f"unknown scenario kind {cfg['scenario']!r}")
 
 
 def experiment_config(cfg: dict) -> harness.ExperimentConfig:
@@ -227,13 +227,16 @@ REPORT_FILES = ("report_final_accuracy.csv", "report_per_task.csv")
 
 
 def results_dir(out_dir: str, names) -> partial:
-    """Make ``out_dir`` and return its path joiner, unless a result file that ``names``
-    lists is there as anything but a writable regular file."""
+    """Make ``out_dir`` and return its path joiner, unless it is a directory the process
+    cannot write into or a result file that ``names`` lists is there as anything but a
+    writable regular file."""
     out = partial(os.path.join, out_dir)
+    if os.path.isdir(out_dir) and not os.access(out_dir, os.W_OK | os.X_OK):
+        raise ValueError(f"--out {out_dir}: the directory is not writable")
     for name in names:
         path = out(name)
         if os.path.lexists(path) and not (os.path.isfile(path) and os.access(path, os.W_OK)):
-            raise ConfigError(f"--out {out_dir}: {name} exists and is not a writable file")
+            raise ValueError(f"--out {out_dir}: {name or out_dir} exists and is not a writable file")
     os.makedirs(out_dir, exist_ok=True)
     return out
 
@@ -256,6 +259,9 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [name for name in RAW_HEADER.split(",") if name not in (reader.fieldnames or ())]
+        if reader.fieldnames and missing:  # an empty file holds no rows, checked by the caller
+            raise ValueError(f"{path}: no {', '.join(missing)} column")
         for rec in reader:
             rows.append(harness.ResultRow(
                 rec["scenario"], rec["paradigm"], rec["method"],
@@ -340,7 +346,7 @@ def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScena
     memory holds plus those it is offered (gradient matching only), exceeds physical memory raise.
     """
     if data.num_classes < 2:
-        raise ConfigError(SINGLE_CLASS)
+        raise ValueError(SINGLE_CLASS)
     config = experiment_config(cfg)
     arch = nn.MlpArch(data.num_features, config.hidden, data.num_classes)
     sizes = harness.feasible_memory_sizes(config, arch, cfg["memory_sizes"])
@@ -358,7 +364,7 @@ def checked_config(cfg: dict, data: scenarios.Dataset | scenarios.ContinualScena
         if method in harness.GMC_METHODS:
             embedding = embedding_peak_bytes(harness.method_embedding(config, method, 0), arch, rows)
         if learner + embedding > physical:
-            raise ConfigError(
+            raise ValueError(
                 f"{method} needs {learner / 2**30:.3g} GiB for its model and "
                 f"{embedding / 2**30:.3g} GiB to embed {rows} examples, more than the "
                 f"{physical / 2**30:.3g} GiB of physical memory (reduce hidden, draws or proj_dim)"
@@ -380,11 +386,11 @@ def cmd_select(args) -> int:
         config, arch = checked_config(cfg, data)
         (size,), out = config.memory_sizes, cfg["out"]
         if size > data.num_examples:
-            raise ConfigError(f"coreset size {size} exceeds the dataset size {data.num_examples}")
-        if os.path.isdir(out):
-            raise ConfigError(f"--out {out} is a directory")
+            raise ValueError(f"coreset size {size} exceeds the dataset size {data.num_examples}")
+        # select, unlike run, makes no directory
         if not os.path.isdir(os.path.dirname(out) or "."):
-            raise ConfigError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+            raise ValueError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
+        results_dir(os.path.dirname(out) or ".", [os.path.basename(out)])
     # the coreset is the selection of the first update of a seed-0 run's empty memory
     rehearsal = harness.Rehearsal(config, method, size, arch, 0)
     selection, _ = harness.match_batch(rehearsal, data.features, data.labels)
@@ -406,7 +412,7 @@ def cmd_run(args) -> int:
                 file_values = parse_config_text(fh.read(), args.config)
         cfg = resolve_args(args, file_values)
         if cfg["jobs"] < 1:
-            raise ConfigError(f"jobs must be >= 1, got {cfg['jobs']}")
+            raise ValueError(f"jobs must be >= 1, got {cfg['jobs']}")
         scenario = build_scenario(cfg)
         config, _ = checked_config(cfg, scenario)
         cfg["memory_sizes"] = config.memory_sizes
@@ -452,15 +458,19 @@ def cmd_report(args) -> int:
     if not rows:
         raise ValueError(f"{raw_path}: no result rows")
     with open(scenario_path) as fh:
-        try:
-            final = int(parse_config_text(fh.read(), scenario_path)["num_batches"]) - 1
-        except ConfigError as exc:
-            raise ValueError(exc) from exc
+        num_batches = parse_config_text(fh.read(), scenario_path).get("num_batches", "missing")
+    last = max(r.task_index for r in rows)
+    if not (num_batches.isdecimal() and int(num_batches) > last):
+        raise ValueError(
+            f"{scenario_path}: num_batches is {num_batches}, "
+            f"not an integer above {raw_path}'s largest task_index, {last}"
+        )
+    final = int(num_batches) - 1
     with up_front():
         sizes = sorted({r.memory_size for r in rows})
         size = sizes[-1] if args.memory_size is None else args.memory_size
         if size not in sizes:
-            raise ConfigError(
+            raise ValueError(
                 f"memory size {size} is not in {raw_path}, "
                 f"which holds sizes {','.join(map(str, sizes))}"
             )

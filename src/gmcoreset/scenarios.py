@@ -98,7 +98,7 @@ def load_csv(path: str, label_column: int | str = -1, has_header: bool = True) -
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    ncols = len(rows[0])
+    ncols = len(header or rows[0])  # a header sets the row width
     if isinstance(label_column, str):
         if header is None:
             raise ValueError("label column by name requires a header")

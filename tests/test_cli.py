@@ -2,7 +2,9 @@ import contextlib
 import glob
 import io
 import os
+import shutil
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gmcoreset import cli, harness, nn, scenarios
-from gmcoreset.cli import ConfigError, main, parse_config_text, resolve_config
+from gmcoreset.cli import main, parse_config_text, resolve_config
 from gmcoreset.grad_embed import EmbeddingConfig
 from gmcoreset.harness import _train_seed, method_embedding, run_cell
 from gmcoreset.scenarios import (
@@ -51,6 +53,12 @@ def write_blob_csv(tmp_path, seed=0, n_per_class=20, classes=2, dims=4):
     return str(path), data
 
 
+def refuse_writes_into(monkeypatch, directory):
+    """Have ``os.access`` refuse ``directory``: it stands in for permissions, which root passes."""
+    access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode: path != str(directory) and access(path, mode))
+
+
 # --- configuration parsing -----------------------------------------------------
 
 
@@ -60,12 +68,12 @@ def test_parse_flat_config():
 
 
 def test_parse_rejects_malformed_line():
-    with pytest.raises(ConfigError, match="key = value"):
+    with pytest.raises(ValueError, match="key = value"):
         parse_config_text("not a kv line")
 
 
 def test_resolve_rejects_unknown_keys_listing_all():
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         resolve_config({"zzz": "1", "aaa": "2", "epochs": "5"}, {})
     assert "aaa" in str(err.value) and "zzz" in str(err.value)
 
@@ -142,7 +150,7 @@ def test_select_rejects_single_class_before_embedding(tmp_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize("out, message", [
-    (".", "is a directory"), ("missing/coreset.csv", "does not exist"),
+    (".", "exists and is not a writable file"), ("missing/coreset.csv", "does not exist"),
 ], ids=["directory", "missing-parent"])
 def test_select_unwritable_out_exits_two_before_embedding(tmp_path, capsys, monkeypatch, out, message):
     path, _ = write_blob_csv(tmp_path)
@@ -153,6 +161,59 @@ def test_select_unwritable_out_exits_two_before_embedding(tmp_path, capsys, monk
     ])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, message", [
+    ("", "--out .: . exists and is not a writable file"),
+    ("dir/", "--out dir: dir exists and is not a writable file"),
+], ids=["empty", "directory-with-slash"])
+def test_select_out_naming_no_file_exits_two_before_embedding(
+    tmp_path, capsys, monkeypatch, out, message
+):
+    path, _ = write_blob_csv(tmp_path)
+    (tmp_path / "dir").mkdir()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    code = main([
+        "select", path, "-n", "2", "--out", out, "--label-column", "label",
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "dir"]
+    assert os.listdir(tmp_path / "dir") == []
+
+
+def test_select_csv_with_a_row_shorter_than_its_header_exits_two(tmp_path, capsys, monkeypatch):
+    # found by check_select_contract: the header's label column lay past the first row's end,
+    # an IndexError that exited 1
+    path = tmp_path / "short.csv"
+    path.write_text("f0,label\n0.0\n0.0,1\n0.0,0\n0.0,1\n")
+    monkeypatch.setattr(harness, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    code = main([
+        "select", str(path), "-n", "1", "--out", str(tmp_path / "x.csv"), "--label-column", "label",
+        "--hidden", "", "--proj-dim", "4", "--draws", "1",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}: row 0 has 1 cells, expected 2"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_select_into_a_directory_it_cannot_write_exits_two_before_embedding(
+    tmp_path, capsys, monkeypatch
+):
+    path, _ = write_blob_csv(tmp_path)
+    out = tmp_path / "o"
+    out.mkdir()
+    refuse_writes_into(monkeypatch, out)
+    monkeypatch.setattr(harness, "embed_batch", lambda *a, **k: pytest.fail("embedded"))
+    code = main([
+        "select", path, "-n", "2", "--out", str(out / "coreset.csv"), "--label-column", "label",
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: the directory is not writable"]
+    assert os.listdir(out) == []
 
 
 def test_select_rejects_an_embedding_beyond_physical_memory_before_embedding(
@@ -499,6 +560,18 @@ def test_run_out_holding_a_read_only_result_file_exits_two(tmp_path, capsys, mon
     assert (out / "raw.csv").read_text() == "kept\n"
 
 
+def test_run_into_a_directory_it_cannot_write_exits_two_before_any_cell(
+    tmp_path, capsys, monkeypatch
+):
+    out = tmp_path / "o"
+    out.mkdir()
+    refuse_writes_into(monkeypatch, out)
+    monkeypatch.setattr(harness, "sweep", lambda *a, **k: pytest.fail("a cell ran"))
+    assert main(["run", "--config", write_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: --out {out}: the directory is not writable"]
+    assert os.listdir(out) == []
+
+
 def test_a_write_that_fails_after_the_sweep_exits_one_with_one_error_line(
     tmp_path, capsys, monkeypatch
 ):
@@ -766,6 +839,48 @@ def test_report_malformed_scenario_txt_exits_one(tmp_path, capsys):
     assert "expected 'key = value'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line, value", [("num_batches = 0\n", "0"), ("", "missing"),
+                                         ("num_batches = 2\n", "2"), ("num_batches = x\n", "x")],
+                         ids=["zero", "missing", "no-larger-than-a-task-index", "not-an-integer"])
+def test_report_rejects_a_num_batches_short_of_raw_csv_s_tasks(tmp_path, capsys, line, value):
+    # a num_batches that names no final task of raw.csv would mark every cell failed
+    out = str(tmp_path / "fake")
+    write_results(out, [f"sorted,gdumb,reservoir,10,0,{task},0.75," for task in range(3)], 3)
+    scenario_txt = os.path.join(out, "scenario.txt")
+    with open(scenario_txt, "w") as fh:
+        fh.write("kind = sorted\n" + line)
+    assert main(["report", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {scenario_txt}: num_batches is {value}, "
+        f"not an integer above {out}/raw.csv's largest task_index, 2"
+    ]
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
+
+
+def test_report_names_the_column_raw_csv_lacks(tmp_path, capsys):
+    out = str(tmp_path / "fake")
+    write_results(out, [], num_batches=1)
+    raw = os.path.join(out, "raw.csv")
+    with open(raw, "w") as fh:
+        fh.write(cli.RAW_HEADER.replace("method,", "") + "\nsorted,gdumb,10,0,0,0.75,\n")
+    assert main(["report", out]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {raw}: no method column"]
+    assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
+
+
+def test_report_into_a_directory_it_cannot_write_exits_two_before_any_write(
+    finished_run, capsys, monkeypatch
+):
+    refuse_writes_into(monkeypatch, finished_run)
+    assert main(["report", finished_run]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: --out {finished_run}: the directory is not writable"]
+    assert captured.out == ""
+    assert sorted(os.listdir(finished_run)) == sorted(cli.RUN_FILES)
+
+
 def test_report_std_of_identical_accuracies_is_zero(tmp_path):
     out = str(tmp_path / "fake")
     write_results(out, [f"sorted,gdumb,reservoir,10,{seed},0,0.75," for seed in range(3)], 1)
@@ -992,3 +1107,272 @@ def test_a_drawn_run_config_completes_or_exits_two_up_front(values):
 @given(values=RUN_CONFIGS)
 def test_a_drawn_run_config_completes_or_exits_two_up_front_longer_search(values):
     check_run_contract(values)
+
+
+# --- the contract of select and report, over drawn inputs ----------------------------
+
+
+@contextlib.contextmanager
+def inside(directory):
+    """Work in ``directory``, then go back (``contextlib.chdir`` needs Python 3.11)."""
+    before = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+def tree(directory):
+    """Every path under ``directory`` with its bytes (``None`` for a directory)."""
+    found = {}
+    for root, dirs, files in os.walk(directory):
+        found.update({os.path.join(root, d): None for d in dirs})
+        for name in files:
+            with open(os.path.join(root, name), "rb") as fh:
+                found[os.path.join(root, name)] = fh.read()
+    return found
+
+
+# select's --out, relative to the directory it runs in, which holds "dir" and "existing.csv":
+# two file names, then four that name no file in an existing directory
+SELECT_OUTS = ["coreset.csv", "existing.csv", "", ".", "dir/", "missing/coreset.csv"]
+
+# Values that may replace a flag's valid one: zeros, negative seeds, a coreset larger
+# than any drawn dataset, --out names that are no file, and label columns and header
+# flags that may not fit the CSV.
+SELECT_EDGES = {
+    "-n": st.sampled_from(["0", "99"]),
+    "--out": st.sampled_from(SELECT_OUTS[2:]),
+    "--draws": st.just("0"),
+    "--proj-dim": st.just("0"),
+    "--hidden": st.sampled_from(["0", "8,0"]),
+    "--init-seed": st.just("-1"),
+    "--proj-seed": st.just("-1"),
+    "--label-column": st.sampled_from(["label", "0", "9", "nope"]),
+    "--header": st.sampled_from(["--header", "--no-header"]),
+}
+
+
+@st.composite
+def select_cases(draw):
+    """A CSV of 4-8 rows, each repeated up to twice, with or without a header, integer or
+    string labels of 1-3 classes, and in one draw in five a flaw: a non-numeric cell, a
+    ragged row or a nan; one draw in eight has no rows, an empty or a header-only file.
+    Then ``select`` flags that fit it, up to two of them replaced by ``SELECT_EDGES``.
+    Draws, proj_dim and hidden are always small: the defaults take a second to embed."""
+    dims, classes = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3, 1]))
+    names = draw(st.sampled_from([["0", "1", "2"], ["cat", "dog", "eel"]]))
+    features = st.lists(st.floats(-3.0, 3.0).map(repr), min_size=dims, max_size=dims)
+    rows = draw(st.lists(features, min_size=4, max_size=8)) if draw(st.integers(0, 7)) else []
+    rows = [[*cells, names[i % classes]] for i, cells in enumerate(rows)] * draw(st.integers(1, 2))
+    flaw = None if draw(st.integers(0, 4)) else draw(st.sampled_from(["non-numeric", "ragged", "nan"]))
+    if rows and flaw:
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at] = list(rows[at])  # a repeated row keeps its first copy whole
+        if flaw == "ragged":
+            row.pop()
+        else:
+            row[draw(st.integers(0, dims - 1))] = "abc" if flaw == "non-numeric" else "nan"
+    header = [[*(f"f{i}" for i in range(dims)), "label"]] if draw(st.booleans()) else []
+    text = "".join(",".join(row) + "\n" for row in header + rows)
+
+    flags = draw(st.fixed_dictionaries({
+        "-n": st.integers(1, 6).map(str),
+        "--out": st.sampled_from(SELECT_OUTS[:2]),
+        "--draws": st.integers(1, 3).map(str),
+        "--proj-dim": st.integers(4, 16).map(str),
+        "--hidden": listed(st.integers(1, 8), min_size=0),
+    }, optional={
+        "--init-seed": st.integers(0, 3).map(str),
+        "--proj-seed": st.integers(0, 3).map(str),
+        "--label-column": st.sampled_from(["label", "-1"] if header else ["-1"]),
+        "--header": st.just("--header" if header else "--no-header"),  # the default is --header
+        "--standardize": st.sampled_from(["--standardize", "--no-standardize"]),
+        "--embedding": st.sampled_from(sorted(cli.SELECT_METHODS)),
+    }))
+    if not header:
+        flags["--header"] = "--no-header"
+    edges = draw(st.lists(st.sampled_from(sorted(SELECT_EDGES)), max_size=2, unique=True))
+    flags.update({key: draw(SELECT_EDGES[key]) for key in edges})
+    argv = [word for key, value in flags.items() for word in (
+        [value] if key in ("--header", "--standardize") else [key, value]
+    )]
+    return text, argv
+
+
+def check_select_contract(text, flags):
+    """``select`` on the CSV ``text`` exits 0 with at most ``n`` distinct in-range rows of
+    finite weights (fewer only with its note), 2 with one ``error:`` line before any
+    embedding and with no file written, or 1 with one ``error:`` line naming a known overflow."""
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
+        with open("data.csv", "w") as fh:
+            fh.write(text)
+        with open("existing.csv", "w") as fh:
+            fh.write("kept\n")
+        os.mkdir("dir")
+        before = tree(".")
+        stderr = io.StringIO()
+        with mock.patch.object(harness, "embed_batch", wraps=harness.embed_batch) as embed:
+            with contextlib.redirect_stderr(stderr):
+                code = main(["select", "data.csv", *flags])
+        err = stderr.getvalue().splitlines()
+        event(f"exit {code}")
+        assert code in (0, 1, 2), err
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert tree(".") == before
+            assert not (code == 2 and embed.called)
+            assert code == 2 or any(cause in err[0] for cause in KNOWN_CELL_FAILURES), err
+            return
+        n, out = int(flags[flags.index("-n") + 1]), flags[flags.index("--out") + 1]
+        with open(out) as fh:
+            lines = fh.read().splitlines()
+        assert lines[0] == "row_index,weight"
+        indices = [int(line.split(",")[0]) for line in lines[1:]]
+        weights = np.array([float(line.split(",")[1]) for line in lines[1:]])
+        rows = len(text.splitlines()) - ("--no-header" not in flags)
+        assert len(set(indices)) == len(indices) <= n
+        assert all(0 <= i < rows for i in indices) and np.isfinite(weights).all()
+        if len(indices) < n:
+            assert len(err) == 1 and err[0].startswith(
+                f"note: wrote {len(indices)} of the {n} rows asked for;"
+            ), err
+        else:
+            assert err == [], err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=select_cases())
+def test_a_drawn_select_completes_or_exits_two_up_front(case):
+    check_select_contract(*case)
+
+
+@pytest.mark.slow
+@settings(max_examples=3000, deadline=None)
+@given(case=select_cases())
+def test_a_drawn_select_completes_or_exits_two_up_front_longer_search(case):
+    check_select_contract(*case)
+
+
+@pytest.fixture(scope="module")
+def tiny_results(tmp_path_factory):
+    """The results of a 3-task run of reservoir at memory sizes 10 and 15, seeds 0 and 1."""
+    tmp = tmp_path_factory.mktemp("tiny")
+    out = str(tmp / "results")
+    code = main(["run", "--config", write_config(tmp), "--out", out,
+                 "--memory-sizes", "10,15", "--seed", "0,1"])
+    assert code == 0
+    return out
+
+
+RAW_COLUMNS = cli.RAW_HEADER.split(",")
+
+# The perturbations of a results directory.  raw.csv: kept, missing, empty, header only
+# or without a column; scenario.txt: kept, missing, without num_batches, with a
+# num_batches that is no integer above raw.csv's largest task_index (2), or with one
+# above it, as if every cell stopped a task early.
+REPORT_RAW = ["kept", "missing", "empty", "header only", *(f"no {c}" for c in RAW_COLUMNS)]
+REPORT_SCENARIO = ["kept", "missing", "no num_batches", "0", "1", "2", "x", "4"]
+# --out, relative to the directory report runs in, which holds "dir" and "existing.csv"
+REPORT_OUTS = [None, "tables", "", ".", "dir/", "missing/tables", "existing.csv"]
+
+
+def perturb_results(results, raw, scenario):
+    """Rewrite ``results``'s raw.csv and scenario.txt as ``raw`` and ``scenario`` name."""
+    raw_csv, scenario_txt = (os.path.join(results, name) for name in ("raw.csv", "scenario.txt"))
+    with open(raw_csv) as fh:
+        table = [line.split(",") for line in fh.read().splitlines()]
+    if raw.startswith("no "):
+        at = table[0].index(raw[3:])
+        table = [row[:at] + row[at + 1:] for row in table]
+    os.remove(raw_csv)
+    if raw != "missing":
+        with open(raw_csv, "w") as fh:
+            kept = {"empty": 0, "header only": 1}.get(raw)  # None keeps every line
+            fh.writelines(",".join(row) + "\n" for row in table[:kept])
+    with open(scenario_txt) as fh:
+        lines = [line for line in fh.read().splitlines() if not line.startswith("num_batches")]
+    os.remove(scenario_txt)
+    if scenario != "missing":
+        if scenario != "no num_batches":
+            lines.append(f"num_batches = {3 if scenario == 'kept' else scenario}")
+        with open(scenario_txt, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+
+
+def expected_report(raw, scenario, memory_size, out):
+    """The exit code ``report`` must give, and words its one error line must hold."""
+    if raw != "kept":
+        return 1, ["raw.csv", {"missing": "No such file", "empty": "no result rows",
+                               "header only": "no result rows"}.get(raw, f"no {raw[3:]} column")]
+    if scenario in ("missing", "no num_batches", "0", "1", "2", "x"):
+        return 1, ["scenario.txt", "No such file" if scenario == "missing" else "num_batches is"]
+    if memory_size == "16":
+        return 2, ["memory size 16 is not in"]
+    return (2, ["File exists: 'existing.csv'"]) if out == "existing.csv" else (0, [])
+
+
+def check_report_contract(results, raw, scenario, memory_size, out):
+    """``report`` on a copy of ``results`` perturbed as ``raw`` and ``scenario`` name exits
+    0 with both tables, or 1 or 2 as ``expected_report`` says, with one ``error:`` line,
+    no table printed and no file written."""
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
+        shutil.copytree(results, "results")
+        perturb_results("results", raw, scenario)
+        with open("existing.csv", "w") as fh:
+            fh.write("kept\n")
+        os.mkdir("dir")
+        before = tree(".")
+        argv = ["report", "results"]
+        argv += ["--memory-size", memory_size] if memory_size else []
+        argv += ["--out", out] if out is not None else []
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue().splitlines()
+        event(f"exit {code}")
+        expected, words = expected_report(raw, scenario, memory_size, out)
+        assert code == expected, err
+        if code:
+            assert len(err) == 1 and err[0].startswith("error: "), err
+            assert all(word in err[0] for word in words), err
+            assert stdout.getvalue() == "" and tree(".") == before
+            return
+        assert err == []
+        tables = out or "results"
+        written = {os.path.normpath(p) for p, data in tree(".").items() if data is not None
+                   and p not in before}
+        assert written == {os.path.normpath(os.path.join(tables, name)) for name in cli.REPORT_FILES}
+        with open(os.path.join(tables, "report_final_accuracy.csv")) as fh:
+            final = fh.read().splitlines()
+        with open(os.path.join(tables, "report_per_task.csv")) as fh:
+            per_task = [line.split(",") for line in fh.read().splitlines()]
+        assert final[0] == cli.AGG_HEADER and per_task[0] == cli.PER_TASK_HEADER.split(",")
+        # a num_batches of 4 names a task no cell reached: every cell failed
+        assert [line.split(",")[3] for line in final[1:]] == ([] if scenario == "4" else ["10", "15"])
+        assert [row[3:5] for row in per_task[1:]] == [[memory_size or "15", str(t)] for t in range(3)]
+        table = stdout.getvalue().splitlines()
+        assert table[0] == "final accuracy, sorted scenario, gdumb (2 seeds)"
+        assert ("failed" in table[2]) == (scenario == "4")
+
+
+# a kept raw.csv and a usable scenario.txt more often than not, so most draws reach --out
+REPORT_CASES = st.tuples(
+    st.just("kept") | st.sampled_from(REPORT_RAW),
+    st.sampled_from(["kept", "4"]) | st.sampled_from(REPORT_SCENARIO),
+    st.sampled_from([None, "10", "15", "16"]), st.sampled_from(REPORT_OUTS),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=REPORT_CASES)
+def test_a_perturbed_results_directory_reports_or_fails_as_it_must(tiny_results, case):
+    check_report_contract(tiny_results, *case)
+
+
+@pytest.mark.slow
+@settings(max_examples=1000, deadline=None)
+@given(case=REPORT_CASES)
+def test_a_perturbed_results_directory_reports_or_fails_as_it_must_longer_search(tiny_results, case):
+    check_report_contract(tiny_results, *case)

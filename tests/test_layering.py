@@ -2,7 +2,8 @@
 
 Only ``harness`` combines the embedding (``grad_embed``) with
 the selection rules (``memory``), and only ``memory`` reaches the solver
-(``matching_pursuit``).  Each check parses a module's source, so imports
+(``matching_pursuit``).  Only ``cli.up_front`` makes the ``ConfigError``
+for which ``main`` exits 2.  Each check parses a module's source, so imports
 inside functions count too.
 """
 
@@ -69,13 +70,18 @@ def test_module_imports_only_the_layers_below_it(module):
     assert package_imports(module) <= ALLOWED[module]
 
 
+def calls(tree: ast.AST) -> list[str]:
+    """The name of each call in ``tree``, bare or as an attribute."""
+    return [
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+
+
 def called_names(module: str) -> set[str]:
     """The names ``module``'s source calls, bare or as an attribute."""
-    return {
-        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
-        for node in ast.walk(parsed(module))
-        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
-    }
+    return set(calls(parsed(module)))
 
 
 def test_only_harness_calls_both_the_embedding_and_the_selection():
@@ -90,3 +96,16 @@ def test_only_memory_imports_the_solver():
     modules = [name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")]
     importers = {m for m in modules if "matching_pursuit" in package_imports(m)}
     assert importers == {"__init__", "memory"}
+
+
+def test_only_up_front_makes_a_config_error():
+    # where a failure is raised, inside a command's up-front block or after it, alone
+    # decides its exit code, so no check may choose exit 2 by raising ConfigError itself
+    modules = [name[:-3] for name in os.listdir(PACKAGE) if name.endswith(".py")]
+    makers = {m: calls(parsed(m)).count("ConfigError") for m in modules}
+    assert {m: count for m, count in makers.items() if count} == {"cli": 1}
+    (up_front,) = (
+        node for node in ast.walk(parsed("cli"))
+        if isinstance(node, ast.FunctionDef) and node.name == "up_front"
+    )
+    assert calls(up_front).count("ConfigError") == 1

@@ -49,6 +49,14 @@ def test_load_csv_rejects_non_numeric_feature(tmp_path):
         load_csv(str(path))
 
 
+def test_load_csv_measures_rows_against_the_header(tmp_path):
+    # the first row once set the width, so a label column the header names fell past its end
+    path = tmp_path / "short.csv"
+    path.write_text("x,label\n0.5\n0.5,a\n")
+    with pytest.raises(ValueError, match="row 0 has 1 cells, expected 2"):
+        load_csv(str(path), label_column="label")
+
+
 def test_csv_round_trip(tmp_path, blob_data):
     path = tmp_path / "round.csv"
     save_csv(blob_data, str(path))
