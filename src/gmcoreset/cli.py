@@ -169,19 +169,16 @@ def _read_csv(cfg: dict) -> scenarios.Dataset:
     return scenarios.load_csv(cfg["dataset"], label, cfg["has_header"])
 
 
-def load_dataset(cfg: dict) -> scenarios.Dataset:
-    if cfg["dataset"] == "synthetic":
-        return scenarios.synth_blobs(
-            cfg["data_seed"], cfg["synth_per_class"], cfg["synth_classes"],
-            cfg["synth_dims"], cfg["synth_drift"],
-        )
-    return _read_csv(cfg)
-
-
 def build_scenario(cfg: dict) -> scenarios.ContinualScenario:
     if cfg["data_seed"] < 0:
         raise ValueError(f"data_seed must be >= 0, got {cfg['data_seed']}")
-    data = load_dataset(cfg)
+    if cfg["dataset"] == "synthetic":
+        data = scenarios.synth_blobs(
+            cfg["data_seed"], cfg["synth_per_class"], cfg["synth_classes"],
+            cfg["synth_dims"], cfg["synth_drift"],
+        )
+    else:
+        data = _read_csv(cfg)
     train, test = scenarios.train_test_split(data, cfg["test_fraction"], cfg["data_seed"])
     if cfg["standardize"]:
         train, test = scenarios.standardize_features(train, test)
@@ -255,20 +252,49 @@ def write_key_values(path: str, values: dict, comments=()) -> None:
         fh.writelines(f"{key} = {_fmt(value)}\n" for key, value in values.items())
 
 
+def _accuracy(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(value)
+    return value
+
+
+# the parser of each of raw.csv's numeric fields, and what a value it rejects is not
+RAW_NUMBERS = {
+    "memory_size": (int, "an integer"), "seed": (int, "an integer"),
+    "task_index": (int, "an integer"), "test_accuracy": (_accuracy, "a number in [0, 1]"),
+}
+
+
 def read_raw_csv(path: str) -> list[harness.ResultRow]:
-    rows = []
+    """raw.csv's rows, each with a wall time of 0.0: ``run`` leaves that field empty.
+
+    A missing column, a row whose length is not the header's or a value that does not
+    parse raises, naming the file, the line and the field.
+    """
+    names = RAW_HEADER.split(",")
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [name for name in RAW_HEADER.split(",") if name not in (reader.fieldnames or ())]
-        if reader.fieldnames and missing:  # an empty file holds no rows, checked by the caller
+        lines = csv.reader(fh)
+        header = next(lines, None)
+        if header is None:  # an empty file holds no rows, checked by the caller
+            return []
+        missing = [name for name in names if name not in header]
+        if missing:
             raise ValueError(f"{path}: no {', '.join(missing)} column")
-        for rec in reader:
-            rows.append(harness.ResultRow(
-                rec["scenario"], rec["paradigm"], rec["method"],
-                int(rec["memory_size"]), int(rec["seed"]), int(rec["task_index"]),
-                float(rec["test_accuracy"]),
-                float(rec["wall_time_s"]) if rec["wall_time_s"] else 0.0,
-            ))
+        rows = []
+        for fields in filter(None, lines):
+            where = f"{path} line {lines.line_num}"
+            if len(fields) < len(header):
+                raise ValueError(f"{where}: {len(fields)} fields, so no {header[len(fields)]}")
+            if len(fields) > len(header):
+                raise ValueError(f"{where}: {len(fields)} fields, past the last column, {header[-1]}")
+            rec = dict(zip(header, fields))
+            for name, (parse, kind) in RAW_NUMBERS.items():
+                try:
+                    rec[name] = parse(rec[name])
+                except ValueError:
+                    raise ValueError(f"{where}: {name} {rec[name]!r} is not {kind}") from None
+            rows.append(harness.ResultRow(*map(rec.get, names[:-1]), 0.0))
     return rows
 
 

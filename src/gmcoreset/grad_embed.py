@@ -196,7 +196,7 @@ def _kept_layers(
     alone is the closed form softmax - onehot with the penultimate
     activation, and computes no hidden layer's delta.
     """
-    activations, pre, _, delta = _output_delta(params, X, y)
+    activations, pre, delta = _output_delta(params, X, y)
     kept = []
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
         kept.append((delta, inputs))

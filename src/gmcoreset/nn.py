@@ -193,14 +193,8 @@ def _forward(params: MlpParams, X: np.ndarray):
     return activations, pre, logits
 
 
-def predict_logits(params: MlpParams, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    _, _, logits = _forward(params, X)
-    return logits
-
-
 def _output_delta(params: MlpParams, X: np.ndarray, y: np.ndarray):
-    """(layer inputs, hidden pre-activations, logits, softmax - onehot) of a forward pass."""
+    """(layer inputs, hidden pre-activations, softmax - onehot) of a forward pass."""
     activations, pre, logits = _forward(params, X)
     finite = np.isfinite(logits)
     if not np.logical_and.reduce(finite, axis=None):
@@ -209,7 +203,7 @@ def _output_delta(params: MlpParams, X: np.ndarray, y: np.ndarray):
     e = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
     delta = e / np.add.reduce(e, axis=1, keepdims=True)
     delta[np.arange(len(y)), y] -= 1.0
-    return activations, pre, logits, delta
+    return activations, pre, delta
 
 
 def _backprop(params: MlpParams, activations, pre, delta):
@@ -245,7 +239,7 @@ def weighted_gradient(
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
 
-    activations, pre, _, delta = _output_delta(params, X, y)
+    activations, pre, delta = _output_delta(params, X, y)
     delta *= (weights / wsum)[:, None]
     for layer, delta, inputs in _backprop(params, activations, pre, delta):
         np.matmul(delta.T, inputs, out=out.weights[layer])
@@ -346,5 +340,6 @@ def evaluate(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise ValueError("test set must be non-empty")
-    predictions = np.argmax(predict_logits(params, X), axis=1)
+    _, _, logits = _forward(params, X)
+    predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == y))

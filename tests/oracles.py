@@ -49,7 +49,8 @@ def loss_and_grad(params, X: np.ndarray, y: np.ndarray, weights: np.ndarray):
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
 
-    activations, pre, logits, delta = _output_delta(params, X, y)
+    _, _, logits = nn._forward(params, X)
+    activations, pre, delta = _output_delta(params, X, y)
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     ce = logsumexp - logits[np.arange(len(y)), y]
@@ -350,7 +351,7 @@ def batch_gradients_by_concatenation(params, X: np.ndarray, y: np.ndarray, scope
         raise ValueError(f"unknown gradient scope {scope!r}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    activations, pre, _, delta = _output_delta(params, X, y)
+    activations, pre, delta = _output_delta(params, X, y)
     blocks = []
     for _, delta, inputs in _backprop(params, activations, pre, delta):
         dw = np.einsum("bo,bi->boi", delta, inputs).reshape(len(y), -1)

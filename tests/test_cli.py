@@ -711,7 +711,7 @@ def test_build_scenario_splits_once(tmp_path, kind):
     cfg = resolve_config(parse_config_text(MINIMAL_CONFIG), overrides)
     scenario = cli.build_scenario(cfg)
     train, test = standardize_features(
-        *train_test_split(cli.load_dataset(cfg), cfg["test_fraction"], cfg["data_seed"])
+        *train_test_split(cli._read_csv(cfg), cfg["test_fraction"], cfg["data_seed"])
     )
     assert np.array_equal(scenario.test.features, test.features)
     assert np.array_equal(scenario.test.labels, test.labels)
@@ -867,6 +867,23 @@ def test_report_names_the_column_raw_csv_lacks(tmp_path, capsys):
         fh.write(cli.RAW_HEADER.replace("method,", "") + "\nsorted,gdumb,10,0,0,0.75,\n")
     assert main(["report", out]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {raw}: no method column"]
+    assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
+
+
+@pytest.mark.parametrize("line, error", [
+    ("sorted,gdumb,reservoir,10,zz,0,0.75,", "seed 'zz' is not an integer"),
+    ("sorted,gdumb,reservoir,10,0,0,abc,", "test_accuracy 'abc' is not a number in [0, 1]"),
+    ("sorted,gdumb,reservoir,10,0,0,1.5,", "test_accuracy '1.5' is not a number in [0, 1]"),
+    ("sorted,gdumb,reservoir,10,0,0", "6 fields, so no test_accuracy"),
+    ("sorted,gdumb,reservoir,10,0,0,0.75,,", "9 fields, past the last column, wall_time_s"),
+], ids=["non-integer-seed", "non-numeric-accuracy", "accuracy-above-one", "short-row", "long-row"])
+def test_report_names_the_line_and_field_of_a_bad_raw_csv_row(tmp_path, capsys, line, error):
+    out = str(tmp_path / "fake")
+    write_results(out, ["sorted,gdumb,reservoir,10,1,0,0.75,", line], num_batches=1)
+    assert main(["report", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {out}/raw.csv line 3: {error}"]
+    assert captured.out == ""
     assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
 
 
@@ -1055,21 +1072,59 @@ EDGE_VALUES = {
     "scenario": st.just("bogus"),
     "paradigm": st.just("bogus"),
     "dataset": st.just("missing.csv"),
+    "label_column": st.sampled_from(["9", "nope", "label"]),
+    "has_header": st.sampled_from(["true", "false"]),
     "bogus_key": st.just("1"),
 }
-RUN_CONFIGS = st.tuples(
-    VALID_RUN_CONFIGS,
-    st.lists(st.sampled_from(sorted(EDGE_VALUES)), max_size=2, unique=True).flatmap(
-        lambda keys: st.fixed_dictionaries({key: EDGE_VALUES[key] for key in keys})
-    ),
-).map(lambda drawn: {**drawn[0], **drawn[1]})
 
 
-def check_run_contract(values):
-    """``run`` on ``values`` exits 0 with every planned row, 2 with one ``error:`` line
-    and no output directory, or 1 with only ``cell failed:`` lines of known causes."""
-    with tempfile.TemporaryDirectory() as tmp:
+@st.composite
+def run_csvs(draw):
+    """A tiny CSV dataset for ``run``: 2-3 classes of 4-12 rows and 1-3 features, with or
+    without a header, integer or string labels in the first or the last column, which
+    ``label_column`` names by index or, under a header, by name.  Returns the file's text
+    and the keys that read it as ``data.csv``."""
+    dims, classes, per_class = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(4, 12))
+    names = draw(st.sampled_from([["0", "1", "2"], ["cat", "dog", "eel"]]))
+    first, header = draw(st.booleans()), draw(st.booleans())
+
+    def line(features, label):
+        return [label, *features] if first else [*features, label]
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    rows = [line(map(repr, rng.normal(i % classes, 1.0, dims).tolist()), names[i % classes])
+            for i in range(classes * per_class)]
+    columns = line((f"f{i}" for i in range(dims)), "label")
+    by_index = st.sampled_from(["0", f"-{dims + 1}"] if first else [str(dims), "-1"])
+    label_column = draw(by_index | st.just("label") if header else by_index)
+    text = "".join(",".join(row) + "\n" for row in [columns] * header + rows)
+    return text, {
+        "dataset": "data.csv", "label_column": label_column, "has_header": str(header).lower()
+    }
+
+
+@st.composite
+def run_cases(draw):
+    """A valid configuration, in one draw in three on a ``run_csvs`` dataset, with up to
+    two of its values replaced by ``EDGE_VALUES``; and the CSV's text, or ``None``."""
+    values, text = draw(VALID_RUN_CONFIGS), None
+    if draw(st.integers(0, 2)) == 0:
+        text, keys = draw(run_csvs())
+        values.update(keys)
+    edges = draw(st.lists(st.sampled_from(sorted(EDGE_VALUES)), max_size=2, unique=True))
+    values.update({key: draw(EDGE_VALUES[key]) for key in edges})
+    return values, text
+
+
+def check_run_contract(values, text=None):
+    """``run`` on ``values``, with ``text`` as data.csv beside its config, exits 0 with every
+    planned row, 2 with one ``error:`` line and no output directory, or 1 with only
+    ``cell failed:`` lines of known causes."""
+    with tempfile.TemporaryDirectory() as tmp, inside(tmp):
         cfg, out = os.path.join(tmp, "drawn.cfg"), os.path.join(tmp, "out")
+        if text is not None:
+            with open("data.csv", "w") as fh:
+                fh.write(text)
         with open(cfg, "w") as fh:
             fh.write("".join(f"{key} = {value}\n" for key, value in values.items()))
         stderr = io.StringIO()
@@ -1097,16 +1152,16 @@ def check_run_contract(values):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(values=RUN_CONFIGS)
-def test_a_drawn_run_config_completes_or_exits_two_up_front(values):
-    check_run_contract(values)
+@given(case=run_cases())
+def test_a_drawn_run_config_completes_or_exits_two_up_front(case):
+    check_run_contract(*case)
 
 
 @pytest.mark.slow
 @settings(max_examples=1500, deadline=None)
-@given(values=RUN_CONFIGS)
-def test_a_drawn_run_config_completes_or_exits_two_up_front_longer_search(values):
-    check_run_contract(values)
+@given(case=run_cases())
+def test_a_drawn_run_config_completes_or_exits_two_up_front_longer_search(case):
+    check_run_contract(*case)
 
 
 # --- the contract of select and report, over drawn inputs ----------------------------
@@ -1268,11 +1323,24 @@ def tiny_results(tmp_path_factory):
 
 RAW_COLUMNS = cli.RAW_HEADER.split(",")
 
-# The perturbations of a results directory.  raw.csv: kept, missing, empty, header only
-# or without a column; scenario.txt: kept, missing, without num_batches, with a
-# num_batches that is no integer above raw.csv's largest task_index (2), or with one
-# above it, as if every cell stopped a task early.
-REPORT_RAW = ["kept", "missing", "empty", "header only", *(f"no {c}" for c in RAW_COLUMNS)]
+# Value-level corruptions of one line of raw.csv, which holds lines 2-13: the line, the
+# field report's error names and the value.  The field takes the value, except that a
+# short row is cut before the field and a long row gains the value past its last field.
+RAW_CORRUPTIONS = {
+    "non-integer seed": (3, "seed", "zz"),
+    "non-numeric test_accuracy": (5, "test_accuracy", "abc"),
+    "test_accuracy above 1": (7, "test_accuracy", "1.5"),
+    "short row": (9, "test_accuracy", None),
+    "long row": (12, "wall_time_s", "0.5"),
+}
+
+# The perturbations of a results directory.  raw.csv: kept, missing, empty, header only,
+# without a column or with a corrupt line; scenario.txt: kept, missing, without
+# num_batches, with a num_batches that is no integer above raw.csv's largest task_index
+# (2), or with one above it, as if every cell stopped a task early.
+REPORT_RAW = [
+    "kept", "missing", "empty", "header only", *(f"no {c}" for c in RAW_COLUMNS), *RAW_CORRUPTIONS
+]
 REPORT_SCENARIO = ["kept", "missing", "no num_batches", "0", "1", "2", "x", "4"]
 # --out, relative to the directory report runs in, which holds "dir" and "existing.csv"
 REPORT_OUTS = [None, "tables", "", ".", "dir/", "missing/tables", "existing.csv"]
@@ -1286,6 +1354,15 @@ def perturb_results(results, raw, scenario):
     if raw.startswith("no "):
         at = table[0].index(raw[3:])
         table = [row[:at] + row[at + 1:] for row in table]
+    if raw in RAW_CORRUPTIONS:
+        line, field, value = RAW_CORRUPTIONS[raw]
+        row, at = table[line - 1], table[0].index(field)
+        if raw == "short row":
+            del row[at:]
+        elif raw == "long row":
+            row.append(value)
+        else:
+            row[at] = value
     os.remove(raw_csv)
     if raw != "missing":
         with open(raw_csv, "w") as fh:
@@ -1303,6 +1380,9 @@ def perturb_results(results, raw, scenario):
 
 def expected_report(raw, scenario, memory_size, out):
     """The exit code ``report`` must give, and words its one error line must hold."""
+    if raw in RAW_CORRUPTIONS:
+        line, field, _ = RAW_CORRUPTIONS[raw]
+        return 1, [f"raw.csv line {line}: ", field]
     if raw != "kept":
         return 1, ["raw.csv", {"missing": "No such file", "empty": "no result rows",
                                "header only": "no result rows"}.get(raw, f"no {raw[3:]} column")]

@@ -76,7 +76,7 @@ def test_empty_hidden_gives_linear_model():
     arch = nn.MlpArch(4, (), 3)
     params = nn.init_sample(arch, 0)
     assert params.num_layers == 1
-    logits = nn.predict_logits(params, np.ones((2, 4)))
+    _, _, logits = nn._forward(params, np.ones((2, 4)))
     assert logits.shape == (2, 3)
 
 
@@ -98,7 +98,7 @@ def test_uniform_weights_equal_plain_mean():
     params = nn.init_sample(arch, 3)
     loss, grads = loss_and_grad(params, X, y, np.ones(len(y)))
     # independent per-example cross entropy
-    logits = nn.predict_logits(params, X)
+    _, _, logits = nn._forward(params, X)
     ce = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(len(y)), y]
     assert loss == pytest.approx(ce.mean(), rel=1e-12)
     scaled, grads7 = loss_and_grad(params, X, y, np.full(len(y), 7.0))
@@ -332,7 +332,8 @@ def test_evaluate_perfect_and_flipped():
     arch = nn.MlpArch(2, (), 2)
     params = nn.init_sample(arch, 3)
     X = np.random.default_rng(1).standard_normal((20, 2))
-    predicted = np.argmax(nn.predict_logits(params, X), axis=1)
+    _, _, logits = nn._forward(params, X)
+    predicted = np.argmax(logits, axis=1)
     assert nn.evaluate(params, X, predicted) == 1.0
     assert nn.evaluate(params, X, 1 - predicted) == 0.0
 
