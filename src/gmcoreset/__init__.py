@@ -2,14 +2,7 @@
 
 from .grad_embed import EmbeddingConfig, embed_batch
 from .harness import ExperimentConfig, ResultRow, run_cell, sweep
-from .matching_pursuit import (
-    CoresetSelection,
-    GradientMatrix,
-    SingularGramError,
-    cholesky_append,
-    omp_select,
-    refit_weights,
-)
+from .matching_pursuit import CoresetSelection, GradientMatrix, omp_select
 from .memory import (
     RehearsalMemory,
     SieveState,
@@ -19,7 +12,7 @@ from .memory import (
     reservoir_update,
     sliding_window_update,
 )
-from .nn import AdamState, MlpArch, MlpParams, TrainConfig, adam_step, evaluate, init_sample, train
+from .nn import AdamState, MlpArch, MlpParams, TrainConfig, evaluate, init_sample, train
 from .scenarios import (
     ContinualScenario,
     Dataset,

@@ -270,7 +270,9 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
     """raw.csv's rows, each with a wall time of 0.0: ``run`` leaves that field empty.
 
     A missing column, a row whose length is not the header's or a value that does not
-    parse raises, naming the file, the line and the field.
+    parse raises, naming the file, the line and the field; so does a row that repeats an
+    earlier row's (scenario, paradigm, method, memory_size, seed, task_index), naming both
+    lines and that key.
     """
     names = RAW_HEADER.split(",")
     with open(path, newline="") as fh:
@@ -281,7 +283,7 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
         missing = [name for name in names if name not in header]
         if missing:
             raise ValueError(f"{path}: no {', '.join(missing)} column")
-        rows = []
+        rows, first_line = [], {}
         for fields in filter(None, lines):
             where = f"{path} line {lines.line_num}"
             if len(fields) < len(header):
@@ -294,6 +296,13 @@ def read_raw_csv(path: str) -> list[harness.ResultRow]:
                     rec[name] = parse(rec[name])
                 except ValueError:
                     raise ValueError(f"{where}: {name} {rec[name]!r} is not {kind}") from None
+            key = tuple(map(rec.get, names[:6]))
+            if key in first_line:
+                raise ValueError(
+                    f"{where}: repeats line {first_line[key]}'s row for "
+                    + ", ".join(f"{name} {value}" for name, value in zip(names, key))
+                )
+            first_line[key] = lines.line_num
             rows.append(harness.ResultRow(*map(rec.get, names[:-1]), 0.0))
     return rows
 

@@ -257,8 +257,6 @@ def embed_batch_at_params(
     the sign matrix is.  The draw's rows are then divided by sqrt(proj_dim)
     in place.
     """
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if len(features) == 0:
         raise ValueError("batch must be non-empty")
     num_examples = len(features)

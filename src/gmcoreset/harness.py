@@ -108,10 +108,6 @@ class ResultRow:
     test_accuracy: float
     wall_time: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.test_accuracy <= 1.0:
-            raise ValueError("accuracy must lie in [0, 1]")
-
 
 @dataclass
 class CellFailure:

@@ -189,8 +189,6 @@ def cholesky_append(
         selection (Schur complement <= DEPENDENT_RTOL * diag); the caller
         should stop selecting.
     """
-    cross = np.asarray(cross, dtype=np.float64)
-    diag = float(diag)
     if diag <= 0.0:
         raise ValueError(f"diag must be positive, got {diag}")
     m = lower.shape[0]
@@ -284,7 +282,6 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     ``target @ G`` that overflow to non-finite values raise
     ``ValueError``.
     """
-    target = np.asarray(target, dtype=np.float64)
     D, N = G.shape
     if target.shape != (D,):
         raise ValueError(f"target must have length {D}, got shape {target.shape}")
@@ -346,7 +343,7 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         scores -= b * (scores[k] / chol[m, m])
 
     weights = refit_weights(picks.rhs(target), chol) if indices else np.zeros(0)
-    return CoresetSelection(np.asarray(indices, dtype=np.int64), weights, truncated=truncated)
+    return CoresetSelection(indices, weights, truncated=truncated)
 
 
 def selection_residual(G: GradientMatrix, target: np.ndarray, selection: CoresetSelection) -> np.ndarray:

@@ -6,7 +6,9 @@ dictionary offered to the solver at each step is the stored coreset
 plus the incoming batch.  Baselines: reservoir sampling, greedy class
 balancing, a sliding window, and streaming facility location (sieve
 thresholds).  This module only selects: the caller embeds, and hands
-the gradient-matching update its batch's columns.
+the gradient-matching update its batch's columns.  Callers pass float64
+features and int64 labels, as ``Dataset`` holds them; ``_next_memory``
+keeps those dtypes in every memory it builds, with float64 weights.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class RehearsalMemory:
 
 
 def _stack_examples(memory: RehearsalMemory, features: np.ndarray, labels: np.ndarray):
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     if memory.size == 0:
         return features, labels
     return np.vstack([memory.features, features]), np.concatenate([memory.labels, labels])
@@ -131,7 +131,7 @@ def _admit_each(memory, batch_features, batch_labels, evict) -> RehearsalMemory:
     feats = list(memory.features) if memory.size else []
     labels = list(memory.labels) if memory.size else []
     seen, classes = memory.seen, set(memory.classes_seen)
-    for x, y in zip(np.asarray(batch_features, dtype=np.float64), np.asarray(batch_labels)):
+    for x, y in zip(batch_features, batch_labels):
         y = int(y)
         seen += 1
         classes.add(y)

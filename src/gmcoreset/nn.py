@@ -5,7 +5,9 @@ Adam updates, and uniform fan-in initialization.  All parameters live in
 one float64 vector, so a gradient is written into one buffer and an Adam
 step is a few in-place vector operations.  Everything is 64-bit and
 deterministic given the seeds, which makes the training loop usable both
-as a learner and as a source of gradient embeddings.
+as a learner and as a source of gradient embeddings.  Callers pass
+float64 features, int64 labels and float64 weights, as ``Dataset`` and
+``RehearsalMemory`` hold them; nothing here converts them again.
 """
 
 from __future__ import annotations
@@ -230,11 +232,6 @@ def weighted_gradient(
     negative (coreset refits produce them) but their sum must be
     positive.  ``out`` has the layout of ``params`` and is overwritten.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != y.shape or len(X) != len(y):
-        raise ValueError("batch, labels and weights must have equal length")
     wsum = float(np.add.reduce(weights, axis=None))
     if wsum <= 0.0:
         raise ValueError(f"sum of example weights must be positive, got {wsum}")
@@ -306,11 +303,10 @@ def train_steps(
 ) -> tuple[MlpParams, AdamState]:
     """The training loop: one Adam step per row-index array in ``batches``,
     on copies of ``params`` and ``state``, which are returned."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.float64)
     if len(X) == 0:
         raise ValueError("training set must be non-empty")
+    if len(y) != len(X) or len(weights) != len(X):
+        raise ValueError("batch, labels and weights must have equal length")
     params, state = params.copy(), state.copy()
     grads = MlpParams.zeros(params.layer_dims)
     for idx in batches:
@@ -336,8 +332,6 @@ def train(
 
 def evaluate(params: MlpParams, X: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; logit ties go to the lower class."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if len(X) == 0:
         raise ValueError("test set must be non-empty")
     _, _, logits = _forward(params, X)

@@ -887,6 +887,21 @@ def test_report_names_the_line_and_field_of_a_bad_raw_csv_row(tmp_path, capsys, 
     assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
 
 
+def test_report_rejects_a_repeated_raw_csv_row(tmp_path, capsys):
+    # a repeated row would count seed 0 twice: three seeds where two ran, and a "failed" mark
+    out = str(tmp_path / "fake")
+    lines = [f"sorted,gdumb,gmc,10,{seed},{task},0.75," for seed in range(2) for task in range(2)]
+    write_results(out, [*lines, lines[1]], num_batches=2)
+    assert main(["report", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {out}/raw.csv line 6: repeats line 3's row for scenario sorted, paradigm gdumb, "
+        "method gmc, memory_size 10, seed 0, task_index 1"
+    ]
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == ["raw.csv", "scenario.txt"]
+
+
 def test_report_into_a_directory_it_cannot_write_exits_two_before_any_write(
     finished_run, capsys, monkeypatch
 ):
@@ -1323,15 +1338,17 @@ def tiny_results(tmp_path_factory):
 
 RAW_COLUMNS = cli.RAW_HEADER.split(",")
 
-# Value-level corruptions of one line of raw.csv, which holds lines 2-13: the line, the
-# field report's error names and the value.  The field takes the value, except that a
-# short row is cut before the field and a long row gains the value past its last field.
+# Corruptions of one line of raw.csv, which holds lines 2-13: the line, the field report's
+# error names and the value.  The field takes the value, except that a short row is cut
+# before the field, a long row gains the value past its last field, and a repeated row is
+# a copy of the line the value numbers, inserted as the line, whose error names that line.
 RAW_CORRUPTIONS = {
     "non-integer seed": (3, "seed", "zz"),
     "non-numeric test_accuracy": (5, "test_accuracy", "abc"),
     "test_accuracy above 1": (7, "test_accuracy", "1.5"),
     "short row": (9, "test_accuracy", None),
     "long row": (12, "wall_time_s", "0.5"),
+    "repeated row": (8, "repeats line 4's row", 4),
 }
 
 # The perturbations of a results directory.  raw.csv: kept, missing, empty, header only,
@@ -1354,7 +1371,10 @@ def perturb_results(results, raw, scenario):
     if raw.startswith("no "):
         at = table[0].index(raw[3:])
         table = [row[:at] + row[at + 1:] for row in table]
-    if raw in RAW_CORRUPTIONS:
+    if raw == "repeated row":
+        line, _, copied = RAW_CORRUPTIONS[raw]
+        table.insert(line - 1, list(table[copied - 1]))
+    elif raw in RAW_CORRUPTIONS:
         line, field, value = RAW_CORRUPTIONS[raw]
         row, at = table[line - 1], table[0].index(field)
         if raw == "short row":

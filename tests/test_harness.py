@@ -752,6 +752,54 @@ def test_a_gmc_update_builds_one_gradient_matrix(tiny_scenario, monkeypatch, met
     assert rehearsal.memory.size == 5 and rehearsal.memory.seen == offered
 
 
+def assert_learner_arrays(features, labels, weights):
+    """The dtypes and alignment nn and memory take as given and convert no more."""
+    assert (features.dtype, labels.dtype, weights.dtype) == (np.float64, np.int64, np.float64)
+    assert features.ndim == 2 and labels.shape == weights.shape == (len(features),)
+
+
+@pytest.mark.parametrize("paradigm", harness.PARADIGMS)
+@pytest.mark.parametrize("method", harness.METHODS)
+def test_every_memory_and_training_set_holds_the_learner_s_dtypes(
+    tiny_scenario, monkeypatch, method, paradigm
+):
+    memories, training_sets = [], []
+    update, train_steps = harness.Rehearsal.update, nn.train_steps
+
+    def updating(self, batch, params):
+        memories.append(update(self, batch, params))
+        return memories[-1]
+
+    def training(params, state, X, y, weights, config, batches):
+        training_sets.append((X, y, weights))
+        return train_steps(params, state, X, y, weights, config, batches)
+
+    monkeypatch.setattr(harness.Rehearsal, "update", updating)
+    monkeypatch.setattr(nn, "train_steps", training)
+    config = tiny_config(methods=(method,), paradigm=paradigm, memory_sizes=(10,))
+    _, failure = run_cell(tiny_scenario, method, 10, config, 0)
+    assert failure is None
+    assert len(memories) == tiny_scenario.num_tasks and len(training_sets) >= 2
+    for memory in memories:
+        assert memory.size
+        assert_learner_arrays(memory.features, memory.labels, memory.weights)
+    for arrays in training_sets:
+        assert_learner_arrays(*arrays)
+
+
+@pytest.mark.parametrize("labels, weights", [(6, 7), (5, 6)], ids=["longer-weights", "shorter-labels"])
+def test_train_steps_rejects_labels_or_weights_of_another_length(labels, weights):
+    # checked once over the whole arrays: a row index would cut a longer array
+    # silently, and run past a shorter one
+    params = nn.init_sample(nn.MlpArch(4, (8,), 2), 0)
+    batches = nn.shuffled_batches(6, 3, 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^batch, labels and weights must have equal length$"):
+        nn.train_steps(
+            params, nn.AdamState.zeros(params), np.zeros((6, 4)), np.zeros(labels, dtype=np.int64),
+            np.ones(weights), nn.TrainConfig(batch_size=3), batches,
+        )
+
+
 LOCAL_ARCH = nn.MlpArch(3, (6,), 4)
 
 
