@@ -426,9 +426,8 @@ def cmd_select(args) -> int:
         if not os.path.isdir(os.path.dirname(out) or "."):
             raise ValueError(f"--out {out}: directory {os.path.dirname(out)} does not exist")
         results_dir(os.path.dirname(out) or ".", [os.path.basename(out)])
-    # the coreset is the selection of the first update of a seed-0 run's empty memory
-    rehearsal = harness.Rehearsal(config, method, size, arch, 0)
-    selection, _ = harness.match_batch(rehearsal, data.features, data.labels)
+    # the coreset is the first record of a seed-0 stream; select's methods call no learner
+    selection, _ = next(harness.Rehearsal(config, method, size, arch, 0).updates([data], None))
     write_csv(out, "row_index,weight", zip(selection.indices, selection.weights))
     if selection.truncated:
         print(

@@ -30,35 +30,36 @@ GMC_PINS = {
 GMC_METHODS = tuple(GMC_PINS)
 
 
-def match_batch(r: Rehearsal, X, y):
+def _matched(r: Rehearsal, X, y, learner):
     """Embed the batch (X, y) at ``r``'s draws: ``memory.gmc_update``'s (selection, next
     memory) of ``r.memory`` and the batch."""
     return mem.gmc_update(r.memory, X, y, embed_batch(X, y, r.arch, r.embedding))
 
 
-def _matched_locally(r: Rehearsal, X, y, p):
-    """Embed the stored examples and the batch at ``p`` and match their whole column sum;
+def _matched_locally(r: Rehearsal, X, y, learner):
+    """Embed the stored examples and the batch at ``learner()`` and match their whole column sum;
     the next memory keeps neither columns nor target, so nothing is cached across updates."""
-    m = r.memory.size
+    p, m = learner(), r.memory.size
     features, labels = mem._stack_examples(r.memory, X, y)
     columns = embed_batch_at_params([p], features, labels, r.embedding)
     stored = replace(r.memory, embeddings=columns[:, :m], target=None)
-    _, matched = mem.gmc_update(stored, X, y, columns[:, m:])
+    selection, matched = mem.gmc_update(stored, X, y, columns[:, m:])
     matched.embeddings = matched.target = None
-    return matched
+    return selection, matched
 
 
-# How each method offers a batch (X, y) to a Rehearsal r; local matching
-# embeds at the learner's params p.  Each entry looks its update up in
-# ``memory`` when called, so a rebound module attribute is the one that runs.
+# How each method offers a batch (X, y) to a Rehearsal r: the update's (selection, next
+# memory), the selection None for a baseline.  Only local matching calls ``learner()``, for
+# the params it embeds at.  Each entry looks its update up in ``memory`` when called, so a
+# rebound module attribute is the one that runs.
 UPDATES = {
-    "gmc": lambda r, X, y, p: match_batch(r, X, y)[1],
-    "gmc_last_layer": lambda r, X, y, p: match_batch(r, X, y)[1],
+    "gmc": _matched,
+    "gmc_last_layer": _matched,
     "gmc_local": _matched_locally,
-    "reservoir": lambda r, X, y, p: mem.reservoir_update(r.memory, X, y, r.rng),
-    "class_balance": lambda r, X, y, p: mem.class_balance_update(r.memory, X, y, r.rng),
-    "sliding_window": lambda r, X, y, p: mem.sliding_window_update(r.memory, X, y),
-    "facility_location": lambda r, X, y, p: mem.facility_location_update(r.memory, X, y, r.sieve),
+    "reservoir": lambda r, X, y, _: (None, mem.reservoir_update(r.memory, X, y, r.rng)),
+    "class_balance": lambda r, X, y, _: (None, mem.class_balance_update(r.memory, X, y, r.rng)),
+    "sliding_window": lambda r, X, y, _: (None, mem.sliding_window_update(r.memory, X, y)),
+    "facility_location": lambda r, X, y, _: (None, mem.facility_location_update(r.memory, X, y, r.sieve)),
 }
 METHODS = tuple(UPDATES)
 PARADIGMS = ("gdumb", "replay")
@@ -174,10 +175,13 @@ class Rehearsal:
         self.memory = mem.RehearsalMemory(memory_size)
         self.sieve = mem.SieveState()
 
-    def update(self, batch: Dataset, params: nn.MlpParams) -> mem.RehearsalMemory:
-        """Offer one batch through ``UPDATES``; local matching embeds at ``params``."""
-        self.memory = UPDATES[self.method](self, batch.features, batch.labels, params)
-        return self.memory
+    def updates(self, batches: list[Dataset], learner):
+        """Offer each batch through ``UPDATES``, yielding its (selection, next memory) record;
+        only local matching calls ``learner()``, as its update starts, for the params it embeds at."""
+        for batch in batches:
+            selection, self.memory = UPDATES[self.method](
+                self, batch.features, batch.labels, learner)
+            yield selection, self.memory
 
 
 def _replay_task(params, state, batch, memory, train_cfg, epochs):
@@ -240,23 +244,23 @@ def run_cell(
     params = nn.init_sample(arch, seed)  # gdumb's first draw, seed ^ 0, is replay's only one
     # replay's Adam moments carry over from task to task; gdumb's nn.train starts afresh
     adam = None if config.paradigm == "gdumb" else nn.AdamState.zeros(params)
+    # gdumb's update reads the previous task's params, replay's those just trained on the batch
+    stream, memory = rehearsal.updates(scenario.batches, lambda: params), rehearsal.memory
     rows: list[ResultRow] = []
     for t, batch in enumerate(scenario.batches):
         started = time.perf_counter()
         train_cfg = replace(config.train, seed=_train_seed(seed, t))
         try:
             if config.paradigm == "gdumb":
-                memory = rehearsal.update(batch, params)
+                _, memory = next(stream)
                 params = nn.init_sample(arch, seed ^ t)
                 if memory.size:
                     params = nn.train(
                         params, memory.features, memory.labels, memory.weights, train_cfg
                     )
             else:
-                params, adam = _replay_task(
-                    params, adam, batch, rehearsal.memory, train_cfg, epochs
-                )
-                rehearsal.update(batch, params)
+                params, adam = _replay_task(params, adam, batch, memory, train_cfg, epochs)
+                _, memory = next(stream)
             accuracy = nn.evaluate(params, scenario.test.features, scenario.test.labels)
         except Exception as exc:
             return rows, CellFailure(method, memory_size, seed, t, str(exc))

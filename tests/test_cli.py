@@ -284,6 +284,33 @@ def test_select_output_reproduces_first_task_accuracy(tmp_path):
     assert accuracy == rows[0].test_accuracy
 
 
+@pytest.mark.parametrize("embedding, method, n", [
+    ("random_projection", "gmc", 10),
+    ("last_layer", "gmc_last_layer", 5),
+    # last_layer's draws span at most (k - 1)(h + 1) * draws = 18 of its 36 dimensions
+    ("last_layer", "gmc_last_layer", 30),
+])
+def test_select_writes_the_first_record_of_a_seed_zero_stream(tmp_path, capsys, embedding, method, n):
+    path, _ = write_blob_csv(tmp_path)
+    out = str(tmp_path / "coreset.csv")
+    code = main([
+        "select", path, "-n", str(n), "--out", out, "--embedding", embedding,
+        "--hidden", "8", "--proj-dim", "16", "--draws", "2",
+    ])
+    assert code == 0
+    (data,) = standardize_features(scenarios.load_csv(path))
+    config = harness.ExperimentConfig(
+        methods=(method,), memory_sizes=(n,), embedding=EmbeddingConfig(draws=2, proj_dim=16),
+        hidden=(8,),
+    )
+    rehearsal = harness.Rehearsal(config, method, n, nn.MlpArch(4, (8,), 2), 0)
+    selection, _ = next(rehearsal.updates([data], None))
+    picked = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
+    assert [int(r[0]) for r in picked] == selection.indices.tolist()
+    assert np.array([float(r[1]) for r in picked]).tobytes() == selection.weights.tobytes()
+    assert ("note: wrote" in capsys.readouterr().err) == selection.truncated == (n == 30)
+
+
 def test_select_notes_a_coreset_smaller_than_asked(tmp_path, capsys):
     # three distinct rows, each repeated ten times: no fourth independent gradient
     distinct = synth_blobs(seed=0, n_per_class=1, num_classes=3, dims=4)

@@ -179,9 +179,9 @@ def test_gdumb_local_matching_uses_the_previous_iterate(tiny_scenario, monkeypat
 
 def test_gdumb_empty_memory_evaluates_the_fresh_draw(tiny_scenario, monkeypatch):
     trained = []
-    monkeypatch.setattr(
-        harness.Rehearsal, "update",
-        lambda self, batch, params: mem.RehearsalMemory(self.memory.capacity),
+    monkeypatch.setitem(
+        harness.UPDATES, "reservoir",
+        lambda r, X, y, learner: (None, mem.RehearsalMemory(r.memory.capacity)),
     )
     monkeypatch.setattr(nn, "train", lambda *args: trained.append(args))
     seed = 5
@@ -721,7 +721,8 @@ def test_rehearsal_update_calls_the_memory_module_attribute(tiny_scenario, monke
     batch = tiny_scenario.batches[0]
     arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
     rehearsal = harness.Rehearsal(tiny_config(methods=(method,)), method, 20, arch, seed=0)
-    assert rehearsal.update(batch, nn.init_sample(arch, 0)) is recorded
+    params = nn.init_sample(arch, 0)
+    assert next(rehearsal.updates([batch], lambda: params))[1] is recorded
     assert rehearsal.memory is recorded
     assert len(calls) == 1 and calls[0][1] is batch.features and calls[0][2] is batch.labels
 
@@ -742,14 +743,136 @@ def test_a_gmc_update_builds_one_gradient_matrix(tiny_scenario, monkeypatch, met
     rehearsal = harness.Rehearsal(tiny_config(methods=(method,)), method, 5, arch, seed=0)
     params = nn.init_sample(arch, 0)
     offered = 0
+    stream = rehearsal.updates(tiny_scenario.batches[:2], lambda: params)
     for batch in tiny_scenario.batches[:2]:
         stored = rehearsal.memory.size
         built.clear()
-        rehearsal.update(batch, params)
+        next(stream)
         offered += batch.num_examples
         assert len(built) == 1
         assert built[0][1] == stored + batch.num_examples
     assert rehearsal.memory.size == 5 and rehearsal.memory.seen == offered
+
+
+# --- the update stream --------------------------------------------------------------
+
+
+def read_no_learner():
+    raise AssertionError("an update that needs no learner called it")
+
+
+def gdumb_records(scenario, method, size, seed):
+    """The records of a gdumb cell's stream, with a learner that raises if called."""
+    config = tiny_config(methods=(method,), memory_sizes=(size,))
+    arch = nn.MlpArch(scenario.num_features, (8,), scenario.num_classes)
+    return list(harness.Rehearsal(config, method, size, arch, seed).updates(
+        scenario.batches, read_no_learner
+    ))
+
+
+@pytest.mark.parametrize("method, size", [
+    *((m, 10) for m in harness.METHODS if m != "gmc_local"),
+    ("gmc_last_layer", 40),  # truncates: see the test below
+])
+def test_a_gdumb_stream_needs_no_learner_and_is_what_run_cell_trains_on(
+    tiny_scenario, monkeypatch, method, size
+):
+    records = gdumb_records(tiny_scenario, method, size, seed=3)
+    assert len(records) == tiny_scenario.num_tasks
+    assert all((selection is None) == (method not in harness.GMC_METHODS) for selection, _ in records)
+    trained, train = [], nn.train
+    monkeypatch.setattr(
+        nn, "train", lambda params, X, y, w, cfg: trained.append((X, y, w)) or train(params, X, y, w, cfg)
+    )
+    config = tiny_config(methods=(method,), memory_sizes=(size,))
+    rows, failure = run_cell(tiny_scenario, method, size, config, seed=3)
+    assert failure is None and len(rows) == len(trained) == tiny_scenario.num_tasks
+    for (X, y, weights), (_, memory) in zip(trained, records):
+        assert np.array_equal(X, memory.features)
+        assert np.array_equal(y, memory.labels)
+        assert np.array_equal(weights, memory.weights)
+
+
+@pytest.mark.parametrize("paradigm", harness.PARADIGMS)
+def test_local_matching_reads_the_learner_once_per_update(tiny_scenario, monkeypatch, paradigm):
+    # gdumb's update t reads the params task t - 1 trained (task 0 the fresh draw);
+    # replay's reads those task t has just trained on the batch
+    reads, trained = [], []
+    updates, train_steps = harness.Rehearsal.updates, nn.train_steps
+
+    def reading(self, batches, learner):
+        def read():
+            params = learner()
+            reads.append(params.flat.copy())
+            return params
+
+        return updates(self, batches, read)
+
+    def training(*args):
+        params, state = train_steps(*args)
+        trained.append(params.flat.copy())
+        return params, state
+
+    monkeypatch.setattr(harness.Rehearsal, "updates", reading)
+    monkeypatch.setattr(nn, "train_steps", training)
+    seed = 1
+    config = tiny_config(methods=("gmc_local",), paradigm=paradigm, memory_sizes=(10,))
+    rows, failure = run_cell(tiny_scenario, "gmc_local", 10, config, seed)
+    assert failure is None and len(rows) == tiny_scenario.num_tasks
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    expected = [nn.init_sample(arch, seed).flat, *trained[:-1]] if paradigm == "gdumb" else trained
+    assert len(reads) == len(expected) == tiny_scenario.num_tasks
+    assert all(np.array_equal(read, want) for read, want in zip(reads, expected))
+
+
+@pytest.mark.parametrize("paradigm", harness.PARADIGMS)
+def test_an_update_raising_mid_stream_fails_its_cell_at_that_task(
+    tiny_scenario, monkeypatch, paradigm
+):
+    # the stream passes the update's error out of next(): it neither swallows it nor
+    # ends the stream, so the cell fails at that task and the sweep runs the next cell
+    config = tiny_config(
+        methods=("reservoir", "sliding_window"), paradigm=paradigm, memory_sizes=(10,)
+    )
+    healthy, _ = run_cell(tiny_scenario, "reservoir", 10, config, 0)
+    original = mem.reservoir_update
+    offered_before_task_2 = sum(b.num_examples for b in tiny_scenario.batches[:2])
+
+    def failing_at_task_2(memory, feats, labels, rng):
+        if memory.seen == offered_before_task_2:
+            raise RuntimeError("synthetic fault at task 2")
+        return original(memory, feats, labels, rng)
+
+    monkeypatch.setattr(mem, "reservoir_update", failing_at_task_2)
+    arch = nn.MlpArch(tiny_scenario.num_features, (8,), tiny_scenario.num_classes)
+    stream = harness.Rehearsal(config, "reservoir", 10, arch, 0).updates(
+        tiny_scenario.batches, read_no_learner
+    )
+    next(stream)
+    next(stream)
+    with pytest.raises(RuntimeError, match="^synthetic fault at task 2$"):
+        next(stream)
+
+    rows, failure = run_cell(tiny_scenario, "reservoir", 10, config, 0)
+    assert [(r.task_index, r.test_accuracy) for r in rows] == [
+        (r.task_index, r.test_accuracy) for r in healthy[:2]
+    ]
+    assert failure == harness.CellFailure("reservoir", 10, 0, 2, "synthetic fault at task 2")
+    swept, failures = sweep(config, tiny_scenario)
+    assert failures == [failure]
+    assert [(r.method, r.task_index) for r in swept] == [
+        ("reservoir", 0), ("reservoir", 1), *(("sliding_window", t) for t in range(3))
+    ]
+
+
+def test_a_truncating_update_carries_truncated_through_the_stream(tiny_scenario):
+    # gmc_last_layer's draws span at most (k - 1)(h + 1) * draws = 2 * 9 * 2 = 36 of
+    # its D = 3 * 9 * 2 = 54 dimensions, so a memory of 40 truncates once a pool
+    # holds more than 36 columns
+    records = gdumb_records(tiny_scenario, "gmc_last_layer", 40, seed=3)
+    assert [selection.truncated for selection, _ in records] == [False, True, True]
+    for selection, memory in records:
+        assert memory.size == selection.size <= 36
 
 
 def assert_learner_arrays(features, labels, weights):
@@ -764,17 +887,18 @@ def test_every_memory_and_training_set_holds_the_learner_s_dtypes(
     tiny_scenario, monkeypatch, method, paradigm
 ):
     memories, training_sets = [], []
-    update, train_steps = harness.Rehearsal.update, nn.train_steps
+    updates, train_steps = harness.Rehearsal.updates, nn.train_steps
 
-    def updating(self, batch, params):
-        memories.append(update(self, batch, params))
-        return memories[-1]
+    def updating(self, batches, learner):
+        for selection, memory in updates(self, batches, learner):
+            memories.append(memory)
+            yield selection, memory
 
     def training(params, state, X, y, weights, config, batches):
         training_sets.append((X, y, weights))
         return train_steps(params, state, X, y, weights, config, batches)
 
-    monkeypatch.setattr(harness.Rehearsal, "update", updating)
+    monkeypatch.setattr(harness.Rehearsal, "updates", updating)
     monkeypatch.setattr(nn, "train_steps", training)
     config = tiny_config(methods=(method,), paradigm=paradigm, memory_sizes=(10,))
     _, failure = run_cell(tiny_scenario, method, 10, config, 0)
@@ -822,7 +946,7 @@ def test_local_matching_equals_the_standalone_local_update(seed, capacity, batch
         feats = rng.standard_normal((size, 3))
         labels = rng.integers(0, 4, size=size)
         params = nn.init_sample(LOCAL_ARCH, seed + b)
-        rehearsal.memory = harness.UPDATES["gmc_local"](rehearsal, feats, labels, params)
+        rehearsal.memory = harness.UPDATES["gmc_local"](rehearsal, feats, labels, lambda: params)[1]
         expected = local_gmc_update(expected, feats, labels, params, config)
         actual = rehearsal.memory
         assert np.array_equal(actual.features, expected.features)

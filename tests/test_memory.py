@@ -45,9 +45,10 @@ def random_embeddings(seed, D, N):
 
 
 def local_update(memory, feats, labels, params, config):
-    """``harness.UPDATES["gmc_local"]`` on ``memory``, embedding at ``params``."""
+    """The next memory of ``harness.UPDATES["gmc_local"]`` on ``memory``, embedding at
+    ``params``."""
     rehearsal = SimpleNamespace(memory=memory, embedding=config)
-    return harness.UPDATES["gmc_local"](rehearsal, feats, labels, params)
+    return harness.UPDATES["gmc_local"](rehearsal, feats, labels, lambda: params)[1]
 
 
 # --- gradient-matching updates ------------------------------------------------
