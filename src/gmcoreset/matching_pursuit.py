@@ -9,13 +9,18 @@ the residual, and fits the weights once, after the last pick.  Near-ties
 in the scores (TIE_RTOL) are rescored from the explicit residual, so
 every pick, the weights and the early stop are those of the plain loop
 that refits after every pick.  The triangular solves call LAPACK
-directly; scipy, which provides it, is imported by the first selection,
-so importing this module does not load it.
+directly, through scipy's extension module ``scipy.linalg._flapack``,
+which the first selection loads by itself: neither importing this module
+nor selecting imports ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
 
@@ -140,6 +145,22 @@ class CoresetSelection:
         return int(self.indices.size)
 
 
+@functools.cache
+def _lapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded by itself once per process:
+    importing ``scipy.linalg`` would run about 85 modules to reach it.  CPython enters the
+    module in ``sys.modules``, so a later ``import scipy.linalg`` reuses it."""
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack is not in {where}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Solve ``L @ x = rhs``, or ``L.T @ x = rhs`` when ``transposed``.
 
@@ -149,13 +170,11 @@ def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -
     length, that LAPACK ``dtrtrs`` reads in place.  For a square factor
     these are the operands ``scipy.linalg.solve_triangular`` passes, so
     the solution has the same bits, without that wrapper's per-call
-    validation.  scipy is imported at the first call.  A zero on the
+    validation; ``_lapack`` loads the extension at the first call.  A zero on the
     diagonal raises ``SingularGramError``; a non-finite solution, which
     overflow or a non-finite ``rhs`` gives, raises ``ValueError``.
     """
-    from scipy.linalg.lapack import dtrtrs
-
-    x, info = dtrtrs(lower.T, rhs, lower=0, trans=0 if transposed else 1)
+    x, info = _lapack().dtrtrs(lower.T, rhs, lower=0, trans=0 if transposed else 1)
     if info != 0:
         raise SingularGramError(f"triangular solve failed (LAPACK dtrtrs info {info})")
     if not np.isfinite(x).all():

@@ -1,5 +1,6 @@
-"""scipy loads at the first selection, never at import or in runs that select nothing;
-the process pool's modules load only for a parallel sweep.
+"""scipy's LAPACK extension loads at the first selection, never at import or in runs that
+select nothing, and ``scipy.linalg`` never loads; the process pool's modules load only for
+a parallel sweep.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 do not count, and reports which modules the interpreter holds.
@@ -13,7 +14,10 @@ import sys
 
 import pytest
 
-from gmcoreset.scenarios import save_csv, synth_blobs
+from gmcoreset import matching_pursuit, nn
+from gmcoreset.grad_embed import EmbeddingConfig
+from gmcoreset.harness import ExperimentConfig, run_cell
+from gmcoreset.scenarios import make_sorted_scenario, save_csv, synth_blobs, train_test_split
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 PACKAGE = os.path.join(SRC, "gmcoreset")
@@ -34,14 +38,19 @@ draws = 1
 """
 
 
-def modules_after(statements: str, cwd) -> list[str]:
-    """The modules a fresh interpreter holds after running ``statements``."""
-    script = f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+def last_line_after(script: str, cwd) -> str:
+    """The last line a fresh interpreter prints when it runs ``script``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return done.stdout.splitlines()[-1]
+
+
+def modules_after(statements: str, cwd) -> list[str]:
+    """The modules a fresh interpreter holds after running ``statements``."""
+    script = f"{statements}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
+    return json.loads(last_line_after(script, cwd))
 
 
 def scipy_modules_after(statements: str, cwd) -> list[str]:
@@ -70,16 +79,73 @@ def test_a_run_without_gradient_matching_loads_no_scipy(tmp_path):
     assert scipy_modules_after(statements, tmp_path) == []
 
 
-def test_a_gradient_matching_run_loads_scipy(tmp_path):
-    assert "scipy.linalg" in scipy_modules_after(run_statements(tmp_path, "gmc", "gdumb"), tmp_path)
+def loads_lapack_alone(scipy_modules: list[str]) -> bool:
+    return "scipy.linalg._flapack" in scipy_modules and "scipy.linalg" not in scipy_modules
 
 
-def test_select_loads_scipy(tmp_path):
-    save_csv(synth_blobs(seed=0, n_per_class=10, num_classes=3, dims=4), str(tmp_path / "data.csv"))
-    argv = ["select", "data.csv", "-n", "5", "--out", "coreset.csv", "--label-column", "label",
+def test_a_gradient_matching_run_loads_scipys_lapack_extension_alone(tmp_path):
+    assert loads_lapack_alone(scipy_modules_after(run_statements(tmp_path, "gmc", "gdumb"), tmp_path))
+
+
+def select_statements(tmp_path, out: str) -> str:
+    """Statements that run ``select`` on a tiny CSV in ``tmp_path``, writing ``out``."""
+    data = tmp_path / "data.csv"
+    if not data.exists():
+        save_csv(synth_blobs(seed=0, n_per_class=10, num_classes=3, dims=4), str(data))
+    argv = ["select", "data.csv", "-n", "5", "--out", out, "--label-column", "label",
             "--hidden", "8", "--proj-dim", "16", "--draws", "1"]
-    statements = f"from gmcoreset.cli import main\nassert main({argv!r}) == 0"
-    assert "scipy.linalg" in scipy_modules_after(statements, tmp_path)
+    return f"from gmcoreset.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_select_loads_scipys_lapack_extension_alone(tmp_path):
+    assert loads_lapack_alone(scipy_modules_after(select_statements(tmp_path, "coreset.csv"), tmp_path))
+
+
+def test_select_is_the_same_whichever_loads_lapack_first_and_loads_it_once(tmp_path):
+    # select loads the extension, scipy.linalg then reuses it, and the second select
+    # finds it in the cache
+    misses = "from gmcoreset import matching_pursuit\nprint(matching_pursuit._lapack.cache_info().misses)"
+    script = "\n".join([
+        select_statements(tmp_path, "first.csv"),
+        "import numpy as np, scipy.linalg",
+        "x = scipy.linalg.solve_triangular(np.array([[2.0, 0.0], [1.0, 4.0]]), [2.0, 9.0], lower=True)",
+        "assert x.tolist() == [1.0, 2.0]",
+        select_statements(tmp_path, "second.csv"),
+        misses,
+    ])
+    assert last_line_after(script, tmp_path) == "1"
+    # scipy.linalg loads the extension, and select reuses it
+    script = "\n".join(["import scipy.linalg", select_statements(tmp_path, "after_linalg.csv"), misses])
+    assert last_line_after(script, tmp_path) == "1"
+    first = (tmp_path / "first.csv").read_bytes()
+    assert (tmp_path / "second.csv").read_bytes() == first
+    assert (tmp_path / "after_linalg.csv").read_bytes() == first
+
+
+def test_a_missing_lapack_extension_fails_a_gradient_matching_cell_at_its_first_task(
+    tmp_path, monkeypatch
+):
+    import scipy
+
+    data = synth_blobs(seed=0, n_per_class=10, num_classes=3, dims=4)
+    scenario = make_sorted_scenario(*train_test_split(data, 0.2, 0), num_batches=2)
+    config = ExperimentConfig(
+        methods=("gmc",), paradigm="gdumb", memory_sizes=(6,), seeds=(0,),
+        train=nn.TrainConfig(batch_size=10, epochs=1, seed=0),
+        embedding=EmbeddingConfig(draws=1, proj_dim=16), hidden=(8,),
+    )
+    empty = tmp_path / "linalg"
+    empty.mkdir()
+    matching_pursuit._lapack.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(scipy, "__path__", [str(tmp_path)])
+            rows, failure = run_cell(scenario, "gmc", 6, config, seed=0)
+    finally:
+        matching_pursuit._lapack.cache_clear()
+    assert rows == []
+    assert failure.task_index == 0
+    assert failure.message == f"scipy's LAPACK extension _flapack is not in {empty}"
 
 
 def import_time_imports(node):
