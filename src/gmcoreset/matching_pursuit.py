@@ -137,7 +137,8 @@ class CoresetSelection:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         if self.indices.shape != self.weights.shape:
             raise ValueError("indices and weights must have equal length")
-        if len(np.unique(self.indices)) != self.indices.size:
+        ordered = np.sort(self.indices, axis=None)
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("selected indices must be distinct")
 
     @property
@@ -161,20 +162,21 @@ def _lapack():
     return module
 
 
-def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
     """Solve ``L @ x = rhs``, or ``L.T @ x = rhs`` when ``transposed``.
 
-    ``lower`` is C-ordered with m = len(rhs) rows; L is its leading m x m
-    lower triangle, and columns past m are never read.  ``lower.T`` is then
-    the Fortran-ordered upper triangle, with leading dimension the row
-    length, that LAPACK ``dtrtrs`` reads in place.  For a square factor
-    these are the operands ``scipy.linalg.solve_triangular`` passes, so
-    the solution has the same bits, without that wrapper's per-call
-    validation; ``_lapack`` loads the extension at the first call.  A zero on the
-    diagonal raises ``SingularGramError``; a non-finite solution, which
-    overflow or a non-finite ``rhs`` gives, raises ``ValueError``.
+    ``factor`` is C-ordered and L the leading m x m lower triangle of its
+    first m = len(rhs) rows; nothing past them is read.  The transpose of
+    those rows is the Fortran-ordered upper triangle, with leading
+    dimension the row length, that LAPACK ``dtrtrs`` reads in place.  For
+    a square factor these are the operands ``scipy.linalg.solve_triangular``
+    passes, so the solution has the same bits, without that wrapper's
+    per-call validation; ``_lapack`` loads the extension at the first call.
+    A zero on the diagonal raises ``SingularGramError``; a non-finite
+    solution, which overflow or a non-finite ``rhs`` gives, raises
+    ``ValueError``.
     """
-    x, info = _lapack().dtrtrs(lower.T, rhs, lower=0, trans=0 if transposed else 1)
+    x, info = _lapack().dtrtrs(factor[: len(rhs)].T, rhs, lower=0, trans=0 if transposed else 1)
     if info != 0:
         raise SingularGramError(f"triangular solve failed (LAPACK dtrtrs info {info})")
     if not np.isfinite(x).all():
@@ -182,26 +184,15 @@ def _solve_lower(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -
     return x
 
 
-def cholesky_append(
-    lower: np.ndarray, cross: np.ndarray, diag: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Extend a Cholesky factor by one column of the underlying Gram matrix.
+def cholesky_append(factor: np.ndarray, cross: np.ndarray, diag: float) -> None:
+    """Grow a Cholesky factor by one row of the underlying Gram matrix, in place.
 
     Args:
-      lower: lower-triangular L with L L^T equal to the current m x m
-        Gram matrix of the selection (0 x 0 when empty), or the first m
-        rows of a C-ordered buffer holding L in its leading block.
-      cross: inner products of the selected columns with the new column,
-        length m.
+      factor: C-ordered buffer whose first m rows hold, in their leading
+        m x m block, the lower-triangular L with L L^T the selection's
+        Gram matrix.  Row m is written in O(m^2) time; nothing else moves.
+      cross: inner products of the m selected columns with the new one.
       diag: squared norm of the new column, must be positive.
-      out: that buffer, when ``lower`` is its first m rows: row m is
-        written into it in place and its first m + 1 rows are returned,
-        so the factor grows without a copy.  By default a new
-        (m+1) x (m+1) factor is returned with a copy of L.
-
-    Returns:
-      Factor of the (m+1) x (m+1) Gram matrix, or the buffer's first m + 1
-      rows holding it, in O(m^2) time.
 
     Raises:
       SingularGramError: the new column is linearly dependent on the
@@ -210,42 +201,37 @@ def cholesky_append(
     """
     if diag <= 0.0:
         raise ValueError(f"diag must be positive, got {diag}")
-    m = lower.shape[0]
-    if cross.shape != (m,):
-        raise ValueError(f"cross term must have length {m}, got shape {cross.shape}")
-    if out is not None and min(out.shape) <= m:
-        raise ValueError(f"factor buffer of shape {out.shape} has no room for row {m}")
-    w = _solve_lower(lower, cross) if m else np.zeros(0)
+    m = len(cross)
+    if min(factor.shape) <= m:
+        raise ValueError(f"factor buffer of shape {factor.shape} has no room for row {m}")
+    w = _solve_lower(factor, cross) if m else np.zeros(0)
     schur = diag - float(w @ w)
     if schur <= DEPENDENT_RTOL * diag:
         raise SingularGramError(
             f"candidate column is linearly dependent on the selection "
             f"(schur complement {schur:.3e} <= {DEPENDENT_RTOL:.0e} * {diag:.3e})"
         )
-    if out is None:
-        out = np.zeros((m + 1, m + 1))
-        out[:m, :m] = lower[:, :m]
-    out[m, :m] = w
-    out[m, m] = np.sqrt(schur)
-    return out[:m + 1]
+    factor[m, :m] = w
+    factor[m, m] = np.sqrt(schur)
 
 
-def refit_weights(rhs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+def refit_weights(rhs: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """Least-squares weights w of the selected columns G_S against a target t.
 
-    ``rhs`` is G_S^T t, in selection order, and ``lower`` the maintained
-    Cholesky factor of G_S^T G_S; it may be the first m rows of a wider
-    factor buffer, as ``cholesky_append`` grows it.  Solves the normal
-    equations through two triangular solves, so the residual t - G_S w
-    is orthogonal to every selected column.
+    ``rhs`` is G_S^T t, in selection order, and ``factor`` a buffer whose
+    first m = len(rhs) rows hold the Cholesky factor of G_S^T G_S, as
+    ``cholesky_append`` grows it.  Solves the normal equations through two
+    triangular solves, so the residual t - G_S w is orthogonal to every
+    selected column.
     """
-    if len(rhs) == 0:
+    m = len(rhs)
+    if m == 0:
         raise ValueError("cannot refit an empty selection")
-    if lower.shape[0] != len(rhs):
-        raise ValueError("Cholesky factor does not match the selection size")
-    if np.any(np.diag(lower) <= 0.0):
+    if factor.shape[0] < m:
+        raise ValueError(f"fewer factor rows than columns to refit: {factor.shape[0]} < {m}")
+    if np.any(np.diag(factor[:m]) <= 0.0):
         raise SingularGramError("non-positive diagonal in the Cholesky factor")
-    return _solve_lower(lower, _solve_lower(lower, rhs), transposed=True)
+    return _solve_lower(factor, _solve_lower(factor, rhs), transposed=True)
 
 
 def _best_ratio(
@@ -281,7 +267,8 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
 
     The cross terms of each pick with the selection and the Cholesky
     update are exact, so ``truncated`` is decided as in the plain loop.
-    The factor grows in place, one row per pick, in an n x n buffer.
+    L is one n x n buffer: ``cholesky_append`` writes its row m in place
+    at the m-th pick, and the recurrence and ``refit_weights`` read it.
     The recurrence's scores drift from the exact ones by rounding; where
     the best two admissible ratios lie within TIE_RTOL times the largest
     first-pick ratio (a tie, or a residual at noise level), that pick is
@@ -332,7 +319,6 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
     basis = np.empty((N, n), order="F")
     indices: list[int] = []
     factor = np.zeros((n, n))
-    chol = factor[:0]
     truncated = False
 
     while len(indices) < n:
@@ -344,10 +330,10 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         if m == 0:
             tie_atol = TIE_RTOL * ratios[k]
         elif ratios[k] - np.partition(ratios, -2)[-2] <= tie_atol:
-            picks.rescore(target, refit_weights(picks.rhs(target), chol), out=scores)
+            picks.rescore(target, refit_weights(picks.rhs(target), factor), out=scores)
             k = _best_ratio(scores, safe_norms, excluded, ratios)
         try:
-            chol = cholesky_append(chol, picks.cross(k), float(norms[k]) ** 2, out=factor)
+            cholesky_append(factor, picks.cross(k), float(norms[k]) ** 2)
         except SingularGramError:
             truncated = True
             break
@@ -357,16 +343,14 @@ def omp_select(G: GradientMatrix, target: np.ndarray, n: int) -> CoresetSelectio
         if m + 1 == n:
             break
         b = basis[:, m]
-        np.subtract(picks.gram_column(k), basis[:, :m] @ chol[m, :m], out=b)
-        b /= chol[m, m]
-        scores -= b * (scores[k] / chol[m, m])
+        np.subtract(picks.gram_column(k), basis[:, :m] @ factor[m, :m], out=b)
+        b /= factor[m, m]
+        scores -= b * (scores[k] / factor[m, m])
 
-    weights = refit_weights(picks.rhs(target), chol) if indices else np.zeros(0)
+    weights = refit_weights(picks.rhs(target), factor) if indices else np.zeros(0)
     return CoresetSelection(indices, weights, truncated=truncated)
 
 
 def selection_residual(G: GradientMatrix, target: np.ndarray, selection: CoresetSelection) -> np.ndarray:
     """Residual target - G_I w of a selection."""
-    if selection.size == 0:
-        return np.asarray(target, dtype=np.float64).copy()
-    return np.asarray(target, dtype=np.float64) - G.data[:, selection.indices] @ selection.weights
+    return target - G.data[:, selection.indices] @ selection.weights

@@ -175,22 +175,18 @@ def class_balance_update(
     class (ties toward the lowest class id).
     """
 
-    # Class counts and each class's slots in ascending order, built from the
-    # full memory on the first eviction and then kept up to date per admission.
-    counts: dict[int, int] = {}
+    # Each class's slots in ascending order, built from the full memory on the
+    # first eviction and then kept up to date per admission.
     members: dict[int, list[int]] = {}
 
     def evict(labels, y, seen, num_classes):
-        if not counts:
+        if not members:
             for slot, lab in enumerate(labels):
-                counts[lab] = counts.get(lab, 0) + 1
                 members.setdefault(lab, []).append(slot)
-        if counts.get(y, 0) >= memory.capacity // num_classes:
+        if len(members.get(y, ())) >= memory.capacity // num_classes:
             return None
-        largest = max(counts, key=lambda c: (counts[c], -c))
-        slot = members[largest].pop(int(rng.integers(0, counts[largest])))
-        counts[largest] -= 1
-        counts[y] = counts.get(y, 0) + 1
+        largest = max(members, key=lambda c: (len(members[c]), -c))
+        slot = members[largest].pop(int(rng.integers(0, len(members[largest]))))
         bisect.insort(members.setdefault(y, []), slot)
         return slot
 

@@ -252,7 +252,7 @@ def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
     safe_norms = np.where(admissible, norms, 1.0)
     indices: list[int] = []
     weights = np.zeros(0)
-    chol = np.zeros((0, 0))
+    factor = np.zeros((n, n))
     residual = target.copy()
     truncated = False
 
@@ -265,13 +265,15 @@ def omp_select_by_gathers(G, target: np.ndarray, n: int) -> CoresetSelection:
             break
         cross = G.data[:, indices].T @ G.data[:, k] if indices else np.zeros(0)
         try:
-            chol = cholesky_append(chol, cross, float(norms[k]) ** 2)
+            cholesky_append(factor, cross, float(norms[k]) ** 2)
         except SingularGramError:
             truncated = True
             break
         indices.append(k)
         admissible[k] = False
         rhs = G.data[:, indices].T @ target
+        # a C-ordered copy: scipy solves a strided view by another path, with other bits
+        chol = factor[: len(indices), : len(indices)].copy()
         weights = solve_triangular(chol.T, solve_triangular(chol, rhs, lower=True), lower=False)
         residual = target - G.data[:, indices] @ weights
 

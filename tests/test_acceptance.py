@@ -72,9 +72,9 @@ def test_criterion_02_cholesky_append_equivalence():
         m = int(rng.integers(2, 7))
         cols = rng.standard_normal((m + 4, m))
         gram = cols.T @ cols
-        chol = np.zeros((0, 0))
+        chol = np.zeros((m, m))
         for j in range(m):
-            chol = cholesky_append(chol, gram[:j, j], gram[j, j])
+            cholesky_append(chol, gram[:j, j], gram[j, j])
         oracle = np.linalg.cholesky(gram)
         assert np.abs(chol - oracle).max() <= 1e-10
     assert time.perf_counter() - started < 5.0

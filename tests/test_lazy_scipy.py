@@ -1,6 +1,6 @@
 """scipy's LAPACK extension loads at the first selection, never at import or in runs that
 select nothing, and ``scipy.linalg`` never loads; the process pool's modules load only for
-a parallel sweep.
+a parallel sweep, and ``numpy.ma`` not at all.
 
 Each check runs in a fresh interpreter, so modules loaded by other tests
 do not count, and reports which modules the interpreter holds.
@@ -99,6 +99,11 @@ def select_statements(tmp_path, out: str) -> str:
 
 def test_select_loads_scipys_lapack_extension_alone(tmp_path):
     assert loads_lapack_alone(scipy_modules_after(select_statements(tmp_path, "coreset.csv"), tmp_path))
+
+
+def test_a_gradient_matching_run_and_select_load_no_numpy_ma(tmp_path):
+    for statements in (run_statements(tmp_path, "gmc", "gdumb"), select_statements(tmp_path, "out.csv")):
+        assert "numpy.ma" not in modules_after(statements, tmp_path)
 
 
 def test_select_is_the_same_whichever_loads_lapack_first_and_loads_it_once(tmp_path):

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 
 from gmcoreset.matching_pursuit import (
     GRAM_MAX_RATIO,
+    CoresetSelection,
     GradientMatrix,
     SingularGramError,
     _solve_lower,
@@ -40,6 +41,16 @@ def test_gradient_matrix_rejects_non_finite():
 def test_gradient_matrix_rejects_empty():
     with pytest.raises(ValueError):
         GradientMatrix(np.zeros((0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), max_size=6))
+def test_a_selection_rejects_exactly_the_repeated_indices(indices):
+    if len(set(indices)) == len(indices):
+        assert CoresetSelection(indices, np.ones(len(indices))).size == len(indices)
+    else:
+        with pytest.raises(ValueError, match="distinct"):
+            CoresetSelection(indices, np.ones(len(indices)))
 
 
 # --- triangular solves ---------------------------------------------------------
@@ -76,7 +87,7 @@ def test_overflowing_solves_raise_instead_of_returning_inf():
     with pytest.raises(ValueError, match="non-finite"):
         _solve_lower(tiny, np.array([1e200]))
     with pytest.raises(ValueError, match="non-finite"):
-        cholesky_append(tiny, np.array([1e200]), 1.0)
+        cholesky_append(np.array([[1e-160, 0.0], [0.0, 0.0]]), np.array([1e200]), 1.0)
     # The forward solve gives 1e160; only the back substitution overflows.
     with pytest.raises(ValueError, match="non-finite"):
         refit_weights(np.ones((1, 1)).T @ np.ones(1), tiny)
@@ -93,14 +104,16 @@ def test_refit_rejects_a_nonpositive_factor_diagonal(diagonal):
 
 
 def test_append_to_empty_factor():
-    grown = cholesky_append(np.zeros((0, 0)), np.zeros(0), 9.0)
+    grown = np.zeros((1, 1))
+    cholesky_append(grown, np.zeros(0), 9.0)
     assert np.allclose(grown, [[3.0]])
 
 
 def test_append_two_by_two():
     # Gram [[4, 2], [2, 5]]: l21 = 2/2 = 1, l22 = sqrt(5 - 1) = 2
-    first = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
-    grown = cholesky_append(first, np.array([2.0]), 5.0)
+    grown = np.zeros((2, 2))
+    cholesky_append(grown, np.zeros(0), 4.0)
+    cholesky_append(grown, np.array([2.0]), 5.0)
     assert np.allclose(grown, [[2.0, 0.0], [1.0, 2.0]])
     assert np.allclose(grown @ grown.T, [[4.0, 2.0], [2.0, 5.0]])
 
@@ -110,39 +123,39 @@ def test_incremental_matches_one_shot_factorization(seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((9, 4))
     gram = cols.T @ cols
-    chol = np.zeros((0, 0))
+    chol = np.zeros((4, 4))
     for j in range(4):
-        chol = cholesky_append(chol, gram[:j, j], gram[j, j])
+        cholesky_append(chol, gram[:j, j], gram[j, j])
     oracle = np.linalg.cholesky(gram)
     assert np.abs(chol - oracle).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_append_in_place_equals_the_copying_form_bit_for_bit(seed):
+def test_append_writes_one_row_per_call_until_the_buffer_has_no_room(seed):
     rng = np.random.default_rng(seed)
     cols = rng.standard_normal((30, 12))
     gram = cols.T @ cols
-    chol, buffer = np.zeros((0, 0)), np.zeros((12, 12))
-    rows = buffer[:0]
+    buffer = np.zeros((12, 12))
     for j in range(12):
-        chol = cholesky_append(chol, gram[:j, j], gram[j, j])
-        rows = cholesky_append(rows, gram[:j, j], gram[j, j], out=buffer)
-        assert np.shares_memory(rows, buffer)
-        assert np.array_equal(rows[:, :j + 1], chol)
+        cholesky_append(buffer, gram[:j, j], gram[j, j])
+        oracle = np.linalg.cholesky(gram[: j + 1, : j + 1])
+        assert np.abs(buffer[: j + 1, : j + 1] - oracle).max() <= 1e-10
+        assert not np.triu(buffer, 1).any() and not buffer[j + 1:].any()
     with pytest.raises(ValueError, match="no room"):
-        cholesky_append(rows, gram[:, 0], 1.0, out=buffer)
+        cholesky_append(buffer, gram[:, 0], 1.0)
 
 
 def test_append_rejects_dependent_column():
-    first = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
+    factor = np.zeros((2, 2))
+    cholesky_append(factor, np.zeros(0), 4.0)
     # cross = 2 * 2 means the new column is the old one scaled: schur = 0
     with pytest.raises(SingularGramError):
-        cholesky_append(first, np.array([4.0]), 4.0)
+        cholesky_append(factor, np.array([4.0]), 4.0)
 
 
 def test_append_rejects_nonpositive_diag():
     with pytest.raises(ValueError):
-        cholesky_append(np.zeros((0, 0)), np.zeros(0), 0.0)
+        cholesky_append(np.zeros((1, 1)), np.zeros(0), 0.0)
 
 
 # --- weight refits ------------------------------------------------------------
@@ -159,7 +172,8 @@ def test_refit_orthonormal_columns():
 
 def test_refit_single_column():
     G = GradientMatrix(np.array([[2.0], [0.0]]))
-    chol = cholesky_append(np.zeros((0, 0)), np.zeros(0), 4.0)
+    chol = np.zeros((1, 1))
+    cholesky_append(chol, np.zeros(0), 4.0)
     weights = refit_weights(G.data[:, [0]].T @ np.array([4.0, 0.0]), chol)
     assert np.allclose(weights, [2.0])
 
@@ -171,9 +185,9 @@ def test_refit_matches_pseudo_inverse(seed):
     target = rng.standard_normal(10)
     G = GradientMatrix(cols)
     gram = cols.T @ cols
-    chol = np.zeros((0, 0))
+    chol = np.zeros((3, 3))
     for j in range(3):
-        chol = cholesky_append(chol, gram[:j, j], gram[j, j])
+        cholesky_append(chol, gram[:j, j], gram[j, j])
     weights = refit_weights(G.data[:, np.arange(3)].T @ target, chol)
     oracle = np.linalg.pinv(cols) @ target
     assert np.abs(weights - oracle).max() <= 1e-8
@@ -188,6 +202,11 @@ def test_refit_rejects_empty_selection():
         refit_weights(np.zeros(0), np.zeros((0, 0)))
 
 
+def test_refit_rejects_a_factor_with_fewer_rows_than_columns():
+    with pytest.raises(ValueError, match="fewer factor rows"):
+        refit_weights(np.ones(3), np.eye(3)[:2])
+
+
 # --- greedy selection ----------------------------------------------------------
 
 
@@ -198,6 +217,13 @@ def test_orthonormal_dictionary_picks_largest_coefficients():
     assert np.allclose(sel.weights, [2.0, -1.0])
     assert np.allclose(selection_residual(G, np.array([2.0, 0.0, -1.0]), sel), 0.0)
     assert not sel.truncated
+
+
+def test_the_residual_of_an_empty_selection_is_a_new_array_equal_to_the_target():
+    target = np.array([1.0, -0.0, 2.5])
+    residual = selection_residual(GradientMatrix(np.ones((3, 2))), target, CoresetSelection([], []))
+    assert not np.shares_memory(residual, target)
+    assert np.array_equal(residual, target) and np.signbit(residual[1])
 
 
 def test_target_in_span_of_one_column():
